@@ -6,10 +6,13 @@ loss topologically sorts the graph and accumulates `.grad` arrays on
 every tensor with `requires_grad=True`. Tensors with
 `requires_grad=False` never build graph edges, which is how frozen
 parameters (the EMA target encoder, stage-2 audio encoder) are kept out
-of the gradient flow by construction.
+of the gradient flow by construction. Inside a `no_grad()` block no op
+records a graph edge at all.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -24,6 +27,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+_grad_enabled = True  # False only inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, every op returns a constant with no parents."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -69,8 +87,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, vjp) -> "Tensor":
-        needs = any(p.requires_grad for p in parents)
-        if not needs:
+        if not (_grad_enabled and any(p.requires_grad for p in parents)):
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 
@@ -404,10 +421,6 @@ def l2_normalize(x: Tensor, axis: int = -1, check_nonzero: bool = True) -> Tenso
     if check_nonzero and (norms == 0).any():
         raise InvalidInput("zero-norm row cannot be normalized")
     return x / (x * x).sum(axis=axis, keepdims=True).sqrt()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return 1.0 / (1.0 + (-x).exp())
 
 
 def backward(loss: Tensor) -> None:

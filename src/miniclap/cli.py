@@ -19,6 +19,7 @@ from . import datakit as dk
 from . import evaluation as ev
 from . import network as net
 from . import trainer
+from .config import N_FREQ_PATCHES
 from .errors import FormatError, InvalidConfig, InvalidInput, ParseError, Unsupported
 from .frontend import MelSpectrogram, Waveform, compute_logmel, pad_or_crop_to_grid, patchify, standardize
 from .losses import similarity_matrix
@@ -157,6 +158,8 @@ def _stage_section(cfg: dict, stage_id: str) -> dict:
 
 
 def _prepare_mels(entries, wav_dir) -> list[MelSpectrogram]:
+    if not entries:
+        raise InvalidInput("manifest has no entries")
     mels = []
     for entry in entries:
         audio = dk.load_entry_audio(entry, wav_dir)
@@ -370,12 +373,12 @@ def cmd_eval_zeroshot(args) -> int:
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
 
+    mels = _prepare_mels(entries, args.wav_dir)
     captions = sorted({e.caption for e in entries})
     class_of = {caption: i for i, caption in enumerate(captions)}
     class_embeddings = np.stack([cache.lookup(c) for c in captions])
     class_semantic = net.map_text_embedding(state.textpath, class_embeddings).data
 
-    mels = _prepare_mels(entries, args.wav_dir)
     audio_semantic = ev.semantic_features(state, mels)
     predictions = ev.zero_shot_classify(audio_semantic, class_semantic)
     truth = np.array([class_of[e.caption] for e in entries])
@@ -396,9 +399,9 @@ def cmd_eval_retrieval(args) -> int:
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
 
+    mels = _prepare_mels(entries, args.wav_dir)
     text_embeddings = np.stack([cache.lookup(e.caption) for e in entries])
     s_t = net.map_text_embedding(state.textpath, text_embeddings).data
-    mels = _prepare_mels(entries, args.wav_dir)
     s_a = ev.semantic_features(state, mels)
 
     sims = similarity_matrix(s_a, s_t).data
@@ -429,12 +432,10 @@ def cmd_export_attention(args) -> int:
     window = state.config.input_frames
     for entry in entries:
         mel = _prepare_mels([entry], args.wav_dir)[0]
-        grid = patchify(pad_or_crop_to_grid(MelSpectrogram(mel.values[:, :window]), window))
-        pe = net._posenc_for(state.online, grid.n_f, grid.n_t)
-        z = net.encode_tokens(state.online, grid.patches[None], pe[None])
-        weights = ev.attention_map(state.projector, z.data[0])
+        z, _ = ev.encode_windows(state, [MelSpectrogram(mel.values[:, :window])])
+        weights = ev.attention_map(state.projector, z[0])
         path = os.path.join(out, f"attention-{entry.id}.pgm")
-        ev.write_pgm(path, weights, grid.n_f, grid.n_t)
+        ev.write_pgm(path, weights, N_FREQ_PATCHES, state.config.n_time_patches)
     print(f"wrote {len(entries)} attention map(s) to {out}")
     return 0
 

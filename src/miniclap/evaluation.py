@@ -10,11 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import network as net
 from .autodiff import log_softmax
+from .config import N_FREQ_PATCHES
 from .errors import FormatError, InvalidInput, Unsupported
 from .frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
-from .network import AudioProjectorParams, ModelState, affine, encode_tokens, named_params
+from .network import AudioProjectorParams, ModelState, affine, named_params
 from .trainer import AdamW, bce_with_logits
 
 
@@ -262,47 +264,54 @@ def attention_map(ap: AudioProjectorParams, z) -> np.ndarray:
 # -- whole-clip feature extraction ------------------------------------------------
 
 
-def _grid_windows(mel: MelSpectrogram, window_frames: int) -> list:
-    """Split a standardized spectrogram into consecutive grid windows;
-    the final window is zero-padded to the full width."""
-    t = mel.n_frames
-    n_windows = max(1, -(-t // window_frames))
-    grids = []
-    for w in range(n_windows):
-        chunk = MelSpectrogram(mel.values[:, w * window_frames:(w + 1) * window_frames])
-        grids.append(patchify(pad_or_crop_to_grid(chunk, window_frames)))
-    return grids
+WINDOW_CHUNK = 32  # windows per encoder call; bounds the activations held at once
+
+
+def encode_windows(state: ModelState, mels: list[MelSpectrogram],
+                   summary=lambda z: z.data) -> tuple[np.ndarray, np.ndarray]:
+    """Encode every window of every clip with the online encoder, in
+    chunks of WINDOW_CHUNK windows and without building a graph.
+
+    A clip is split into consecutive windows of `input_frames` frames;
+    the last one is zero-padded to the full width. `summary` maps each
+    chunk's [w, n_f*n_t, dim] patch features to per-window rows, so
+    only the summaries of all windows are held at once; by default it
+    keeps the patch features. Returns the stacked summaries and each
+    window's clip index.
+    """
+    if not mels:
+        raise InvalidInput("no clips to encode")
+    width = state.config.input_frames
+    windows = [(clip, MelSpectrogram(mel.values[:, start:start + width]))
+               for clip, mel in enumerate(mels)
+               for start in range(0, max(1, mel.n_frames), width)]
+    pe = state.online.posenc.table  # every window has the configured width
+    out = []
+    for first in range(0, len(windows), WINDOW_CHUNK):
+        chunk = windows[first:first + WINDOW_CHUNK]
+        patches = np.stack([patchify(pad_or_crop_to_grid(w, width)).patches for _, w in chunk])
+        with ad.no_grad():
+            out.append(summary(net.encode_tokens(state.online, patches, pe)))
+    return np.concatenate(out), np.array([clip for clip, _ in windows])
+
+
+def _mean_per_clip(feats: np.ndarray, owner: np.ndarray, n_clips: int) -> np.ndarray:
+    return np.stack([feats[owner == clip].mean(axis=0) for clip in range(n_clips)])
 
 
 def clip_features(state: ModelState, mels: list[MelSpectrogram]) -> np.ndarray:
     """Frozen clip-level features: encode full windows, average the
     time-mean concatenated frame features over windows. [n, n_f*dim]."""
-    window = state.config.input_frames
-    out = []
-    for mel in mels:
-        feats = []
-        for grid in _grid_windows(mel, window):
-            pe = net._posenc_for(state.online, grid.n_f, grid.n_t)
-            z = encode_tokens(state.online, grid.patches[None], pe[None])
-            _, clip = summarize_features(z, grid.n_f, grid.n_t)
-            feats.append(clip.data[0])
-        out.append(np.mean(feats, axis=0))
-    return np.stack(out)
+    n_t = state.config.n_time_patches
+    feats, owner = encode_windows(
+        state, mels, lambda z: summarize_features(z, N_FREQ_PATCHES, n_t)[1].data)
+    return _mean_per_clip(feats, owner, len(mels))
 
 
 def semantic_features(state: ModelState, mels: list[MelSpectrogram]) -> np.ndarray:
     """Projector audio features (mean over windows for long clips). [n, dim]."""
-    window = state.config.input_frames
-    out = []
-    for mel in mels:
-        feats = []
-        for grid in _grid_windows(mel, window):
-            pe = net._posenc_for(state.online, grid.n_f, grid.n_t)
-            z = encode_tokens(state.online, grid.patches[None], pe[None])
-            s_a = net.project_audio(state.projector, z)
-            feats.append(s_a.data[0])
-        out.append(np.mean(feats, axis=0))
-    return np.stack(out)
+    feats, owner = encode_windows(state, mels, lambda z: net.project_audio(state.projector, z).data)
+    return _mean_per_clip(feats, owner, len(mels))
 
 
 # -- reports and file formats -----------------------------------------------------

@@ -1,4 +1,10 @@
-"""Random visible/masked partitions of the patch sequence."""
+"""Random visible/masked partitions of the patch sequence.
+
+Batched contract: a batch of B samples over n patches has a [B, V]
+array of visible indices and a [B, M] array of masked indices, one
+sorted partition per row, drawn row by row with `sample_partition`; the
+predictor input is [B, n, d]. A single sample is a batch of one.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +21,6 @@ from .errors import InvalidInput
 class MaskPartition:
     visible_idx: np.ndarray  # sorted
     masked_idx: np.ndarray  # sorted
-    n: int
-    ratio: float
 
 
 def masked_count(n: int, ratio: float) -> int:
@@ -33,37 +37,38 @@ def sample_partition(n: int, ratio: float, rng: np.random.Generator) -> MaskPart
     order = rng.permutation(n)
     masked = np.sort(order[:n_masked])
     visible = np.sort(order[n_masked:])
-    return MaskPartition(visible, masked, n, ratio)
+    return MaskPartition(visible, masked)
 
 
-def assemble_predictor_input(z_v, mask_token, pe_table, part: MaskPartition) -> Tensor:
-    """Restore grid order: visible rows from z_v, mask tokens elsewhere,
-    plus the positional-encoding row of every position.
+def batch_partitions(n: int, ratio: float, batch: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One partition per row, drawn in row order: [B, V] visible and
+    [B, M] masked indices."""
+    if batch < 1:
+        raise InvalidInput("a batch needs at least one sample")
+    parts = [sample_partition(n, ratio, rng) for _ in range(batch)]
+    return (np.stack([p.visible_idx for p in parts]),
+            np.stack([p.masked_idx for p in parts]))
 
-    z_v is [V, D] or [B, V, D]; pe_table is the [n, D] table (or a
-    PositionalEncoding).
+
+def assemble_predictor_input(z_v, mask_token, pe_table, vis: np.ndarray,
+                             msk: np.ndarray) -> Tensor:
+    """Restore grid order in every row: visible rows from z_v, the mask
+    token elsewhere, plus the positional-encoding row of every position.
+
+    z_v is [B, V, d]; vis [B, V] and msk [B, M] partition each row's n
+    positions; pe_table is the [n, d] table. Output [B, n, d].
     """
-    pe_table = getattr(pe_table, "table", pe_table)
     z_v = Tensor.wrap(z_v)
-    mask_token = Tensor.wrap(mask_token)
-    n_visible = len(part.visible_idx)
-    n_masked = len(part.masked_idx)
-    if z_v.shape[-2] != n_visible:
-        raise InvalidInput(f"expected {n_visible} visible rows, got {z_v.shape[-2]}")
-    d = z_v.shape[-1]
-
-    batched = z_v.ndim == 3
-    shape = (z_v.shape[0], n_masked, d) if batched else (n_masked, d)
-    tokens = mask_token.reshape((1,) * (len(shape) - 1) + (d,)).expand(shape)
-    stacked = ad.concat([z_v, tokens], axis=-2)
-    # position i of the output comes from stacked row order[i]
-    order = np.empty(part.n, dtype=int)
-    order[part.visible_idx] = np.arange(n_visible)
-    order[part.masked_idx] = n_visible + np.arange(n_masked)
+    b, n_visible, d = z_v.shape
+    n_masked = msk.shape[1]
+    if vis.shape != (b, n_visible) or msk.shape[0] != b:
+        raise InvalidInput(f"index arrays {vis.shape} and {msk.shape} do not match "
+                           f"visible features {z_v.shape}")
+    # position i of row r comes from stacked row order[r, i]
+    order = np.empty((b, n_visible + n_masked), dtype=int)
+    np.put_along_axis(order, vis, np.arange(n_visible)[None, :], axis=1)
+    np.put_along_axis(order, msk, n_visible + np.arange(n_masked)[None, :], axis=1)
+    tokens = Tensor.wrap(mask_token).expand((b, n_masked, d))
+    stacked = ad.concat([z_v, tokens], axis=1)
     return ad.gather_rows(stacked, order) + pe_table
-
-
-def gather(seq, idx) -> Tensor:
-    """Select rows of seq in idx order (bounds-checked)."""
-    idx = np.asarray(idx, dtype=int)
-    return ad.gather_rows(Tensor.wrap(seq), idx)

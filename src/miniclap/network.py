@@ -4,6 +4,11 @@ text path, plus checkpoint serialization.
 All components are dataclasses of `Tensor` leaves; forwards are free
 functions building an autodiff graph. The target encoder's tensors are
 created with `requires_grad=False`, so no gradient can ever reach it.
+
+Forwards are batched: patches are [B, n, 256], encoder and predictor
+features [B, k, dim], and per-row patch selections [B, k] index arrays.
+A single sample is a batch of one. Only `project_audio`,
+`map_text_embedding` and `encode_text` also take one unbatched sample.
 """
 
 from __future__ import annotations
@@ -20,10 +25,7 @@ from . import masking
 from .autodiff import Tensor, gelu, softmax
 from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
 from .errors import FormatError, InvalidInput
-from .frontend import PatchGrid, PositionalEncoding, build_posenc, interpolate_posenc
-from .masking import MaskPartition
-
-backward = ad.backward  # reverse-mode differentiation entry point
+from .frontend import PositionalEncoding, build_posenc, interpolate_posenc
 
 LN_EPS = 1e-6
 PAD_ID = 1
@@ -316,7 +318,7 @@ def param_digest(obj) -> str:
 # -- forward passes ---------------------------------------------------------
 
 
-def _posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
+def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
     pe = params.posenc
     if (n_f, n_t) == (pe.n_f, pe.n_t):
         return pe.table
@@ -333,45 +335,37 @@ def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     return layer_norm(params.final_norm, x)
 
 
-def encode(params: EncoderParams, grid: PatchGrid, part: MaskPartition,
-           branch: str = "visible") -> Tensor:
-    """Encode the selected side of the partition; output [k, dim]."""
-    if part.n != grid.n:
-        raise InvalidInput(f"partition over {part.n} patches, grid has {grid.n}")
-    if branch not in ("visible", "masked"):
-        raise InvalidInput(f"branch must be 'visible' or 'masked', got {branch!r}")
-    idx = part.visible_idx if branch == "visible" else part.masked_idx
-    pe = _posenc_for(params, grid.n_f, grid.n_t)
-    out = encode_tokens(params, grid.patches[idx][None], pe[idx][None])
-    return out.reshape(out.shape[1], out.shape[2])
+def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,
+                    pe: np.ndarray) -> Tensor:
+    """Encode the patches each row selects: patches [B, n, 256], idx
+    [B, k], pe the [n, dim] position table; output [B, k, dim]."""
+    b, n, _ = patches.shape
+    if pe.shape[0] != n:
+        raise InvalidInput(f"position table has {pe.shape[0]} rows for {n} patches")
+    if idx.shape[0] != b or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise InvalidInput(f"patch indices {idx.shape} do not select from {patches.shape[:2]}")
+    return encode_tokens(params, patches[np.arange(b)[:, None], idx], pe[idx])
 
 
 def predictor_forward(pp: PredictorParams, seq) -> Tensor:
     x = Tensor.wrap(seq)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
     for block in pp.blocks:
         x = block_forward(block, x)
-    x = affine(pp.out, x)
-    return x.reshape(x.shape[1], x.shape[2]) if squeeze else x
+    return affine(pp.out, x)
 
 
-def predict_masked(pp: PredictorParams, z_v, mask_token, pe: PositionalEncoding,
-                   part: MaskPartition) -> Tensor:
-    """Predict features of the masked positions; output [|masked|, dim]."""
-    seq = masking.assemble_predictor_input(z_v, mask_token, pe.table, part)
-    out = predictor_forward(pp, seq)
-    return masking.gather(out, part.masked_idx)
+def predict_masked(pp: PredictorParams, z_v, pe: np.ndarray, vis: np.ndarray,
+                   msk: np.ndarray) -> Tensor:
+    """Predict each row's masked features from its [B, V, dim] visible
+    features; output [B, M, dim]."""
+    seq = masking.assemble_predictor_input(z_v, pp.mask_token, pe, vis, msk)
+    return ad.gather_rows(predictor_forward(pp, seq), msk)
 
 
 def standardize_targets(z_m, eps: float = 1e-6) -> Tensor:
     """Zero-mean unit-variance over all entries (per sample when batched)."""
     z = Tensor.wrap(z_m)
-    if z.ndim == 2:
-        count = z.data.size
-    else:
-        count = z.shape[-1] * z.shape[-2]
+    count = z.shape[-1] * z.shape[-2]
     if count < 2:
         raise InvalidInput("need at least two target entries to standardize")
     mu = z.mean(axis=(-2, -1), keepdims=True)

@@ -16,7 +16,7 @@ from .autodiff import Tensor
 from .errors import InvalidConfig, InvalidInput
 from .frontend import summarize_features
 from .losses import LossWeights, clap_loss, clip_temperature, combined_loss, m2d_loss, similarity_matrix
-from .masking import masked_count, sample_partition
+from .masking import batch_partitions
 from .network import ModelState, affine, encode_tokens, named_params
 
 STAGE_IDS = ("1", "1.1", "2", "2.1")
@@ -228,33 +228,6 @@ class StageData:
         )
 
 
-def _batch_partitions(n: int, ratio: float, batch: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    parts = [sample_partition(n, ratio, rng) for _ in range(batch)]
-    vis = np.stack([p.visible_idx for p in parts])
-    msk = np.stack([p.masked_idx for p in parts]) if masked_count(n, ratio) else \
-        np.zeros((batch, 0), dtype=int)
-    return vis, msk
-
-
-def _encode_selected(enc, patches: np.ndarray, idx: np.ndarray, pe: np.ndarray) -> Tensor:
-    rows = np.arange(patches.shape[0])[:, None]
-    return encode_tokens(enc, patches[rows, idx], pe[idx])
-
-
-def _predict_masked_batch(state: ModelState, z_v: Tensor, pe: np.ndarray,
-                          vis: np.ndarray, msk: np.ndarray) -> Tensor:
-    b, n_visible, d = z_v.shape
-    n = vis.shape[1] + msk.shape[1]
-    order = np.empty((b, n), dtype=int)
-    np.put_along_axis(order, vis, np.arange(n_visible)[None, :], axis=1)
-    np.put_along_axis(order, msk, n_visible + np.arange(msk.shape[1])[None, :], axis=1)
-    tokens = state.predictor.mask_token.expand((b, msk.shape[1], d))
-    stacked = ad.concat([z_v, tokens], axis=1)
-    seq = ad.gather_rows(stacked, order) + pe
-    out = net.predictor_forward(state.predictor, seq)
-    return ad.gather_rows(out, msk)
-
-
 # -- stage steps --------------------------------------------------------------
 
 
@@ -270,15 +243,15 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     ema_alpha = cfg.ema_start if ema_alpha is None else ema_alpha
 
     b, n, _ = data.patches.shape
-    pe = net._posenc_for(state.online, data.n_f, data.n_t)
-    vis, msk = _batch_partitions(n, cfg.mask_ratio, b, rng)
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    vis, msk = batch_partitions(n, cfg.mask_ratio, b, rng)
     if msk.shape[1] == 0 or vis.shape[1] == 0:
         raise InvalidInput("stage 1 needs both visible and masked patches")
 
-    z_v = _encode_selected(state.online, data.patches, vis, pe)
-    predicted = _predict_masked_batch(state, z_v, pe, vis, msk)
+    z_v = net.encode_selected(state.online, data.patches, vis, pe)
+    predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
     # target branch: parameters are requires_grad=False, so no graph forms
-    z_m = _encode_selected(state.target, data.patches, msk, pe)
+    z_m = net.encode_selected(state.target, data.patches, msk, pe)
     target = net.standardize_targets(z_m)
     loss_m2d = m2d_loss(predicted, target)
 
@@ -316,9 +289,10 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
     lr = cfg.base_lr if lr is None else lr
 
     b, n, _ = data.patches.shape
-    pe = net._posenc_for(state.online, data.n_f, data.n_t)
-    vis, _ = _batch_partitions(n, cfg.mask_ratio, b, rng)
-    z_v = _encode_selected(state.online, data.patches, vis, pe).detach()
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)
+    with ad.no_grad():  # the audio encoder is frozen
+        z_v = net.encode_selected(state.online, data.patches, vis, pe)
 
     s_a = net.project_audio(state.projector, z_v)
     s_t = net.encode_text_batch(state.textpath, data.token_rows)
@@ -367,7 +341,7 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
     if not cfg.freeze_audio_encoder:
         params.update(trainable_params(state, "1.1"))
     opt = AdamW(params, lr=cfg.base_lr)
-    pe = net._posenc_for(state.online, data.n_f, data.n_t)
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n_samples)

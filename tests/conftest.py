@@ -98,6 +98,19 @@ def oracle_encoder(enc, patch_vectors: np.ndarray, pe_rows: np.ndarray) -> np.nd
     return oracle_layernorm(x, enc.final_norm.gain.data, enc.final_norm.bias.data)
 
 
+def oracle_predictor_input(z_v: np.ndarray, token: np.ndarray, pe: np.ndarray,
+                           visible) -> np.ndarray:
+    """One row of the predictor input, position by position: a visible
+    position takes the z_v row of its rank among the visible positions,
+    a masked one the mask token, and every position adds its table row."""
+    visible = list(visible)
+    out = np.empty((pe.shape[0], pe.shape[1]))
+    for i in range(pe.shape[0]):
+        row = z_v[visible.index(i)] if i in visible else np.reshape(token, -1)
+        out[i] = row + pe[i]
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

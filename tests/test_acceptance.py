@@ -78,7 +78,7 @@ def _toy_train(toy_assets, lambda_clap, seed=0):
 
 def _toy_zero_shot(state, toy_assets) -> float:
     patches, class_ids, held_out, embeddings = toy_assets
-    pe = net._posenc_for(state.online, 5, TOY_MODEL.n_time_patches)
+    pe = net.posenc_for(state.online, 5, TOY_MODEL.n_time_patches)
     z = net.encode_tokens(state.online, patches[held_out], pe)
     audio_semantic = net.project_audio(state.projector, z).data
     class_semantic = net.map_text_embedding(state.textpath, embeddings).data

@@ -155,3 +155,44 @@ class TestGraphSemantics:
         out1 = ad.softmax(a @ a, axis=-1).data
         out2 = ad.softmax(a @ a, axis=-1).data
         assert np.array_equal(out1, out2)
+
+
+class TestGatherRows:
+    def test_full_range_is_identity(self, rng):
+        seq = rng.standard_normal((5, 3))
+        np.testing.assert_array_equal(ad.gather_rows(seq, np.arange(5)).data, seq)
+
+    def test_empty_index(self, rng):
+        out = ad.gather_rows(rng.standard_normal((5, 3)), np.array([], dtype=int))
+        assert out.data.shape == (0, 3)
+        out = ad.gather_rows(rng.standard_normal((2, 5, 3)), np.zeros((2, 0), dtype=int))
+        assert out.data.shape == (2, 0, 3)
+
+    def test_order_respected(self, rng):
+        seq = rng.standard_normal((4, 2))
+        np.testing.assert_array_equal(ad.gather_rows(seq, np.array([2, 0])).data, seq[[2, 0]])
+
+    def test_out_of_range_rejected(self, rng):
+        with pytest.raises(InvalidInput):
+            ad.gather_rows(rng.standard_normal((4, 2)), np.array([4]))
+
+
+class TestNoGrad:
+    def test_ops_inside_record_no_parents(self, rng):
+        a = _param(rng, 3, 4)
+        with ad.no_grad():
+            out = ad.softmax(a @ a.transpose(1, 0)).sum()
+            with ad.no_grad():
+                pass
+            after_nested = a * 2.0
+        assert not out.requires_grad and out._parents == ()
+        assert not after_nested.requires_grad and after_nested._parents == ()
+        assert (a * 2.0).requires_grad
+
+    def test_flag_restored_after_exception(self, rng):
+        a = _param(rng, 2)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("raised inside the block")
+        out = a * 2.0
+        assert out.requires_grad and out._parents

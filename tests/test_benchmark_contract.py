@@ -1,0 +1,71 @@
+"""The benchmark under `benchmarks/` calls miniclap by name: its
+correctness checks through the public API, its traced run by wrapping
+module functions. Both run here in a subprocess, so a rename that
+breaks either one fails the suite, and the tracer's rebinding cannot
+leak into other tests."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "benchmarks")
+
+# Installs the tracer, runs one tiny stage-1 step and one feature
+# extraction, and checks that the wrapped names were the ones called
+# and that extraction recorded no graph.
+TRACED_RUN = """
+import numpy as np
+from miniclap import evaluation as ev, network as net, trainer
+from miniclap.config import ModelConfig
+from miniclap.frontend import MelSpectrogram
+from tracer import Tracer
+
+original = net.encode_tokens
+tracer = Tracer()
+tracer.install()
+assert net.encode_tokens is not original
+cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
+                  predictor_heads=2, emb_dim=12)
+state = net.init_model_state(cfg, 0)
+rng = np.random.default_rng(0)
+data = trainer.StageData(rng.standard_normal((4, 10, 256)), 5, 2,
+                         embeddings=rng.standard_normal((4, 12)))
+stage = trainer.stage_config_from("1", dict(batch_size=4))
+opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+trainer.stage1_step(state, data, stage, rng, opt)
+nodes = tracer.counts["autodiff.graph_nodes"]
+mels = [MelSpectrogram(rng.standard_normal((80, 70)))]
+ev.clip_features(state, mels)
+ev.semantic_features(state, mels)
+assert tracer.counts["autodiff.graph_nodes"] == nodes, "feature extraction built a graph"
+tracer.uninstall()
+assert net.encode_tokens is original
+names = {span[0] for span in tracer.spans}
+for name in ("masking.sample_partition", "network.encode_tokens.online",
+             "network.encode_tokens.target", "network.predictor_forward",
+             "network.project_audio", "trainer.stage1_step",
+             "evaluation.clip_features", "evaluation.semantic_features"):
+    assert name in names, f"traced run never reached {name}"
+# online and target in the step, then one call for all 3 windows per feature kind
+assert tracer.counts["network.encode_tokens.calls"] == 4, dict(tracer.counts)
+print("traced run ok")
+"""
+
+
+def _run(args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), BENCH, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_benchmark_checks_selftest_passes():
+    proc = _run([os.path.join(BENCH, "checks_selftest.py")])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_tracer_installs_and_sees_every_traced_layer():
+    proc = _run(["-c", TRACED_RUN])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "traced run ok" in proc.stdout

@@ -69,6 +69,22 @@ class TestExitCodes:
                      "--init", str(tmp_path / "x.ckpt"), "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("verb", ["extract-features", "eval-zeroshot", "eval-retrieval",
+                                      "pretrain-stage1", "pretrain-stage2"])
+    def test_empty_manifest_is_exit_1(self, corpus, stage1, tmp_path, capsys, verb):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        init = ["--init", str(stage1 / "checkpoints" / "final.ckpt")]
+        cache = ["--cache", str(corpus / "embeddings.cache")]
+        extra = {"extract-features": init, "eval-zeroshot": init + cache,
+                 "eval-retrieval": init + cache, "pretrain-stage1": cache,
+                 "pretrain-stage2": init}[verb]
+        code = main([verb, "--manifest", str(empty), "--out", str(tmp_path / "out"),
+                     *extra, *TINY_MODEL])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
 
 @pytest.fixture(scope="module")
 def stage1(corpus, tmp_path_factory):

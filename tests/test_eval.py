@@ -357,3 +357,21 @@ class TestChunkedFeatures:
         feats = ev.clip_features(state, [short])
         assert feats.shape == (1, 5 * 8)
         assert np.isfinite(feats).all()
+
+    def test_one_call_matches_per_clip_calls(self, rng):
+        cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
+        state = net.init_model_state(cfg, seed=6)
+        # one window, several windows, and more than one chunk of windows in all
+        frames = (20, 32, 100, 33, 40 * 32 + 5)
+        assert sum(-(-t // 32) for t in frames) > ev.WINDOW_CHUNK
+        mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
+        for features in (ev.clip_features, ev.semantic_features):
+            together = features(state, mels)
+            for i, mel in enumerate(mels):
+                np.testing.assert_allclose(together[i], features(state, [mel])[0], atol=1e-10)
+
+    def test_empty_clip_list_rejected(self):
+        state = net.init_model_state(ModelConfig(dim=8, depth=1, heads=2, input_frames=32), seed=6)
+        for features in (ev.encode_windows, ev.clip_features, ev.semantic_features):
+            with pytest.raises(InvalidInput):
+                features(state, [])

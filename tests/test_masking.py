@@ -4,9 +4,11 @@ predictor-input reassembly oracle."""
 import numpy as np
 import pytest
 
-from miniclap import masking
+from miniclap import autodiff as ad, masking
 from miniclap.autodiff import Tensor
 from miniclap.errors import InvalidInput
+
+from conftest import oracle_predictor_input
 
 
 class TestSamplePartition:
@@ -63,73 +65,70 @@ class TestSamplePartition:
             masking.sample_partition(0, 0.5, rng)
 
 
+class TestBatchPartitions:
+    def test_rows_follow_sequential_draws(self):
+        vis, msk = masking.batch_partitions(12, 0.7, 4, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for row in range(4):
+            part = masking.sample_partition(12, 0.7, rng)
+            np.testing.assert_array_equal(vis[row], part.visible_idx)
+            np.testing.assert_array_equal(msk[row], part.masked_idx)
+        assert vis.shape == (4, 4) and msk.shape == (4, 8)
+
+    def test_no_masking_gives_empty_masked_rows(self):
+        vis, msk = masking.batch_partitions(6, 0.0, 3, np.random.default_rng(0))
+        assert vis.shape == (3, 6) and msk.shape == (3, 0)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidInput):
+            masking.batch_partitions(6, 0.5, 0, np.random.default_rng(0))
+
+
 class TestAssemblePredictorInput:
     def test_all_visible_adds_positions_rowwise(self, rng):
-        part = masking.sample_partition(6, 0.0, np.random.default_rng(0))
-        z_v = rng.standard_normal((6, 4))
+        vis, msk = masking.batch_partitions(6, 0.0, 2, np.random.default_rng(0))
+        z_v = rng.standard_normal((2, 6, 4))
         pe = rng.standard_normal((6, 4))
-        out = masking.assemble_predictor_input(z_v, np.zeros(4), pe, part)
+        out = masking.assemble_predictor_input(z_v, np.zeros(4), pe, vis, msk)
         np.testing.assert_allclose(out.data, z_v + pe, atol=1e-12)
 
     def test_all_masked_gives_token_everywhere(self, rng):
-        part = masking.sample_partition(5, 1.0, np.random.default_rng(0))
+        vis, msk = masking.batch_partitions(5, 1.0, 2, np.random.default_rng(0))
         token = rng.standard_normal(3)
         pe = rng.standard_normal((5, 3))
-        out = masking.assemble_predictor_input(np.zeros((0, 3)), token, pe, part)
-        np.testing.assert_allclose(out.data, token[None, :] + pe, atol=1e-12)
+        out = masking.assemble_predictor_input(np.zeros((2, 0, 3)), token, pe, vis, msk)
+        np.testing.assert_allclose(out.data, np.broadcast_to(token + pe, (2, 5, 3)), atol=1e-12)
 
     def test_brute_force_index_oracle(self, rng):
-        visible = np.array([0, 2])
-        part = masking.MaskPartition(visible, np.array([1, 3]), 4, 0.5)
-        z_v = rng.standard_normal((2, 3))
+        vis = np.array([[0, 2], [1, 3], [0, 1]])
+        msk = np.array([[1, 3], [0, 2], [2, 3]])
+        z_v = rng.standard_normal((3, 2, 3))
         token = rng.standard_normal(3)
         pe = rng.standard_normal((4, 3))
-        out = masking.assemble_predictor_input(z_v, token, pe, part).data
-        expected = np.empty((4, 3))
-        for i in range(4):
-            if i in (0, 2):
-                expected[i] = z_v[list(visible).index(i)] + pe[i]
-            else:
-                expected[i] = token + pe[i]
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        out = masking.assemble_predictor_input(z_v, token, pe, vis, msk).data
+        for row in range(3):
+            expected = oracle_predictor_input(z_v[row], token, pe, vis[row])
+            np.testing.assert_allclose(out[row], expected, atol=1e-12)
 
     def test_zero_token_zero_pe_masked_rows_are_zero(self, rng):
-        part = masking.sample_partition(8, 0.5, np.random.default_rng(5))
-        z_v = rng.standard_normal((len(part.visible_idx), 4))
-        out = masking.assemble_predictor_input(z_v, np.zeros(4), np.zeros((8, 4)), part)
-        masked_rows = masking.gather(out, part.masked_idx).data
+        vis, msk = masking.batch_partitions(8, 0.5, 3, np.random.default_rng(5))
+        assert not (msk == msk[0]).all()
+        z_v = rng.standard_normal((3, vis.shape[1], 4))
+        out = masking.assemble_predictor_input(z_v, np.zeros(4), np.zeros((8, 4)), vis, msk)
+        masked_rows = ad.gather_rows(out, msk).data
         assert (masked_rows == 0).all()
 
     def test_size_mismatch_rejected(self, rng):
-        part = masking.sample_partition(8, 0.5, np.random.default_rng(5))
+        vis, msk = masking.batch_partitions(8, 0.5, 2, np.random.default_rng(5))
         with pytest.raises(InvalidInput):
             masking.assemble_predictor_input(
-                rng.standard_normal((2, 4)), np.zeros(4), np.zeros((8, 4)), part)
+                rng.standard_normal((2, 2, 4)), np.zeros(4), np.zeros((8, 4)), vis, msk)
 
     def test_gradients_flow_to_visible_and_token(self, rng):
-        part = masking.sample_partition(6, 0.5, np.random.default_rng(1))
-        z_v = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        vis, msk = masking.batch_partitions(6, 0.5, 2, np.random.default_rng(1))
+        z_v = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         token = Tensor(rng.standard_normal(4), requires_grad=True)
-        out = masking.assemble_predictor_input(z_v, token, np.zeros((6, 4)), part)
+        out = masking.assemble_predictor_input(z_v, token, np.zeros((6, 4)), vis, msk)
         out.sum().backward()
-        np.testing.assert_array_equal(z_v.grad, np.ones((3, 4)))
-        np.testing.assert_array_equal(token.grad, 3 * np.ones(4))
-
-
-class TestGather:
-    def test_full_range_is_identity(self, rng):
-        seq = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(masking.gather(seq, np.arange(5)).data, seq)
-
-    def test_empty_index(self, rng):
-        out = masking.gather(rng.standard_normal((5, 3)), [])
-        assert out.data.shape == (0, 3)
-
-    def test_order_respected(self, rng):
-        seq = rng.standard_normal((4, 2))
-        out = masking.gather(seq, [2, 0]).data
-        np.testing.assert_array_equal(out, seq[[2, 0]])
-
-    def test_out_of_range_rejected(self, rng):
-        with pytest.raises(InvalidInput):
-            masking.gather(rng.standard_normal((4, 2)), [4])
+        np.testing.assert_array_equal(z_v.grad, np.ones((2, 3, 4)))
+        np.testing.assert_array_equal(token.grad, 6 * np.ones(4))

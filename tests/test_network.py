@@ -8,9 +8,9 @@ import pytest
 from miniclap import masking, network as net
 from miniclap.config import ModelConfig
 from miniclap.errors import FormatError, InvalidInput
-from miniclap.frontend import PatchGrid, build_posenc
+from miniclap.frontend import build_posenc
 
-from conftest import assert_grads_match, oracle_block, oracle_encoder
+from conftest import assert_grads_match, oracle_block, oracle_encoder, oracle_predictor_input
 
 TINY = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
                    predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
@@ -22,8 +22,15 @@ def state():
     return net.init_model_state(TINY, seed=5)
 
 
-def _grid(rng, n_f=5, n_t=2):
-    return PatchGrid(rng.standard_normal((n_f * n_t, 256)), n_f, n_t)
+def _patches(rng, b=3, n_f=5, n_t=2):
+    return rng.standard_normal((b, n_f * n_t, 256))
+
+
+def _partitions(n, ratio, b=3, seed=0):
+    vis, msk = masking.batch_partitions(n, ratio, b, np.random.default_rng(seed))
+    if 0 < ratio < 1:
+        assert not (vis == vis[0]).all(), "rows should draw different partitions"
+    return vis, msk
 
 
 def _zero_residuals(block):
@@ -35,39 +42,39 @@ def _zero_residuals(block):
 
 class TestEncode:
     def test_all_visible_full_sequence(self, state, rng):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n, 0.0, np.random.default_rng(0))
-        out = net.encode(state.online, grid, part, "visible")
-        assert out.shape == (grid.n, TINY.dim)
+        patches = _patches(rng)
+        vis, _ = _partitions(patches.shape[1], 0.0)
+        out = net.encode_selected(state.online, patches, vis, state.online.posenc.table)
+        assert out.shape == (3, patches.shape[1], TINY.dim)
 
     def test_deterministic(self, state, rng):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n, 0.7, np.random.default_rng(0))
-        a = net.encode(state.online, grid, part, "visible").data
-        b = net.encode(state.online, grid, part, "visible").data
+        patches = _patches(rng)
+        vis, _ = _partitions(patches.shape[1], 0.7)
+        pe = state.online.posenc.table
+        a = net.encode_selected(state.online, patches, vis, pe).data
+        b = net.encode_selected(state.online, patches, vis, pe).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("branch", ["visible", "masked"])
     def test_matches_straight_line_oracle(self, state, rng, branch):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n, 0.6, np.random.default_rng(2))
-        got = net.encode(state.online, grid, part, branch).data
-        idx = part.visible_idx if branch == "visible" else part.masked_idx
+        patches = _patches(rng)
+        vis, msk = _partitions(patches.shape[1], 0.6, seed=2)
+        idx = vis if branch == "visible" else msk
         pe = state.online.posenc.table
-        want = oracle_encoder(state.online, grid.patches[idx], pe[idx])
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        got = net.encode_selected(state.online, patches, idx, pe).data
+        for row in range(patches.shape[0]):
+            want = oracle_encoder(state.online, patches[row][idx[row]], pe[idx[row]])
+            np.testing.assert_allclose(got[row], want, atol=1e-10)
 
     def test_partition_size_mismatch(self, state, rng):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n + 1, 0.5, np.random.default_rng(0))
+        patches = _patches(rng)
+        pe = state.online.posenc.table
+        vis, _ = _partitions(patches.shape[1] + 1, 0.0)
         with pytest.raises(InvalidInput):
-            net.encode(state.online, grid, part, "visible")
-
-    def test_unknown_branch(self, state, rng):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n, 0.5, np.random.default_rng(0))
+            net.encode_selected(state.online, patches, vis, pe)
+        vis, _ = _partitions(patches.shape[1], 0.0)
         with pytest.raises(InvalidInput):
-            net.encode(state.online, grid, part, "both")
+            net.encode_selected(state.online, patches, vis, pe[:-1])
 
     def test_init_deterministic_under_seed(self):
         a = net.init_model_state(TINY, seed=9)
@@ -79,58 +86,64 @@ class TestEncode:
         # position table instead of failing
         from miniclap.frontend import interpolate_posenc
 
-        grid = _grid(rng, n_f=5, n_t=4)
-        part = masking.sample_partition(grid.n, 0.0, np.random.default_rng(0))
-        got = net.encode(state.online, grid, part, "visible").data
-        pe = interpolate_posenc(state.online.posenc, 4).table
-        want = oracle_encoder(state.online, grid.patches, pe)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        patches = _patches(rng, b=2, n_f=5, n_t=4)
+        vis, _ = _partitions(patches.shape[1], 0.0, b=2)
+        pe = net.posenc_for(state.online, 5, 4)
+        got = net.encode_selected(state.online, patches, vis, pe).data
+        want_pe = interpolate_posenc(state.online.posenc, 4).table
+        for row in range(2):
+            want = oracle_encoder(state.online, patches[row], want_pe)
+            np.testing.assert_allclose(got[row], want, atol=1e-10)
 
-    def test_wrong_frequency_patch_count_rejected(self, state, rng):
-        grid = _grid(rng, n_f=4, n_t=2)
-        part = masking.sample_partition(grid.n, 0.0, np.random.default_rng(0))
+    def test_wrong_frequency_patch_count_rejected(self, state):
         with pytest.raises(InvalidInput):
-            net.encode(state.online, grid, part, "visible")
+            net.posenc_for(state.online, 4, 2)
 
     def test_target_starts_as_online_copy(self, state):
         assert net.param_digest(state.online) == net.param_digest(state.target)
 
 
+def _oracle_predict(pp, z_v, pe, vis, msk):
+    """Row by row: assemble by position, run the straight-line blocks,
+    keep the masked rows."""
+    out = []
+    for row in range(z_v.shape[0]):
+        seq = oracle_predictor_input(z_v[row], pp.mask_token.data, pe, vis[row])
+        for blk in pp.blocks:
+            seq = oracle_block(seq, blk)
+        out.append((seq @ pp.out.weight.data + pp.out.bias.data)[msk[row]])
+    return np.stack(out)
+
+
 class TestPredictMasked:
     def test_no_masked_patches_empty_output(self, state, rng):
-        part = masking.sample_partition(6, 0.0, np.random.default_rng(0))
-        z_v = rng.standard_normal((6, TINY.dim))
-        pe = build_posenc(3, 2, TINY.dim)
-        out = net.predict_masked(state.predictor, z_v,
-                                 state.predictor.mask_token, pe, part)
-        assert out.data.shape == (0, TINY.dim)
+        vis, msk = _partitions(6, 0.0, b=2)
+        z_v = rng.standard_normal((2, 6, TINY.dim))
+        pe = build_posenc(3, 2, TINY.dim).table
+        out = net.predict_masked(state.predictor, z_v, pe, vis, msk)
+        assert out.data.shape == (2, 0, TINY.dim)
 
     def test_identity_predictor_passes_assembled_rows(self, state, rng):
         for block in state.predictor.blocks:
             _zero_residuals(block)
         state.predictor.out.weight.data = np.eye(TINY.dim)
         state.predictor.out.bias.data[:] = 0
-        part = masking.sample_partition(6, 0.5, np.random.default_rng(1))
-        z_v = rng.standard_normal((len(part.visible_idx), TINY.dim))
-        pe = build_posenc(3, 2, TINY.dim)
-        got = net.predict_masked(state.predictor, z_v,
-                                 state.predictor.mask_token, pe, part).data
-        assembled = masking.assemble_predictor_input(
-            z_v, state.predictor.mask_token, pe.table, part).data
-        np.testing.assert_allclose(got, assembled[part.masked_idx], atol=1e-12)
+        vis, msk = _partitions(6, 0.5, seed=1)
+        z_v = rng.standard_normal((3, vis.shape[1], TINY.dim))
+        pe = build_posenc(3, 2, TINY.dim).table
+        got = net.predict_masked(state.predictor, z_v, pe, vis, msk).data
+        for row in range(3):
+            assembled = oracle_predictor_input(
+                z_v[row], state.predictor.mask_token.data, pe, vis[row])
+            np.testing.assert_allclose(got[row], assembled[msk[row]], atol=1e-12)
 
     def test_matches_straight_line_oracle(self, state, rng):
-        part = masking.sample_partition(6, 0.5, np.random.default_rng(3))
-        z_v = rng.standard_normal((len(part.visible_idx), TINY.dim))
-        pe = build_posenc(3, 2, TINY.dim)
-        got = net.predict_masked(state.predictor, z_v,
-                                 state.predictor.mask_token, pe, part).data
-        seq = masking.assemble_predictor_input(
-            z_v, state.predictor.mask_token, pe.table, part).data
-        for blk in state.predictor.blocks:
-            seq = oracle_block(seq, blk)
-        out = seq @ state.predictor.out.weight.data + state.predictor.out.bias.data
-        np.testing.assert_allclose(got, out[part.masked_idx], atol=1e-10)
+        vis, msk = _partitions(6, 0.5, seed=3)
+        z_v = rng.standard_normal((3, vis.shape[1], TINY.dim))
+        pe = build_posenc(3, 2, TINY.dim).table
+        got = net.predict_masked(state.predictor, z_v, pe, vis, msk).data
+        want = _oracle_predict(state.predictor, z_v, pe, vis, msk)
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 class TestStandardizeTargets:
@@ -304,17 +317,27 @@ class TestGradients:
         assert_grads_match(fn, params)
 
     def test_encoder_stack_gradcheck(self, state, rng):
-        grid = _grid(rng, n_f=5, n_t=2)
-        part = masking.sample_partition(grid.n, 0.5, np.random.default_rng(1))
-        r = rng.standard_normal((len(part.visible_idx), TINY.dim))
+        patches = _patches(rng, b=2)
+        vis, _ = _partitions(patches.shape[1], 0.5, b=2, seed=1)
+        r = rng.standard_normal((2, vis.shape[1], TINY.dim))
         params = net.named_params(state.online, "online")
-        fn = lambda: (net.encode(state.online, grid, part, "visible") * r).sum()
+        pe = state.online.posenc.table
+        fn = lambda: (net.encode_selected(state.online, patches, vis, pe) * r).sum()
+        assert_grads_match(fn, params)
+
+    def test_predictor_gradcheck(self, state, rng):
+        vis, msk = _partitions(6, 0.5, b=2, seed=1)
+        z_v = rng.standard_normal((2, vis.shape[1], TINY.dim))
+        pe = build_posenc(3, 2, TINY.dim).table
+        r = rng.standard_normal((2, msk.shape[1], TINY.dim))
+        params = net.named_params(state.predictor, "predictor")
+        fn = lambda: (net.predict_masked(state.predictor, z_v, pe, vis, msk) * r).sum()
         assert_grads_match(fn, params)
 
     def test_target_encoder_never_receives_gradients(self, state, rng):
-        grid = _grid(rng)
-        part = masking.sample_partition(grid.n, 0.5, np.random.default_rng(1))
-        out = net.encode(state.target, grid, part, "masked")
+        patches = _patches(rng, b=2)
+        _, msk = _partitions(patches.shape[1], 0.5, b=2, seed=1)
+        out = net.encode_selected(state.target, patches, msk, state.target.posenc.table)
         assert not out.requires_grad
         with pytest.raises(InvalidInput):
             out.sum().backward()

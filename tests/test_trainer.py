@@ -299,7 +299,7 @@ class TestStage2Step:
         opt = AdamW(trainer.trainable_params(state, "2.1"), lr=1e-3)
         stats = stage2_step(state, data, cfg, np.random.default_rng(0), opt)
 
-        pe = net._posenc_for(frozen.online, data.n_f, data.n_t)
+        pe = net.posenc_for(frozen.online, data.n_f, data.n_t)
         z = net.encode_tokens(frozen.online, data.patches, pe)
         s_a = net.project_audio(frozen.projector, z)
         s_t = net.encode_text_batch(frozen.textpath, data.token_rows)
