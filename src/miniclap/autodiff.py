@@ -5,9 +5,12 @@ output gradient back to its parents. Calling `backward()` on a scalar
 loss topologically sorts the graph and accumulates `.grad` arrays on
 every tensor with `requires_grad=True`. Tensors with
 `requires_grad=False` never build graph edges, which is how frozen
-parameters (the EMA target encoder, stage-2 audio encoder) are kept out
-of the gradient flow by construction. Inside a `no_grad()` block no op
-records a graph edge at all.
+parameters (the EMA target encoder) are kept out of the gradient flow by
+construction. Inside a `no_grad()` block no op records a graph edge at
+all. It is the only stop-gradient: stage 1.1 with a frozen encoder,
+stages 2 and 2.1 and feature extraction run the trainable encoder
+inside it. `gather_rows` is checked indexing, and `l2_normalize` is the
+one place that rejects a zero-norm feature row.
 """
 
 from __future__ import annotations
@@ -73,12 +76,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -189,17 +186,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return Tensor.wrap(other) / self
 
-    def __pow__(self, exponent: float):
-        if not isinstance(exponent, (int, float)):
-            raise InvalidInput("only constant exponents are supported")
-        a = self
-        ad = a.data
-
-        def vjp(g):
-            return ((a, g * exponent * ad ** (exponent - 1)),)
-
-        return Tensor._make(ad ** exponent, (a,), vjp)
-
     def __matmul__(self, other):
         other = Tensor.wrap(other)
         a, b = self, other
@@ -308,15 +294,6 @@ class Tensor:
 
         return Tensor._make(out, (a,), vjp)
 
-    def tanh(self):
-        a = self
-        out = np.tanh(a.data)
-
-        def vjp(g):
-            return ((a, g * (1.0 - out * out)),)
-
-        return Tensor._make(out, (a,), vjp)
-
 
 # -- free functions ------------------------------------------------------------
 
@@ -352,13 +329,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         key = (np.arange(x.shape[0])[:, None], idx)
     else:
         raise InvalidInput("gather_rows supports 2-D or 3-D inputs")
-
-    def vjp(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, key, g)
-        return ((x, out),)
-
-    return Tensor._make(x.data[key], (x,), vjp)
+    return x[key]
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -415,14 +386,10 @@ def layer_norm_core(x: Tensor, eps: float) -> Tensor:
     return Tensor._make(y, (x,), vjp)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, check_nonzero: bool = True) -> Tensor:
+def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
+    """Scale every slice along `axis` to unit length; a zero slice is rejected."""
     x = Tensor.wrap(x)
-    norms = np.sqrt((x.data ** 2).sum(axis=axis))
-    if check_nonzero and (norms == 0).any():
-        raise InvalidInput("zero-norm row cannot be normalized")
-    return x / (x * x).sum(axis=axis, keepdims=True).sqrt()
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode differentiation from a scalar loss."""
-    Tensor.wrap(loss).backward()
+    squared = (x * x).sum(axis=axis, keepdims=True)
+    if (squared.data == 0).any():
+        raise InvalidInput("zero-norm feature row")
+    return x / squared.sqrt()

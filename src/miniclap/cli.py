@@ -2,7 +2,8 @@
 
 Every run writes into a run directory containing a frozen copy of the
 effective config (after overrides), plus the stage's loss log,
-checkpoints, or metrics.
+checkpoints, or metrics. `main` creates the directory and writes that
+copy before it calls the verb with `(args, out, cfg)`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,14 @@ class MissingInput(RuntimeError):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.out or os.path.join(os.environ.get(OUT_ENV, "runs"), args.verb)
+        os.makedirs(out, exist_ok=True)
+        cfg = C.apply_overrides(C.load_config_file(args.config) if args.config else {}, args.set)
+        with open(os.path.join(out, "config.txt"), "w", encoding="utf-8") as fh:
+            fh.write(C.render_config(cfg))
+        return args.func(args, out, cfg)
     except (InvalidInput, InvalidConfig, ParseError, FormatError, Unsupported,
             MissingInput, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -124,26 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _run_dir(args) -> str:
-    if args.out:
-        out = args.out
-    else:
-        root = os.environ.get(OUT_ENV, "runs")
-        out = os.path.join(root, args.verb)
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _effective_config(args) -> dict:
-    cfg = C.load_config_file(args.config) if args.config else {}
-    return C.apply_overrides(cfg, args.set)
-
-
-def _snapshot_config(out_dir: str, cfg: dict) -> None:
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(C.render_config(cfg))
-
-
 def _require_file(path, what: str):
     if not path:
         raise MissingInput(f"missing {what}: pass --init")
@@ -195,10 +180,7 @@ def _load_state(args, cfg: dict, what: str, text_vocab: int = 0) -> net.ModelSta
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_synth_data(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_synth_data(args, out: str, cfg: dict) -> int:
     waves, entries, embeddings = dk.synth_corpus(
         args.classes, args.per_class, args.duration, args.seed)
     wav_dir = os.path.join(out, "wavs")
@@ -213,10 +195,7 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def cmd_pretrain_stage1(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_pretrain_stage1(args, out: str, cfg: dict) -> int:
     stage_cfg = trainer.stage_config_from("1", _stage_section(cfg, "1"))
     model_cfg = C.model_config_from(cfg)
     entries = dk.load_manifest(args.manifest)
@@ -235,10 +214,7 @@ def cmd_pretrain_stage1(args) -> int:
     return 0
 
 
-def cmd_finetune_stage1_1(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
     stage_cfg = trainer.stage_config_from("1.1", _stage_section(cfg, "1.1"))
     entries = dk.load_manifest(args.manifest)
     state = _load_state(args, cfg, "stage-1 checkpoint")
@@ -266,10 +242,7 @@ def cmd_finetune_stage1_1(args) -> int:
     return 0
 
 
-def cmd_pretrain_stage2(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
     stage_id = args.stage_id
     previous = "stage-1 checkpoint" if stage_id == "2" else "stage-2 checkpoint"
     ckpt = _require_file(args.init, previous)
@@ -312,10 +285,7 @@ def transfer_shared(src: net.ModelState, dst: net.ModelState) -> None:
             tensor.data = src_params[name].data.copy()
 
 
-def cmd_extract_features(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_extract_features(args, out: str, cfg: dict) -> int:
     state = _load_state(args, cfg, "checkpoint")
     entries = dk.load_manifest(args.manifest)
     mels = _prepare_mels(entries, args.wav_dir)
@@ -338,15 +308,15 @@ def _split_indices(n: int, val_frac: float, test_frac: float, seed: int):
     return order[n_test + n_val:], order[n_test:n_test + n_val], order[:n_test]
 
 
-def cmd_eval_linear(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_eval_linear(args, out: str, cfg: dict) -> int:
     ids, feats = ev.read_features(args.features)
     entries = {e.id: e for e in dk.load_manifest(args.manifest)}
     missing = [i for i in ids if i not in entries]
     if missing:
         raise InvalidInput(f"feature ids missing from manifest: {missing[:3]}")
+    unlabeled = [i for i in ids if not entries[i].labels]
+    if unlabeled:
+        raise InvalidInput(f"manifest entry {unlabeled[0]!r} has no label")
     classes = sorted({label for e in entries.values() for label in e.labels})
     index = {label: i for i, label in enumerate(classes)}
     labels = np.array([index[entries[i].labels[0]] for i in ids])
@@ -365,10 +335,7 @@ def cmd_eval_linear(args) -> int:
     return 0
 
 
-def cmd_eval_zeroshot(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_eval_zeroshot(args, out: str, cfg: dict) -> int:
     state = _load_state(args, cfg, "checkpoint")
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
@@ -391,10 +358,7 @@ def cmd_eval_zeroshot(args) -> int:
     return 0
 
 
-def cmd_eval_retrieval(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_eval_retrieval(args, out: str, cfg: dict) -> int:
     state = _load_state(args, cfg, "checkpoint")
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
@@ -418,10 +382,7 @@ def cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def cmd_export_attention(args) -> int:
-    out = _run_dir(args)
-    cfg = _effective_config(args)
-    _snapshot_config(out, cfg)
+def cmd_export_attention(args, out: str, cfg: dict) -> int:
     state = _load_state(args, cfg, "checkpoint")
     entries = dk.load_manifest(args.manifest)
     if args.entry:

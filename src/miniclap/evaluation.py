@@ -16,6 +16,7 @@ from .autodiff import log_softmax
 from .config import N_FREQ_PATCHES
 from .errors import FormatError, InvalidInput, Unsupported
 from .frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
+from .losses import similarity_matrix
 from .network import AudioProjectorParams, ModelState, affine, named_params
 from .trainer import AdamW, bce_with_logits
 
@@ -162,16 +163,7 @@ def caption_from_label(task_id: str, label) -> str:
 
 def zero_shot_classify(audio_semantic: np.ndarray, class_semantic: np.ndarray) -> np.ndarray:
     """Nearest class by cosine similarity; ties go to the lowest index."""
-    audio = np.asarray(audio_semantic, dtype=np.float64)
-    classes = np.asarray(class_semantic, dtype=np.float64)
-    if audio.ndim != 2 or classes.ndim != 2 or audio.shape[1] != classes.shape[1]:
-        raise InvalidInput("feature matrices must be [n, dim] with matching dim")
-    a_norm = np.sqrt((audio ** 2).sum(axis=1, keepdims=True))
-    c_norm = np.sqrt((classes ** 2).sum(axis=1, keepdims=True))
-    if (a_norm == 0).any() or (c_norm == 0).any():
-        raise InvalidInput("zero-norm feature row")
-    sims = (audio / a_norm) @ (classes / c_norm).T
-    return sims.argmax(axis=1)
+    return similarity_matrix(audio_semantic, class_semantic).data.argmax(axis=1)
 
 
 # -- retrieval ------------------------------------------------------------------
@@ -252,13 +244,30 @@ def retrieval_metrics(similarity: np.ndarray, ground_truth,
 # -- projector attention ---------------------------------------------------------
 
 
-def attention_map(ap: AudioProjectorParams, z) -> np.ndarray:
-    """Class-token attention weights over the k input patch features."""
+def attention_map(ap: AudioProjectorParams, z: np.ndarray) -> np.ndarray:
+    """Class-token attention weights over the k input patch features.
+
+    Softmax is taken over the patch keys of the projector block only
+    (the class-token key is excluded), so the weights are a length-k
+    probability vector.
+    """
     if ap.kind != "transformer":
         raise Unsupported("attention export needs the transformer projector")
     if len(ap.blocks) != 1 or ap.n_heads != 1:
         raise Unsupported("attention export needs a single-block, single-head projector")
-    return net.projector_attention(ap, z)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise InvalidInput("expected a [k, dim] feature array")
+    block = ap.blocks[0]
+    d = z.shape[1]
+    x = np.concatenate([ap.cls_token.data.reshape(1, d), z], axis=0)
+    h = net.layer_norm(block.norm1, x).data
+    q = h[0] @ block.attn_q.weight.data + block.attn_q.bias.data
+    keys = h[1:] @ block.attn_k.weight.data + block.attn_k.bias.data
+    logits = keys @ q / np.sqrt(d)
+    logits -= logits.max()
+    weights = np.exp(logits)
+    return weights / weights.sum()
 
 
 # -- whole-clip feature extraction ------------------------------------------------

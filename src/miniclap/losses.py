@@ -1,5 +1,10 @@
 """Training objectives: masked-prediction loss, contrastive loss,
-temperature handling, and their weighted combination."""
+temperature handling, and their weighted combination.
+
+`similarity_matrix` is the one cosine similarity between audio and text
+features: the contrastive loss, zero-shot classification and retrieval
+all use it. Zero-norm rows are rejected by `autodiff.l2_normalize`.
+"""
 
 from __future__ import annotations
 
@@ -15,22 +20,6 @@ TAU_MIN = 0.01  # logit scale 1/tau capped at 100
 
 
 @dataclass
-class SemanticBatch:
-    """Paired audio/text semantic features; row i of s_a matches row i of s_t."""
-
-    s_a: Tensor
-    s_t: Tensor
-
-    def __post_init__(self):
-        self.s_a = Tensor.wrap(self.s_a)
-        self.s_t = Tensor.wrap(self.s_t)
-        if self.s_a.ndim != 2 or self.s_a.shape != self.s_t.shape:
-            raise InvalidInput("semantic features must be paired [B, D] matrices")
-        _check_rows_nonzero(self.s_a.data)
-        _check_rows_nonzero(self.s_t.data)
-
-
-@dataclass
 class LossWeights:
     lambda_m2d: float = 1.0
     lambda_clap: float = 0.01
@@ -40,12 +29,6 @@ class LossWeights:
             raise InvalidInput("loss weights must be nonnegative")
         if self.lambda_m2d == 0 and self.lambda_clap == 0:
             raise InvalidInput("at least one loss weight must be positive")
-
-
-def _check_rows_nonzero(x: np.ndarray) -> None:
-    norms = np.sqrt((x ** 2).sum(axis=-1))
-    if (norms == 0).any():
-        raise InvalidInput("zero-norm feature row")
 
 
 def m2d_loss(predicted, target) -> Tensor:
@@ -59,29 +42,18 @@ def m2d_loss(predicted, target) -> Tensor:
         raise InvalidInput(f"shape mismatch {p.shape} vs {t.shape}")
     if p.shape[-2] < 1:
         raise InvalidInput("need at least one row")
-    _check_rows_nonzero(p.data)
-    _check_rows_nonzero(t.data)
-    pn = ad.l2_normalize(p, axis=-1, check_nonzero=False)
-    tn = ad.l2_normalize(t, axis=-1, check_nonzero=False)
+    pn = ad.l2_normalize(p, axis=-1)
+    tn = ad.l2_normalize(t, axis=-1)
     cos = (pn * tn).sum(axis=-1)
     return (2.0 - 2.0 * cos).mean()
 
 
-def similarity_matrix(s_a, s_t=None) -> Tensor:
-    """Pairwise cosine similarities; S[m, n] = cos(s_a[m], s_t[n]).
-
-    Takes a SemanticBatch, or the audio and text feature matrices."""
-    if isinstance(s_a, SemanticBatch):
-        a, t = s_a.s_a, s_a.s_t
-    else:
-        a, t = Tensor.wrap(s_a), Tensor.wrap(s_t)
+def similarity_matrix(s_a, s_t) -> Tensor:
+    """Pairwise cosine similarities; S[m, n] = cos(s_a[m], s_t[n])."""
+    a, t = Tensor.wrap(s_a), Tensor.wrap(s_t)
     if a.ndim != 2 or t.ndim != 2 or a.shape[1] != t.shape[1]:
         raise InvalidInput("semantic features must be [B, D] with matching D")
-    _check_rows_nonzero(a.data)
-    _check_rows_nonzero(t.data)
-    an = ad.l2_normalize(a, check_nonzero=False)
-    tn = ad.l2_normalize(t, check_nonzero=False)
-    return an @ tn.transpose(1, 0)
+    return ad.l2_normalize(a) @ ad.l2_normalize(t).transpose(1, 0)
 
 
 def clap_loss(s, tau) -> Tensor:

@@ -9,6 +9,8 @@ Forwards are batched: patches are [B, n, 256], encoder and predictor
 features [B, k, dim], and per-row patch selections [B, k] index arrays.
 A single sample is a batch of one. Only `project_audio`,
 `map_text_embedding` and `encode_text` also take one unbatched sample.
+Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
+attention weights are computed by `evaluation.attention_map`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from . import autodiff as ad
 from . import masking
 from .autodiff import Tensor, gelu, softmax
 from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
+from .datakit import PAD_ID
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc, interpolate_posenc
 
 LN_EPS = 1e-6
-PAD_ID = 1
 _NEG_BIAS = -1e9
 
 
@@ -398,27 +400,6 @@ def project_audio(ap: AudioProjectorParams, z) -> Tensor:
     return out.reshape(out.shape[1]) if squeeze else out
 
 
-def projector_attention(ap: AudioProjectorParams, z) -> np.ndarray:
-    """Class-token attention over the k patch keys of the first block.
-
-    Softmax is taken over the patch keys only (the class-token key is
-    excluded), so the weights are a length-k probability vector.
-    """
-    z = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise InvalidInput("expected a [k, dim] feature array")
-    block = ap.blocks[0]
-    d = z.shape[1]
-    x = np.concatenate([ap.cls_token.data.reshape(1, d), z], axis=0)
-    h = layer_norm(block.norm1, Tensor(x)).data
-    q = h[0] @ block.attn_q.weight.data + block.attn_q.bias.data
-    keys = h[1:] @ block.attn_k.weight.data + block.attn_k.bias.data
-    logits = keys @ q / np.sqrt(d)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    return weights / weights.sum()
-
-
 def map_text_embedding(tp: TextPathParams, e) -> Tensor:
     """Affine map from cached sentence embeddings to the semantic dim."""
     if tp.llm_map is None:
@@ -528,9 +509,9 @@ def load_checkpoint(path, cfg: ModelConfig, seed: int = 0) -> ModelState:
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
             size = int(np.prod(shape)) if ndim else 1
             payload = _read_exact(fh, 4 * size)
-            if name not in params:
-                raise FormatError(f"unknown tensor {name!r} in checkpoint")
-            tensor = params[name]
+            if name not in params:  # each name is popped once it is read
+                raise FormatError(f"unknown or repeated tensor {name!r} in checkpoint")
+            tensor = params.pop(name)
             if tuple(tensor.data.shape) != shape:
                 raise FormatError(f"shape mismatch for {name!r}")
             arr = np.frombuffer(payload, dtype="<f4").reshape(shape)

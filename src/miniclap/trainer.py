@@ -3,6 +3,7 @@ per-step training logic of every pre-training stage."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -44,6 +45,8 @@ class StageConfig:
             raise InvalidConfig("epochs/warmup must be nonnegative, batch_size positive")
         if self.stage_id in ("2", "2.1") and not self.freeze_audio_encoder:
             raise InvalidConfig("stages 2/2.1 require a frozen audio encoder")
+        if self.stage_id == "1" and self.freeze_audio_encoder:
+            raise InvalidConfig("stage 1 trains the audio encoder; it cannot be frozen")
         if self.stage_id == "2.1" and self.mask_ratio != 0.0:
             raise InvalidConfig("stage 2.1 runs without masking")
         if self.stage_id == "1" and (self.ema_start is None or self.ema_end is None):
@@ -342,15 +345,15 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
         params.update(trainable_params(state, "1.1"))
     opt = AdamW(params, lr=cfg.base_lr)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    encoder_scope = ad.no_grad if cfg.freeze_audio_encoder else contextlib.nullcontext
 
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n_samples)
         for start in range(0, data.n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = data.take(idx)
-            z = encode_tokens(state.online, batch.patches, pe)
-            if cfg.freeze_audio_encoder:
-                z = z.detach()
+            with encoder_scope():
+                z = encode_tokens(state.online, batch.patches, pe)
             _, clip = summarize_features(z, data.n_f, data.n_t)
             loss = bce_with_logits(affine(head, clip), batch.labels)
             opt.zero_grad()
@@ -365,12 +368,13 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
 LOG_COLUMNS = ("epoch", "step", "loss_total", "loss_m2d", "loss_clap", "lr", "ema")
 
 
-def write_loss_log(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def write_loss_log(path, rows: list[dict], header: bool = False) -> None:
+    """Append `rows` to the loss log; `header` starts a new log instead."""
+    with open(path, "w" if header else "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        if header:
+            writer.writeheader()
+        writer.writerows(rows)
 
 
 def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
@@ -382,12 +386,13 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
 
-    rows: list[dict] = []
-    if cfg.epochs == 0:
-        if out_dir is not None:
-            _write_run_outputs(out_dir, state, rows, epoch=None)
-        return state, rows
+    if out_dir is not None:
+        ckpt_dir = os.path.join(out_dir, "checkpoints")
+        log_path = os.path.join(out_dir, "losses.csv")
+        os.makedirs(ckpt_dir, exist_ok=True)
+        write_loss_log(log_path, [], header=True)
 
+    rows: list[dict] = []
     rng = np.random.default_rng(seed)
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -396,6 +401,7 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
 
     step = 0
     for epoch in range(cfg.epochs):
+        first_row = len(rows)
         order = rng.permutation(data.n_samples)
         for start in range(0, data.n_samples, cfg.batch_size):
             batch = data.take(order[start:start + cfg.batch_size])
@@ -416,14 +422,8 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
                              "lr": f"{lr:.10g}", "ema": ""})
             step += 1
         if out_dir is not None:
-            _write_run_outputs(out_dir, state, rows, epoch=epoch)
+            net.save_checkpoint(os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"), state)
+            write_loss_log(log_path, rows[first_row:])
     if out_dir is not None:
-        _write_run_outputs(out_dir, state, rows, epoch=None)
+        net.save_checkpoint(os.path.join(ckpt_dir, "final.ckpt"), state)
     return state, rows
-
-
-def _write_run_outputs(out_dir, state, rows, epoch: int | None) -> None:
-    os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-    name = "final.ckpt" if epoch is None else f"epoch-{epoch:04d}.ckpt"
-    net.save_checkpoint(os.path.join(out_dir, "checkpoints", name), state)
-    write_loss_log(os.path.join(out_dir, "losses.csv"), rows)

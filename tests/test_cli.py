@@ -1,12 +1,15 @@
 """End-to-end CLI checks on a tiny corpus: artifacts on disk, exit
 codes, determinism, and override snapshots."""
 
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from miniclap.cli import main
+from miniclap import datakit as dk
+from miniclap.cli import _build_parser, main
+from miniclap.evaluation import write_features
 
 TINY_MODEL = [
     "--set", "model.dim=8", "--set", "model.depth=1", "--set", "model.heads=2",
@@ -84,6 +87,38 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+    def test_unlabeled_entry_in_eval_linear_is_exit_1(self, corpus, tmp_path, capsys):
+        entries = dk.load_manifest(str(corpus / "manifest.jsonl"))
+        entries[2].labels = []
+        manifest = tmp_path / "manifest.jsonl"
+        dk.save_manifest(str(manifest), entries)
+        features = tmp_path / "clip.feat"
+        write_features(str(features), [e.id for e in entries], np.ones((len(entries), 4)))
+        code = main(["eval-linear", "--features", str(features), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and entries[2].id in err[0], err
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("verb", sorted(_subparsers()))
+def test_every_verb_snapshots_its_config(verb, tmp_path):
+    out = tmp_path / "out"
+    argv = [verb, "--out", str(out), "--set", "note=snapshot"]
+    if verb == "synth-data":
+        argv += ["--classes", "2", "--per-class", "1", "--duration", "0.5"]
+    else:  # every required input names a file that does not exist
+        argv += [arg for action in _subparsers()[verb]._actions if action.required
+                 for arg in (action.option_strings[0], str(tmp_path / "missing"))]
+    assert main(argv) == (0 if verb == "synth-data" else 1)
+    assert "note = snapshot" in (out / "config.txt").read_text()
 
 
 @pytest.fixture(scope="module")

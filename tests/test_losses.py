@@ -98,19 +98,6 @@ class TestSimilarityMatrix:
         with pytest.raises(InvalidInput):
             losses.similarity_matrix(a, rng.standard_normal((3, 4)))
 
-    def test_semantic_batch_form(self, rng):
-        a = rng.standard_normal((4, 6))
-        t = rng.standard_normal((4, 6))
-        batch = losses.SemanticBatch(a, t)
-        np.testing.assert_array_equal(losses.similarity_matrix(batch).data,
-                                      losses.similarity_matrix(a, t).data)
-        with pytest.raises(InvalidInput):
-            losses.SemanticBatch(a, rng.standard_normal((3, 6)))
-        bad = t.copy()
-        bad[2] = 0
-        with pytest.raises(InvalidInput):
-            losses.SemanticBatch(a, bad)
-
     def test_gradient_check(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         t = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -378,6 +378,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             net.load_checkpoint(path, TINY)
 
+    def test_repeated_tensor_name_rejected(self, state, tmp_path):
+        path = tmp_path / "m.ckpt"
+        net.save_checkpoint(path, state)
+        data = path.read_bytes()
+        q, k = b"online.blocks.0.attn_q.weight", b"online.blocks.0.attn_k.weight"
+        assert data.count(q) == 1 and data.count(k) == 1
+        path.write_bytes(data.replace(q, k))  # names attn_k twice, leaves out attn_q
+        with pytest.raises(FormatError):
+            net.load_checkpoint(path, TINY)
+
     def test_config_digest_mismatch_rejected(self, state, tmp_path):
         path = tmp_path / "m.ckpt"
         net.save_checkpoint(path, state)

@@ -178,6 +178,11 @@ class TestStageConfig:
         with pytest.raises(InvalidConfig):
             cfg.validate()
 
+    def test_frozen_stage1_rejected(self):
+        cfg = stage_config_from("1", dict(freeze_audio_encoder=True))
+        with pytest.raises(InvalidConfig):
+            cfg.validate()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             stage_config_from("1", dict(leaning_rate=1.0))
@@ -386,6 +391,27 @@ class TestRunStage:
         assert len(log) == len(rows) + 1
         assert (tmp_path / "checkpoints" / "epoch-0000.ckpt").exists()
         assert (tmp_path / "checkpoints" / "final.ckpt").exists()
+
+    def test_loss_log_rows_written_once(self, rng, tmp_path, monkeypatch):
+        written = []
+        write = trainer.write_loss_log
+
+        def counting_write(path, rows, **kwargs):
+            written.append(len(rows))
+            write(path, rows, **kwargs)
+
+        monkeypatch.setattr(trainer, "write_loss_log", counting_write)
+        data = _stage1_data(rng)
+        for _ in range(2):  # the rerun into the same directory replaces the log
+            written.clear()
+            _, rows = run_stage(_stage1_cfg(epochs=3), data, _state(), seed=0,
+                                out_dir=str(tmp_path))
+            assert len(written) == 4  # the header, then once per epoch
+            assert sum(written) == len(rows) == 9
+        full = tmp_path / "full.csv"
+        write(full, rows, header=True)
+        assert (tmp_path / "losses.csv").read_bytes() == full.read_bytes()
+        assert len(list((tmp_path / "checkpoints").glob("epoch-*.ckpt"))) == 3
 
     def test_stage2_runs_and_logs(self, rng):
         state = _state()
