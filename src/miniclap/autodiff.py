@@ -11,6 +11,10 @@ all. It is the only stop-gradient: stage 1.1 with a frozen encoder,
 stages 2 and 2.1 and feature extraction run the trainable encoder
 inside it. `gather_rows` is checked indexing, and `l2_normalize` is the
 one place that rejects a zero-norm feature row.
+
+The network's layers are four fused float64 ops, each one graph node
+with a hand-written VJP that keeps only what its backward needs:
+`linear`, `attention`, `layer_norm_core` and `gelu`.
 """
 
 from __future__ import annotations
@@ -332,16 +336,27 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return x[key]
 
 
+def _softmax_inplace(z: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax of `z` along `axis`, computed in z's own buffer."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def _softmax_vjp(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient at the logits of softmax probabilities `p` given `g` at p."""
+    dot = (g * p).sum(axis=axis, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-shifted softmax (fused forward and backward)."""
     x = Tensor.wrap(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_inplace(x.data.copy(), axis)
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((x, out * (g - dot)),)
+        return ((x, _softmax_vjp(out, g, axis)),)
 
     return Tensor._make(out, (x,), vjp)
 
@@ -352,38 +367,135 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x (fused).
+
+    The leading axes of x are flattened, so each direction is one 2-D
+    GEMM: the weight gradient of [B, N, d] @ [d, h] is one [d, BN] @
+    [BN, h] product, with no [B, d, h] intermediate to sum.
+    """
+    x = Tensor.wrap(x)
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[0]:  # reshape would regroup
+        raise InvalidInput(f"linear maps {wd.shape} cannot take input {xd.shape}")
+    x2 = xd.reshape(-1, wd.shape[0])
+    out = x2 @ wd
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, wd.shape[1])
+        grads = []
+        if x.requires_grad:
+            grads.append((x, (g2 @ wd.T).reshape(xd.shape)))
+        if w.requires_grad:
+            grads.append((w, x2.T @ g2))
+        if b.requires_grad:
+            grads.append((b, g2.sum(axis=0)))
+        return grads
+
+    return Tensor._make(out.reshape(*xd.shape[:-1], wd.shape[1]), (x, w, b), vjp)
+
+
+def attention(q, k, v, n_heads: int, key_bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh) + key_bias) v (fused).
+
+    q, k and v are [B, N, d] with the heads side by side along d; the
+    output is [B, N, d] in the same layout. key_bias, if given, is a
+    constant broadcastable to the [B, H, N, N] logits; padded key columns
+    carry a large negative value. The backward keeps only the
+    probabilities and head views of q, k and v.
+    """
+    q, k, v = Tensor.wrap(q), Tensor.wrap(k), Tensor.wrap(v)
+    b, n, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % n_heads:
+        raise InvalidInput(f"attention needs equal [B, N, d] inputs with d divisible by "
+                           f"{n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(a: np.ndarray) -> np.ndarray:  # [B, N, d] -> [B, H, N, dh], a view
+        return a.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, N, dh] -> [B, N, d]
+        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    logits = qh @ kh.transpose(0, 1, 3, 2)
+    logits *= scale
+    if key_bias is not None:
+        logits += key_bias
+    p = _softmax_inplace(logits, -1)
+
+    def vjp(g):
+        gh = heads(g)
+        gv = p.transpose(0, 1, 3, 2) @ gh
+        gs = _softmax_vjp(p, gh @ vh.transpose(0, 1, 3, 2), -1)
+        gs *= scale
+        gq = gs @ kh
+        gk = (qh.transpose(0, 1, 3, 2) @ gs).transpose(0, 1, 3, 2)
+        return ((q, merge(gq)), (k, merge(gk)), (v, merge(gv)))
+
+    return Tensor._make(merge(p @ vh), (q, k, v), vjp)
+
+
 _GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU (fused forward and backward)."""
     x = Tensor.wrap(x)
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    x2 = xd * xd
+    t = x2 * xd  # t holds the tanh argument, then the tanh itself
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
 
     def vjp(g):
-        slope = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
-        return ((x, g * slope),)
+        # slope = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= xd
+        slope *= 0.5 * _GELU_C
+        tmp = x2 * (3 * _GELU_A)
+        tmp += 1.0
+        slope *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        slope += tmp
+        slope *= g
+        return ((x, slope),)
 
     return Tensor._make(out, (x,), vjp)
 
 
-def layer_norm_core(x: Tensor, eps: float) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (fused)."""
+def layer_norm_core(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale
+    by `gain` and shift by `bias` (fused)."""
     x = Tensor.wrap(x)
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    y = centered / sigma
+    y = x.data - mu
+    sigma = np.sqrt((y * y).mean(axis=-1, keepdims=True) + eps)
+    y /= sigma
+    out = y * gain.data
+    out += bias.data
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        return ((x, (g - gm - y * gy) / sigma),)
+        gy = g * gain.data
+        gm = gy.mean(axis=-1, keepdims=True)
+        gyy = (gy * y).mean(axis=-1, keepdims=True)
+        gx = gy - gm
+        gx -= y * gyy
+        gx /= sigma
+        return ((x, gx), (gain, _unbroadcast(g * y, gain.shape)),
+                (bias, _unbroadcast(g, bias.shape)))
 
-    return Tensor._make(y, (x,), vjp)
+    return Tensor._make(out, (x, gain, bias), vjp)
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:

@@ -43,7 +43,7 @@ def main(argv=None) -> int:
             fh.write(C.render_config(cfg))
         return args.func(args, out, cfg)
     except (InvalidInput, InvalidConfig, ParseError, FormatError, Unsupported,
-            MissingInput, FileNotFoundError) as exc:
+            MissingInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

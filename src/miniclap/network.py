@@ -2,8 +2,10 @@
 text path, plus checkpoint serialization.
 
 All components are dataclasses of `Tensor` leaves; forwards are free
-functions building an autodiff graph. The target encoder's tensors are
-created with `requires_grad=False`, so no gradient can ever reach it.
+functions building an autodiff graph from the fused ops `ad.linear`,
+`ad.attention`, `ad.layer_norm_core` and `ad.gelu`. The target
+encoder's tensors are created with `requires_grad=False`, so no
+gradient can ever reach it.
 
 Forwards are batched: patches are [B, n, 256], encoder and predictor
 features [B, k, dim], and per-row patch selections [B, k] index arrays.
@@ -15,8 +17,10 @@ attention weights are computed by `evaluation.attention_map`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import masking
-from .autodiff import Tensor, gelu, softmax
+from .autodiff import Tensor
 from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
 from .datakit import PAD_ID
 from .errors import FormatError, InvalidInput
@@ -61,7 +65,7 @@ def init_affine(rng, d_in: int, d_out: int, trainable: bool = True) -> Affine:
 
 
 def affine(p: Affine, x) -> Tensor:
-    return Tensor.wrap(x) @ p.weight + p.bias
+    return ad.linear(x, p.weight, p.bias)
 
 
 @dataclass
@@ -78,7 +82,7 @@ def init_layernorm(rng, dim: int, trainable: bool = True) -> LayerNorm:
 
 
 def layer_norm(p: LayerNorm, x) -> Tensor:
-    return ad.layer_norm_core(Tensor.wrap(x), LN_EPS) * p.gain + p.bias
+    return ad.layer_norm_core(x, p.gain, p.bias, LN_EPS)
 
 
 @dataclass
@@ -112,31 +116,17 @@ def init_block(rng, dim: int, n_heads: int, mlp_hidden: int, trainable: bool = T
     )
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, n, d = x.shape
-    return x.reshape(b, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
 def block_forward(p: Block, x, key_bias: np.ndarray | None = None) -> Tensor:
-    """key_bias, if given, is broadcastable to the attention logits
-    [B, H, N, N]; padded key columns carry a large negative value."""
+    """x is [B, N, d]. key_bias, if given, is broadcastable to the
+    attention logits [B, H, N, N]; padded key columns carry a large
+    negative value."""
     x = Tensor.wrap(x)
-    b, n, d = x.shape
-    dh = d // p.n_heads
-
     h = layer_norm(p.norm1, x)
-    q = _split_heads(affine(p.attn_q, h), p.n_heads)
-    k = _split_heads(affine(p.attn_k, h), p.n_heads)
-    v = _split_heads(affine(p.attn_v, h), p.n_heads)
-    logits = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-    if key_bias is not None:
-        logits = logits + key_bias
-    ctx = softmax(logits, axis=-1) @ v
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(b, n, d)
+    ctx = ad.attention(affine(p.attn_q, h), affine(p.attn_k, h), affine(p.attn_v, h),
+                       p.n_heads, key_bias)
     x = x + affine(p.attn_out, ctx)
-
     h2 = layer_norm(p.norm2, x)
-    return x + affine(p.mlp_out, gelu(affine(p.mlp_in, h2)))
+    return x + affine(p.mlp_out, ad.gelu(affine(p.mlp_in, h2)))
 
 
 # -- components ------------------------------------------------------------
@@ -331,7 +321,7 @@ def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
 
 def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     """Batched core: [B, k, 256] patches plus their [B|1, k, dim] position rows."""
-    x = affine(params.patch_embed, Tensor.wrap(patch_vectors)) + pe_rows
+    x = affine(params.patch_embed, patch_vectors) + pe_rows
     for block in params.blocks:
         x = block_forward(block, x)
     return layer_norm(params.final_norm, x)
@@ -389,7 +379,7 @@ def project_audio(ap: AudioProjectorParams, z) -> Tensor:
         raise InvalidInput("audio projector needs at least one feature row")
     if ap.kind == "mlp":
         pooled = z.mean(axis=1)
-        out = affine(ap.mlp_out, gelu(affine(ap.mlp_in, pooled)))
+        out = affine(ap.mlp_out, ad.gelu(affine(ap.mlp_in, pooled)))
     else:
         b, _, d = z.shape
         cls = ap.cls_token.expand((b, 1, d))
@@ -418,7 +408,7 @@ def map_text_embedding(tp: TextPathParams, e) -> Tensor:
 def _apply_text_projector(tp: TextPathParams, s_t: Tensor) -> Tensor:
     if tp.projector_in is None:
         return s_t
-    return affine(tp.projector_out, gelu(affine(tp.projector_in, s_t)))
+    return affine(tp.projector_out, ad.gelu(affine(tp.projector_in, s_t)))
 
 
 def encode_text(tp: TextPathParams, tokens) -> Tensor:
@@ -464,20 +454,29 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, state: ModelState) -> None:
+    """Write the checkpoint to a temporary file beside `path`, then move it
+    into place, so `path` holds either the previous file or the whole new one."""
     params = named_params(state)
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(state.config.digest())
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            arr = np.asarray(tensor.data).astype("<f4")  # astype keeps 0-d shape
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", CKPT_VERSION))
+            fh.write(state.config.digest())
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params.items():
+                encoded = name.encode("utf-8")
+                arr = np.asarray(tensor.data).astype("<f4")  # astype keeps 0-d shape
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, n: int) -> bytes:

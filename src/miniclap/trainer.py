@@ -234,6 +234,14 @@ class StageData:
 # -- stage steps --------------------------------------------------------------
 
 
+def _check_finite(**losses: Tensor) -> None:
+    """Stop the step before any update when a loss term is NaN or infinite."""
+    for name, loss in losses.items():
+        if not math.isfinite(loss.item()):
+            raise InvalidInput(f"non-finite {name} ({loss.item()}); "
+                               "stopped before the parameter update")
+
+
 def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
                 rng: np.random.Generator, opt: AdamW,
                 lr: float | None = None, ema_alpha: float | None = None) -> dict:
@@ -267,6 +275,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     else:
         loss_clap = Tensor(0.0)
         total = cfg.weights.lambda_m2d * loss_m2d
+    _check_finite(loss_m2d=loss_m2d, loss_clap=loss_clap, loss_total=total)
 
     opt.zero_grad()
     total.backward()
@@ -300,6 +309,7 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
     s_a = net.project_audio(state.projector, z_v)
     s_t = net.encode_text_batch(state.textpath, data.token_rows)
     loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
+    _check_finite(loss_clap=loss)
 
     opt.zero_grad()
     loss.backward()

@@ -92,9 +92,11 @@ class TestPrimitives:
         assert_grads_match(lambda: (ad.gelu(a) * r).sum(), {"a": a})
 
     def test_layer_norm_core_grads(self, rng):
-        a = _param(rng, 4, 6)
-        r = rng.standard_normal((4, 6))
-        assert_grads_match(lambda: (ad.layer_norm_core(a, 1e-6) * r).sum(), {"a": a})
+        a = _param(rng, 2, 3, 6)
+        gain, bias = _param(rng, 6), _param(rng, 6)
+        r = rng.standard_normal((2, 3, 6))
+        fn = lambda: (ad.layer_norm_core(a, gain, bias, 1e-6) * r).sum()
+        assert_grads_match(fn, {"a": a, "gain": gain, "bias": bias})
 
     def test_l2_normalize_grads_and_zero_check(self, rng):
         a = _param(rng, 3, 4)
@@ -103,6 +105,81 @@ class TestPrimitives:
         bad = Tensor(np.zeros((2, 3)))
         with pytest.raises(InvalidInput):
             ad.l2_normalize(bad)
+
+
+def _padded_key_bias(lengths, width):
+    pad = np.arange(width)[None, :] >= np.asarray(lengths)[:, None]
+    return np.where(pad, -1e9, 0.0)[:, None, None, :]
+
+
+def _attention_oracle(q, k, v, n_heads, lengths=None):
+    """Row by row and head by head, over each row's first `lengths` keys."""
+    b, n, d = q.shape
+    dh = d // n_heads
+    out = np.zeros((b, n, d))
+    for row in range(b):
+        keys = n if lengths is None else lengths[row]
+        for head in range(n_heads):
+            sl = slice(head * dh, (head + 1) * dh)
+            logits = q[row, :, sl] @ k[row, :keys, sl].T / np.sqrt(dh)
+            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            out[row, :, sl] = weights @ v[row, :keys, sl]
+    return out
+
+
+class TestFusedOps:
+    """The fused linear, attention and layer norm at B=2, two heads and
+    distinct rows, with every input's gradient checked."""
+
+    def test_linear_grads_batched(self, rng):
+        x, w, b = _param(rng, 2, 3, 5), _param(rng, 5, 4), _param(rng, 4)
+        r = rng.standard_normal((2, 3, 4))
+        out = ad.linear(x, w, b)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=0, atol=1e-12)
+        assert_grads_match(lambda: (ad.linear(x, w, b) * r).sum(), {"x": x, "w": w, "b": b})
+
+    def test_linear_constant_input_gets_no_gradient(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5)))
+        w, b = _param(rng, 5, 4), _param(rng, 4)
+        ad.linear(x, w, b).sum().backward()
+        assert x.grad is None and w.grad is not None and b.grad is not None
+
+    def test_linear_shape_mismatch_rejected(self, rng):
+        with pytest.raises(InvalidInput):
+            ad.linear(rng.standard_normal((2, 4)), _param(rng, 5, 3), _param(rng, 3))
+
+    def test_attention_matches_oracle(self, rng):
+        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        np.testing.assert_allclose(out, _attention_oracle(q, k, v, 2), rtol=0, atol=1e-12)
+
+    def test_attention_grads_with_padded_keys(self, rng):
+        q, k, v = _param(rng, 2, 5, 6), _param(rng, 2, 5, 6), _param(rng, 2, 5, 6)
+        key_bias = _padded_key_bias([5, 3], 5)
+        r = rng.standard_normal((2, 5, 6))
+        fn = lambda: (ad.attention(q, k, v, 2, key_bias) * r).sum()
+        assert_grads_match(fn, {"q": q, "k": k, "v": v})
+        # padded keys and values of the second row receive no gradient
+        fn().backward()
+        assert not k.grad[1, 3:].any() and not v.grad[1, 3:].any()
+
+    def test_attention_padding_equals_unpadded_prefix(self, rng):
+        lengths = [5, 3]
+        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
+        k[1, 3:] = v[1, 3:] = 100.0  # whatever the padded positions hold
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, _padded_key_bias(lengths, 5)).data
+        for row, keys in enumerate(lengths):
+            prefix = [Tensor(a[row:row + 1, :keys]) for a in (q, k, v)]
+            np.testing.assert_allclose(out[row, :keys], ad.attention(*prefix, 2).data[0],
+                                       rtol=0, atol=1e-12)
+
+    def test_attention_rejects_mismatched_inputs(self, rng):
+        q = Tensor(rng.standard_normal((2, 5, 6)))
+        with pytest.raises(InvalidInput):
+            ad.attention(q, Tensor(rng.standard_normal((2, 4, 6))), q, 2)
+        with pytest.raises(InvalidInput):
+            ad.attention(q, q, q, 4)
 
 
 class TestGraphSemantics:

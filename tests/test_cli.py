@@ -72,6 +72,31 @@ class TestExitCodes:
                      "--init", str(tmp_path / "x.ckpt"), "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("taken", ["out", "config"])
+    def test_unusable_path_is_exit_1(self, tmp_path, capsys, taken):
+        file, folder = tmp_path / "file", tmp_path / "folder"
+        file.write_text("")
+        folder.mkdir()
+        # --out naming a file raises FileExistsError, --config naming a
+        # directory IsADirectoryError
+        paths = {"out": ["--out", str(file)],
+                 "config": ["--config", str(folder), "--out", str(tmp_path / "out")]}[taken]
+        code = main(["synth-data", "--classes", "2", "--per-class", "1", "--duration", "0.5",
+                     *paths])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_stage1_is_exit_1(self, corpus, tmp_path, capsys):
+        code = _stage1(corpus, tmp_path, ["--set", "stage1.warmup_epochs=0",
+                                          "--set", "stage1.base_lr=1e300"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
+        assert os.listdir(tmp_path / "checkpoints") == []
+
     @pytest.mark.parametrize("verb", ["extract-features", "eval-zeroshot", "eval-retrieval",
                                       "pretrain-stage1", "pretrain-stage2"])
     def test_empty_manifest_is_exit_1(self, corpus, stage1, tmp_path, capsys, verb):

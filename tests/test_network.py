@@ -2,10 +2,13 @@
 identity-block contracts, stop-gradient guarantees, gradient checks for
 every block type, and checkpoint round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
 from miniclap import masking, network as net
+from miniclap.autodiff import Tensor
 from miniclap.config import ModelConfig
 from miniclap.errors import FormatError, InvalidInput
 from miniclap.frontend import build_posenc
@@ -288,10 +291,13 @@ class TestTextPath:
 class TestGradients:
     def test_block_gradcheck_all_parameters(self, rng):
         block = net.init_block(np.random.default_rng(0), 6, 2, 10)
-        x = rng.standard_normal((1, 4, 6))
-        r = rng.standard_normal((1, 4, 6))
-        params = net.named_params(block, "block")
-        assert_grads_match(lambda: (net.block_forward(block, x) * r).sum(), params)
+        x = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
+        key_bias = np.zeros((2, 1, 1, 4))
+        key_bias[1, ..., 3] = -1e9  # the second row pads its last key
+        r = rng.standard_normal((2, 4, 6))
+        params = dict(net.named_params(block, "block"), x=x)
+        fn = lambda: (net.block_forward(block, x, key_bias) * r).sum()
+        assert_grads_match(fn, params)
 
     def test_layernorm_gradcheck(self, rng):
         ln = net.init_layernorm(np.random.default_rng(0), 5)
@@ -311,9 +317,9 @@ class TestGradients:
 
     def test_text_encoder_gradcheck(self, rng):
         state = net.init_model_state(TINY, seed=2)
-        r = rng.standard_normal(TINY.dim)
+        r = rng.standard_normal((2, TINY.dim))
         params = net.named_params(state.textpath.encoder, "text")
-        fn = lambda: (net.encode_text(state.textpath, [3, 6, 2]) * r).sum()
+        fn = lambda: (net.encode_text_batch(state.textpath, [[3, 6, 2, 5], [4, 1]]) * r).sum()
         assert_grads_match(fn, params)
 
     def test_encoder_stack_gradcheck(self, state, rng):
@@ -387,6 +393,16 @@ class TestCheckpoint:
         path.write_bytes(data.replace(q, k))  # names attn_k twice, leaves out attn_q
         with pytest.raises(FormatError):
             net.load_checkpoint(path, TINY)
+
+    def test_interrupted_save_keeps_previous_file(self, state, tmp_path):
+        path = tmp_path / "final.ckpt"
+        net.save_checkpoint(path, state)
+        before = path.read_bytes()
+        state.tau.data = np.asarray("not a number")  # tau is written last: fails mid-file
+        with pytest.raises(ValueError):
+            net.save_checkpoint(path, state)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["final.ckpt"]
 
     def test_config_digest_mismatch_rejected(self, state, tmp_path):
         path = tmp_path / "m.ckpt"

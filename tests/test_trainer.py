@@ -264,6 +264,17 @@ class TestStage1Step:
                         _stage1_cfg(), np.random.default_rng(step), opt)
             assert float(state.tau.data) >= 0.01
 
+    def test_non_finite_loss_stops_before_update(self, rng):
+        state = _state()
+        data = _stage1_data(rng).take(np.arange(4))
+        data.patches[1] = np.nan
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        digest = net.param_digest(state)
+        with pytest.raises(InvalidInput, match="non-finite loss_m2d"):
+            stage1_step(state, data, _stage1_cfg(), np.random.default_rng(0), opt)
+        assert net.param_digest(state) == digest
+        assert opt.step_count == 0
+
     def test_wrong_stage_rejected(self, rng):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
@@ -310,6 +321,18 @@ class TestStage2Step:
         s_t = net.encode_text_batch(frozen.textpath, data.token_rows)
         want = losses.clap_loss(losses.similarity_matrix(s_a, s_t), frozen.tau).item()
         assert abs(stats["loss_clap"] - want) <= 1e-7
+
+    def test_non_finite_loss_stops_before_update(self, rng):
+        state = _state()
+        data = _stage2_data(rng, n=4)
+        data.patches[2] = np.nan
+        cfg = stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
+        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        digest = net.param_digest(state)
+        with pytest.raises(InvalidInput, match="non-finite loss_clap"):
+            stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+        assert net.param_digest(state) == digest
+        assert opt.step_count == 0
 
     def test_unfrozen_encoder_rejected(self, rng):
         state = _state()
