@@ -169,12 +169,9 @@ def _prepare_grids(entries, wav_dir, input_frames: int, rng) -> tuple[np.ndarray
     return np.stack(stacks), n_f, n_t
 
 
-def _load_state(args, cfg: dict, what: str, text_vocab: int = 0) -> net.ModelState:
+def _load_state(args, cfg: dict, what: str) -> net.ModelState:
     path = _require_file(getattr(args, "init", None), what)
-    model_cfg = C.model_config_from(cfg)
-    if text_vocab:
-        model_cfg = dataclasses.replace(model_cfg, text_vocab=text_vocab)
-    return net.load_checkpoint(path, model_cfg, seed=args.seed)
+    return net.load_checkpoint(path, C.model_config_from(cfg), seed=args.seed)
 
 
 # -- commands ------------------------------------------------------------------

@@ -167,7 +167,7 @@ class TextEncoderParams:
 
 @dataclass
 class TextPathParams:
-    llm_map: Affine | None  # stage-1: emb_dim -> dim
+    llm_map: Affine  # stage-1: emb_dim -> dim
     encoder: TextEncoderParams | None  # stage-2/2.1
     projector_in: Affine | None  # optional text-projector ablation
     projector_out: Affine | None
@@ -392,8 +392,6 @@ def project_audio(ap: AudioProjectorParams, z) -> Tensor:
 
 def map_text_embedding(tp: TextPathParams, e) -> Tensor:
     """Affine map from cached sentence embeddings to the semantic dim."""
-    if tp.llm_map is None:
-        raise InvalidInput("text path has no embedding map (stage-1 configuration required)")
     e = Tensor.wrap(e)
     want = tp.llm_map.weight.shape[0]
     if e.ndim not in (1, 2) or e.shape[-1] != want:

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,68 +22,75 @@ from .losses import LossWeights, clap_loss, clip_temperature, combined_loss, m2d
 from .masking import batch_partitions
 from .network import ModelState, affine, encode_tokens, named_params
 
-STAGE_IDS = ("1", "1.1", "2", "2.1")
+
+class Stage(NamedTuple):
+    defaults: dict  # every key the stage reads, with its default
+    trains: tuple[str, ...]  # parameter groups its optimizer updates
+
+
+# The one table of stages. A stage reads exactly its keys and rejects any
+# other: stage 2.1 never masks, only stage 1 has loss weights and an EMA
+# target, and stages 2/2.1 never train the audio encoder.
+_TEXT_SIDE = ("projector", "textpath.encoder", "textpath.projector_in",
+              "textpath.projector_out", "tau")
+STAGES = {
+    "1": Stage(dict(mask_ratio=0.7, epochs=300, warmup_epochs=20, batch_size=2048,
+                    base_lr=3e-4, lambda_m2d=1.0, lambda_clap=0.01,
+                    ema_start=0.99995, ema_end=0.99999),
+               ("online", "predictor", "projector", "textpath.llm_map",
+                "textpath.projector_in", "textpath.projector_out", "tau")),
+    "1.1": Stage(dict(epochs=10, batch_size=32, base_lr=1e-3, freeze_audio_encoder=False),
+                 ("online",)),
+    "2": Stage(dict(mask_ratio=0.3, epochs=30, warmup_epochs=5, batch_size=2048, base_lr=3e-6),
+               _TEXT_SIDE),
+    "2.1": Stage(dict(epochs=30, warmup_epochs=5, batch_size=2048, base_lr=3e-6), _TEXT_SIDE),
+}
+
+
+def _stage(stage_id: str) -> Stage:
+    if stage_id not in STAGES:
+        raise InvalidConfig(f"unknown stage id {stage_id!r}")
+    return STAGES[stage_id]
 
 
 @dataclass
 class StageConfig:
+    """One stage's settings. Fields a stage has no key for keep their
+    defaults here: no masking, no warm-up, no EMA, an encoder that trains."""
+
     stage_id: str
-    mask_ratio: float
     epochs: int
-    warmup_epochs: int
     batch_size: int
     base_lr: float
-    weights: LossWeights
-    freeze_audio_encoder: bool
-    ema_start: float | None = None
-    ema_end: float | None = None
+    mask_ratio: float = 0.0
+    warmup_epochs: int = 0
+    weights: LossWeights | None = None  # stage 1
+    ema_start: float | None = None  # stage 1
+    ema_end: float | None = None  # stage 1
+    freeze_audio_encoder: bool = False  # stage 1.1
 
-    def validate(self) -> None:
-        if self.stage_id not in STAGE_IDS:
-            raise InvalidConfig(f"unknown stage id {self.stage_id!r}")
+    def __post_init__(self):
+        _stage(self.stage_id)  # rejects an unknown id
         if not 0.0 <= self.mask_ratio <= 1.0:
-            raise InvalidConfig("mask_ratio outside [0, 1]")
+            raise InvalidConfig(f"stage {self.stage_id}: mask_ratio outside [0, 1]")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.batch_size < 1:
-            raise InvalidConfig("epochs/warmup must be nonnegative, batch_size positive")
-        if self.stage_id in ("2", "2.1") and not self.freeze_audio_encoder:
-            raise InvalidConfig("stages 2/2.1 require a frozen audio encoder")
-        if self.stage_id == "1" and self.freeze_audio_encoder:
-            raise InvalidConfig("stage 1 trains the audio encoder; it cannot be frozen")
-        if self.stage_id == "2.1" and self.mask_ratio != 0.0:
-            raise InvalidConfig("stage 2.1 runs without masking")
-        if self.stage_id == "1" and (self.ema_start is None or self.ema_end is None):
-            raise InvalidConfig("stage 1 needs the EMA decay endpoints")
-
-
-def stage_defaults(stage_id: str) -> StageConfig:
-    if stage_id == "1":
-        return StageConfig("1", 0.7, 300, 20, 2048, 3e-4, LossWeights(1.0, 0.01),
-                           False, 0.99995, 0.99999)
-    if stage_id == "1.1":
-        return StageConfig("1.1", 0.0, 10, 0, 32, 1e-3, LossWeights(1.0, 0.0), False)
-    if stage_id == "2":
-        return StageConfig("2", 0.3, 30, 5, 2048, 3e-6, LossWeights(0.0, 1.0), True)
-    if stage_id == "2.1":
-        return StageConfig("2.1", 0.0, 30, 5, 2048, 3e-6, LossWeights(0.0, 1.0), True)
-    raise InvalidConfig(f"unknown stage id {stage_id!r}")
+            raise InvalidConfig(f"stage {self.stage_id}: epochs/warmup must be nonnegative, "
+                                "batch_size positive")
 
 
 def stage_config_from(stage_id: str, params: dict) -> StageConfig:
-    """Build a StageConfig from flat config keys (unknown keys rejected)."""
-    cfg = stage_defaults(stage_id)
-    updates = dict(params)
-    weights = cfg.weights
-    if "lambda_m2d" in updates or "lambda_clap" in updates:
-        weights = LossWeights(
-            float(updates.pop("lambda_m2d", weights.lambda_m2d)),
-            float(updates.pop("lambda_clap", weights.lambda_clap)),
-        )
-    known = {"mask_ratio", "epochs", "warmup_epochs", "batch_size", "base_lr",
-             "freeze_audio_encoder", "ema_start", "ema_end"}
-    unknown = set(updates) - known
-    if unknown:
-        raise InvalidConfig(f"unknown stage config keys: {sorted(unknown)}")
-    return replace(cfg, weights=weights, **updates)
+    """Build and validate a stage's config from its flat config keys; a key
+    the stage does not read is rejected."""
+    defaults = _stage(stage_id).defaults
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise InvalidConfig(f"stage {stage_id} does not read {', '.join(unread)}; "
+                            f"its keys are {', '.join(defaults)}")
+    values = {**defaults, **params}
+    if "lambda_m2d" in values:
+        values["weights"] = LossWeights(float(values.pop("lambda_m2d")),
+                                        float(values.pop("lambda_clap")))
+    return StageConfig(stage_id, **values)
 
 
 # -- schedules ----------------------------------------------------------------
@@ -164,42 +173,29 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            # in place, with the rounding of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # p = p - lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+            m, v, buf = self._m[name], self._v[name], np.empty_like(p.data)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=buf)
+            v *= b2
+            v += np.multiply(np.multiply(1.0 - b2, g, out=buf), g, out=buf)
+            np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+            buf += self.eps
+            update = m / bc1
+            update /= buf
             if self.weight_decay and self._decays(name, p):
-                update = update + self.weight_decay * p.data
-            p.data = p.data - lr * update
+                update += np.multiply(self.weight_decay, p.data, out=buf)
+            update *= lr
+            p.data -= update
 
 
 def trainable_params(state: ModelState, stage_id: str) -> dict[str, Tensor]:
     """Parameters the optimizer may update for a given stage."""
     params: dict[str, Tensor] = {}
-    if stage_id == "1":
-        params.update(named_params(state.online, "online"))
-        params.update(named_params(state.predictor, "predictor"))
-        params.update(named_params(state.projector, "projector"))
-        if state.textpath.llm_map is not None:
-            params.update(named_params(state.textpath.llm_map, "textpath.llm_map"))
-        _add_text_projector(params, state)
-        params["tau"] = state.tau
-    elif stage_id == "1.1":
-        params.update(named_params(state.online, "online"))
-    elif stage_id in ("2", "2.1"):
-        params.update(named_params(state.projector, "projector"))
-        if state.textpath.encoder is not None:
-            params.update(named_params(state.textpath.encoder, "textpath.encoder"))
-        _add_text_projector(params, state)
-        params["tau"] = state.tau
-    else:
-        raise InvalidConfig(f"unknown stage id {stage_id!r}")
+    for group in _stage(stage_id).trains:  # an absent component has no parameters
+        params.update(named_params(functools.reduce(getattr, group.split("."), state), group))
     return params
-
-
-def _add_text_projector(params, state) -> None:
-    if state.textpath.projector_in is not None:
-        params.update(named_params(state.textpath.projector_in, "textpath.projector_in"))
-        params.update(named_params(state.textpath.projector_out, "textpath.projector_out"))
 
 
 # -- batches ------------------------------------------------------------------
@@ -233,9 +229,13 @@ class StageData:
 
 # -- stage steps --------------------------------------------------------------
 
+# A diverging forward overflows; `_check_finite` names the bad loss instead.
+_quiet = functools.partial(np.errstate, all="ignore")
+
 
 def _check_finite(**losses: Tensor) -> None:
-    """Stop the step before any update when a loss term is NaN or infinite."""
+    """Stop the step before any update when a loss term is NaN or infinite.
+    The step forwards run under `_quiet`, so this one message is the report."""
     for name, loss in losses.items():
         if not math.isfinite(loss.item()):
             raise InvalidInput(f"non-finite {name} ({loss.item()}); "
@@ -259,22 +259,22 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     if msk.shape[1] == 0 or vis.shape[1] == 0:
         raise InvalidInput("stage 1 needs both visible and masked patches")
 
-    z_v = net.encode_selected(state.online, data.patches, vis, pe)
-    predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
-    # target branch: parameters are requires_grad=False, so no graph forms
-    z_m = net.encode_selected(state.target, data.patches, msk, pe)
-    target = net.standardize_targets(z_m)
-    loss_m2d = m2d_loss(predicted, target)
+    with _quiet():
+        z_v = net.encode_selected(state.online, data.patches, vis, pe)
+        predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
+        # target branch: parameters are requires_grad=False, so no graph forms
+        z_m = net.encode_selected(state.target, data.patches, msk, pe)
+        target = net.standardize_targets(z_m)
+        loss_m2d = m2d_loss(predicted, target)
 
-    use_clap = cfg.weights.lambda_clap > 0
-    if use_clap:
-        s_a = net.project_audio(state.projector, z_v)
-        s_t = net.map_text_embedding(state.textpath, data.embeddings)
-        loss_clap = clap_loss(similarity_matrix(s_a, s_t), state.tau)
-        total = combined_loss(loss_m2d, loss_clap, cfg.weights)
-    else:
-        loss_clap = Tensor(0.0)
-        total = cfg.weights.lambda_m2d * loss_m2d
+        if cfg.weights.lambda_clap > 0:
+            s_a = net.project_audio(state.projector, z_v)
+            s_t = net.map_text_embedding(state.textpath, data.embeddings)
+            loss_clap = clap_loss(similarity_matrix(s_a, s_t), state.tau)
+            total = combined_loss(loss_m2d, loss_clap, cfg.weights)
+        else:
+            loss_clap = Tensor(0.0)
+            total = cfg.weights.lambda_m2d * loss_m2d
     _check_finite(loss_m2d=loss_m2d, loss_clap=loss_clap, loss_total=total)
 
     opt.zero_grad()
@@ -294,21 +294,19 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
     """One contrastive step with a frozen audio encoder."""
     if cfg.stage_id not in ("2", "2.1"):
         raise InvalidInput(f"stage2_step called with stage {cfg.stage_id!r}")
-    if not cfg.freeze_audio_encoder:
-        raise InvalidConfig("stages 2/2.1 require a frozen audio encoder")
     if data.token_rows is None:
         raise InvalidInput("stage 2 batches need token sequences")
     lr = cfg.base_lr if lr is None else lr
 
     b, n, _ = data.patches.shape
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)
-    with ad.no_grad():  # the audio encoder is frozen
-        z_v = net.encode_selected(state.online, data.patches, vis, pe)
-
-    s_a = net.project_audio(state.projector, z_v)
-    s_t = net.encode_text_batch(state.textpath, data.token_rows)
-    loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
+    vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)  # stage 2.1: all visible
+    with _quiet():
+        with ad.no_grad():  # the audio encoder is frozen
+            z_v = net.encode_selected(state.online, data.patches, vis, pe)
+        s_a = net.project_audio(state.projector, z_v)
+        s_t = net.encode_text_batch(state.textpath, data.token_rows)
+        loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
     _check_finite(loss_clap=loss)
 
     opt.zero_grad()
@@ -362,10 +360,12 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
         for start in range(0, data.n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             batch = data.take(idx)
-            with encoder_scope():
-                z = encode_tokens(state.online, batch.patches, pe)
-            _, clip = summarize_features(z, data.n_f, data.n_t)
-            loss = bce_with_logits(affine(head, clip), batch.labels)
+            with _quiet():
+                with encoder_scope():
+                    z = encode_tokens(state.online, batch.patches, pe)
+                _, clip = summarize_features(z, data.n_f, data.n_t)
+                loss = bce_with_logits(affine(head, clip), batch.labels)
+            _check_finite(loss_bce=loss)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -390,7 +390,6 @@ def write_loss_log(path, rows: list[dict], header: bool = False) -> None:
 def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
     """Train one stage to completion; returns the state and the loss log."""
-    cfg.validate()
     if cfg.stage_id == "1.1":
         raise InvalidConfig("use stage1_1_finetune for stage 1.1")
     if data.n_samples == 0:

@@ -3,10 +3,13 @@ codes, determinism, and override snapshots."""
 
 import argparse
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import miniclap
 from miniclap import datakit as dk
 from miniclap.cli import _build_parser, main
 from miniclap.evaluation import write_features
@@ -87,8 +90,6 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_diverging_stage1_is_exit_1(self, corpus, tmp_path, capsys):
         code = _stage1(corpus, tmp_path, ["--set", "stage1.warmup_epochs=0",
                                           "--set", "stage1.base_lr=1e300"])
@@ -96,6 +97,52 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
         assert os.listdir(tmp_path / "checkpoints") == []
+
+    def test_diverging_stage1_prints_one_line_in_a_process(self, corpus, tmp_path):
+        # capsys never sees numpy's floating-point warnings; a process's stderr does
+        src = os.path.dirname(os.path.dirname(miniclap.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["pretrain-stage1", "--manifest", str(corpus / "manifest.jsonl"),
+                "--cache", str(corpus / "embeddings.cache"), "--out", str(tmp_path), *TINY_MODEL,
+                "--set", "stage1.epochs=2", "--set", "stage1.warmup_epochs=0",
+                "--set", "stage1.batch_size=3", "--set", "stage1.base_lr=1e300"]
+        proc = subprocess.run([sys.executable, "-m", "miniclap.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
+
+    def test_diverging_stage1_1_is_exit_1(self, corpus, stage1, tmp_path, capsys):
+        code = main(["finetune-stage1.1", "--manifest", str(corpus / "manifest.jsonl"),
+                     "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path), *TINY_MODEL, "--set", "stage1_1.epochs=3",
+                     "--set", "stage1_1.batch_size=3", "--set", "stage1_1.base_lr=1e300"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss_bce"), err
+        assert not (tmp_path / "finetuned.ckpt").exists()
+        assert not (tmp_path / "head.npz").exists()
+
+    @pytest.mark.parametrize("verb, setting, message", [
+        ("pretrain-stage2", "stage2.lambda_m2d=7", "stage 2 does not read lambda_m2d"),
+        ("pretrain-stage2", "stage2.ema_start=0.3", "stage 2 does not read ema_start"),
+        ("refine-stage2.1", "stage2_1.mask_ratio=0.3", "stage 2.1 does not read mask_ratio"),
+        ("finetune-stage1.1", "stage1_1.batch_size=0", "stage 1.1: "),
+        ("finetune-stage1.1", "stage1_1.epochs=-2", "stage 1.1: "),
+        ("finetune-stage1.1", "stage1_1.warmup_epochs=99", "stage 1.1 does not read warmup_epochs"),
+        ("pretrain-stage1", "stage1.freeze_audio_encoder=true",
+         "stage 1 does not read freeze_audio_encoder"),
+    ])
+    def test_bad_stage_setting_is_exit_1(self, corpus, stage1, tmp_path, capsys, verb, setting,
+                                         message):
+        inputs = {"pretrain-stage1": ["--cache", str(corpus / "embeddings.cache")]}.get(
+            verb, ["--init", str(stage1 / "checkpoints" / "final.ckpt")])
+        code = main([verb, "--manifest", str(corpus / "manifest.jsonl"), *inputs,
+                     "--out", str(tmp_path), *TINY_MODEL, "--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not os.path.exists(tmp_path / "checkpoints")
 
     @pytest.mark.parametrize("verb", ["extract-features", "eval-zeroshot", "eval-retrieval",
                                       "pretrain-stage1", "pretrain-stage2"])

@@ -12,7 +12,7 @@ from miniclap.config import ModelConfig
 from miniclap.errors import InvalidConfig, InvalidInput
 from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
                               run_stage, stage1_1_finetune, stage1_step, stage2_step,
-                              stage_config_from, stage_defaults)
+                              stage_config_from)
 
 TINY = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
                    predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
@@ -152,40 +152,83 @@ class TestAdamW:
         assert not AdamW._decays("text.pos_embed", Tensor(np.ones((4, 3)), requires_grad=True))
 
 
+# the keys each stage reads, and the union of every stage key
+READS = {
+    "1": {"mask_ratio", "epochs", "warmup_epochs", "batch_size", "base_lr",
+          "lambda_m2d", "lambda_clap", "ema_start", "ema_end"},
+    "1.1": {"epochs", "batch_size", "base_lr", "freeze_audio_encoder"},
+    "2": {"mask_ratio", "epochs", "warmup_epochs", "batch_size", "base_lr"},
+    "2.1": {"epochs", "warmup_epochs", "batch_size", "base_lr"},
+}
+ALL_KEYS = ("mask_ratio", "epochs", "warmup_epochs", "batch_size", "base_lr", "lambda_m2d",
+            "lambda_clap", "freeze_audio_encoder", "ema_start", "ema_end")
+UNREAD = [(stage, key) for stage in READS for key in ALL_KEYS if key not in READS[stage]]
+
+
 class TestStageConfig:
     def test_stage1_defaults_match_contract(self):
-        cfg = stage_defaults("1")
+        cfg = stage_config_from("1", {})
         assert (cfg.mask_ratio, cfg.epochs, cfg.warmup_epochs) == (0.7, 300, 20)
         assert (cfg.batch_size, cfg.base_lr) == (2048, 3e-4)
         assert (cfg.weights.lambda_m2d, cfg.weights.lambda_clap) == (1.0, 0.01)
-        assert cfg.freeze_audio_encoder is False
         assert (cfg.ema_start, cfg.ema_end) == (0.99995, 0.99999)
 
     def test_stage2_defaults_match_contract(self):
-        cfg = stage_defaults("2")
+        cfg = stage_config_from("2", {})
         assert (cfg.mask_ratio, cfg.epochs, cfg.warmup_epochs) == (0.3, 30, 5)
         assert (cfg.batch_size, cfg.base_lr) == (2048, 3e-6)
-        assert (cfg.weights.lambda_m2d, cfg.weights.lambda_clap) == (0.0, 1.0)
-        assert cfg.freeze_audio_encoder is True
 
     def test_stage21_has_no_masking(self):
-        cfg = stage_defaults("2.1")
-        assert cfg.mask_ratio == 0.0
-        cfg.validate()
+        assert stage_config_from("2.1", {}).mask_ratio == 0.0
+        with pytest.raises(InvalidConfig, match="stage 2.1 does not read mask_ratio"):
+            stage_config_from("2.1", dict(mask_ratio=0.3))
+
+    def test_settable_values(self):
+        assert {stage: set(s.defaults) for stage, s in trainer.STAGES.items()} == READS
+        assert sum(len(keys) for keys in READS.values()) == 22 and len(UNREAD) == 18
+
+    @pytest.mark.parametrize("stage, key", UNREAD)
+    def test_unread_key_rejected(self, stage, key):
+        value = trainer.STAGES["1"].defaults.get(key, False)
+        with pytest.raises(InvalidConfig, match=f"stage {stage} does not read {key}"):
+            stage_config_from(stage, {key: value})
 
     def test_unfrozen_stage2_rejected(self):
-        cfg = stage_config_from("2", dict(freeze_audio_encoder=False))
-        with pytest.raises(InvalidConfig):
-            cfg.validate()
+        for stage in ("2", "2.1"):
+            with pytest.raises(InvalidConfig, match="does not read freeze_audio_encoder"):
+                stage_config_from(stage, dict(freeze_audio_encoder=False))
 
     def test_frozen_stage1_rejected(self):
-        cfg = stage_config_from("1", dict(freeze_audio_encoder=True))
-        with pytest.raises(InvalidConfig):
-            cfg.validate()
+        with pytest.raises(InvalidConfig, match="does not read freeze_audio_encoder"):
+            stage_config_from("1", dict(freeze_audio_encoder=True))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfig):
             stage_config_from("1", dict(leaning_rate=1.0))
+
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(InvalidConfig, match="unknown stage id"):
+            stage_config_from("3", {})
+        with pytest.raises(InvalidConfig, match="unknown stage id"):
+            trainer.trainable_params(_state(), "3")
+
+    @pytest.mark.parametrize("stage", sorted(READS))
+    @pytest.mark.parametrize("bad", [dict(epochs=-2), dict(batch_size=0)])
+    def test_every_stage_validated_when_built(self, stage, bad):
+        with pytest.raises(InvalidConfig, match=f"stage {stage}: "):
+            stage_config_from(stage, bad)
+
+    def test_trained_groups(self):
+        state = _state()
+        groups = {stage: {name.split(".")[0] for name in trainer.trainable_params(state, stage)}
+                  for stage in READS}
+        assert groups["1"] == {"online", "predictor", "projector", "textpath", "tau"}
+        assert groups["1.1"] == {"online"}
+        assert groups["2"] == groups["2.1"] == {"projector", "textpath", "tau"}
+        assert not any(name.startswith("textpath.llm_map")
+                       for name in trainer.trainable_params(state, "2"))
+        assert not any(name.startswith("textpath.encoder")
+                       for name in trainer.trainable_params(state, "1"))
 
 
 class TestStage1Step:
@@ -279,7 +322,7 @@ class TestStage1Step:
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         with pytest.raises(InvalidInput):
-            stage1_step(state, _stage1_data(rng), stage_defaults("2"),
+            stage1_step(state, _stage1_data(rng), stage_config_from("2", {}),
                         np.random.default_rng(0), opt)
 
 
@@ -334,12 +377,20 @@ class TestStage2Step:
         assert net.param_digest(state) == digest
         assert opt.step_count == 0
 
-    def test_unfrozen_encoder_rejected(self, rng):
-        state = _state()
-        cfg = stage_config_from("2", dict(freeze_audio_encoder=False))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+    def test_unfrozen_encoder_rejected(self):
+        # no stage-2 config can unfreeze the encoder, and its optimizer never holds it
         with pytest.raises(InvalidConfig):
-            stage2_step(state, _stage2_data(rng), cfg, np.random.default_rng(0), opt)
+            stage_config_from("2", dict(freeze_audio_encoder=False))
+        for stage in ("2", "2.1"):
+            assert not any(name.startswith("online")
+                           for name in trainer.trainable_params(_state(), stage))
+
+    def test_wrong_stage_rejected(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        with pytest.raises(InvalidInput):
+            stage2_step(state, _stage2_data(rng), stage_config_from("1", {}),
+                        np.random.default_rng(0), opt)
 
 
 class TestStage11Finetune:
@@ -384,7 +435,20 @@ class TestStage11Finetune:
         with pytest.raises(InvalidInput):
             stage1_1_finetune(state, StageData(np.zeros((0, 10, 256)), 5, 2,
                                                labels=np.zeros((0, 3))),
-                              stage_defaults("1.1"), seed=0)
+                              stage_config_from("1.1", {}), seed=0)
+
+    def test_non_finite_loss_stops_before_update(self, rng):
+        state = _state()
+        data = self._labeled_data(rng)
+        data.patches[3] = np.nan
+        digest = net.param_digest(state)
+        head = net.init_affine(np.random.default_rng(0), data.n_f * TINY.dim, 3)
+        head_digest = net.param_digest(head)
+        cfg = stage_config_from("1.1", dict(epochs=1, batch_size=8))
+        with pytest.raises(InvalidInput, match="non-finite loss_bce"):
+            stage1_1_finetune(state, data, cfg, seed=0, head=head)
+        assert net.param_digest(state) == digest
+        assert net.param_digest(head) == head_digest
 
 
 class TestRunStage:
