@@ -8,6 +8,7 @@ CLI ``--set KEY=VALUE`` overrides are applied after parsing, last wins.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import InvalidConfig, ParseError
@@ -54,6 +55,7 @@ class ModelConfig:
     text_maxlen: int = 32
 
     def __post_init__(self):
+        check_field_types(self, "model.")
         if self.dim % self.heads != 0:
             raise InvalidConfig("dim must be divisible by heads")
         if self.dim % 4 != 0:
@@ -77,6 +79,36 @@ class ModelConfig:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical().encode("utf-8")).digest()
+
+
+# config field type -> (accepted values, stored as, how a message names it)
+_KINDS = {
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "bool": (bool, bool, "true or false"),
+    "str": (str, str, "a string"),
+}
+
+
+def check_type(key: str, value, kind: str):
+    """`value` as a config value of `kind` ("int", "float", "bool" or "str").
+    An int passes as a float; only a bool passes as a bool, and a bool
+    passes as nothing else. Any other value is an InvalidConfig naming `key`."""
+    accepted, stored_as, name = _KINDS[kind]
+    if isinstance(value, accepted) and isinstance(value, bool) == (kind == "bool"):
+        return stored_as(value)
+    raise InvalidConfig(f"{key} must be {name}, got {value!r}")
+
+
+def check_field_types(obj, prefix: str) -> None:
+    """Type-check every int, float, bool and str field of a config dataclass
+    in place (an optional one may be None); `prefix` + field name is the key
+    a message names."""
+    for f in fields(obj):
+        kind, _, rest = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if kind in _KINDS and not (rest == "None" and value is None):
+            setattr(obj, f.name, check_type(prefix + f.name, value, kind))
 
 
 def full_scale_config(**overrides) -> ModelConfig:

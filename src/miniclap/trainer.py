@@ -3,12 +3,11 @@ per-step training logic of every pre-training stage."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import network as net
 from .autodiff import Tensor
+from .config import check_field_types, check_type
 from .errors import InvalidConfig, InvalidInput
 from .frontend import summarize_features
 from .losses import LossWeights, clap_loss, clip_temperature, combined_loss, m2d_loss, similarity_matrix
@@ -71,11 +71,16 @@ class StageConfig:
 
     def __post_init__(self):
         _stage(self.stage_id)  # rejects an unknown id
+        check_field_types(self, _key_prefix(self.stage_id))
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise InvalidConfig(f"stage {self.stage_id}: mask_ratio outside [0, 1]")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.batch_size < 1:
             raise InvalidConfig(f"stage {self.stage_id}: epochs/warmup must be nonnegative, "
                                 "batch_size positive")
+
+
+def _key_prefix(stage_id: str) -> str:
+    return "stage" + stage_id.replace(".", "_") + "."  # as in config files
 
 
 def stage_config_from(stage_id: str, params: dict) -> StageConfig:
@@ -88,8 +93,9 @@ def stage_config_from(stage_id: str, params: dict) -> StageConfig:
                             f"its keys are {', '.join(defaults)}")
     values = {**defaults, **params}
     if "lambda_m2d" in values:
-        values["weights"] = LossWeights(float(values.pop("lambda_m2d")),
-                                        float(values.pop("lambda_clap")))
+        values["weights"] = LossWeights(
+            *(check_type(_key_prefix(stage_id) + key, values.pop(key), "float")
+              for key in ("lambda_m2d", "lambda_clap")))
     return StageConfig(stage_id, **values)
 
 
@@ -203,7 +209,13 @@ def trainable_params(state: ModelState, stage_id: str) -> dict[str, Tensor]:
 
 @dataclass
 class StageData:
-    """Precomputed per-sample inputs for one stage."""
+    """Precomputed per-sample inputs for one stage.
+
+    `features` is the frozen encoder's output for every full grid. A
+    caller leaves it unset: `run_stage` fills it in a copy, once per run,
+    for a stage that masks nothing (stage 2.1), and `stage2_step` then
+    takes it in place of encoding the batch.
+    """
 
     patches: np.ndarray  # [n_samples, n_patches, 256]
     n_f: int
@@ -211,6 +223,7 @@ class StageData:
     embeddings: np.ndarray | None = None  # [n_samples, emb_dim] (stage 1)
     token_rows: list[list[int]] | None = None  # stage 2 / 2.1
     labels: np.ndarray | None = None  # [n_samples, n_classes] multi-hot (stage 1.1)
+    features: np.ndarray | None = None  # [n_samples, n_patches, dim] (stage 2.1)
 
     @property
     def n_samples(self) -> int:
@@ -224,7 +237,25 @@ class StageData:
             embeddings=None if self.embeddings is None else self.embeddings[idx],
             token_rows=None if self.token_rows is None else [self.token_rows[i] for i in idx],
             labels=None if self.labels is None else self.labels[idx],
+            features=None if self.features is None else self.features[idx],
         )
+
+
+def frozen_features(encoder: net.EncoderParams, data: StageData, batch_size: int,
+                    summary=lambda z: z.data) -> np.ndarray:
+    """Encode every full grid once with a frozen encoder: in natural order,
+    `batch_size` clips per call, without a graph. `summary` maps each
+    call's [b, n_patches, dim] output to the rows kept; by default all of
+    it, which holds n_samples x n_patches x dim float64 values at once."""
+    pe = net.posenc_for(encoder, data.n_f, data.n_t)
+    out = None
+    with _quiet(), ad.no_grad():
+        for start in range(0, data.n_samples, batch_size):
+            rows = summary(encode_tokens(encoder, data.patches[start:start + batch_size], pe))
+            if out is None:
+                out = np.empty((data.n_samples, *rows.shape[1:]))
+            out[start:start + len(rows)] = rows
+    return out
 
 
 # -- stage steps --------------------------------------------------------------
@@ -291,7 +322,9 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
 
 def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
                 rng: np.random.Generator, opt: AdamW, lr: float | None = None) -> dict:
-    """One contrastive step with a frozen audio encoder."""
+    """One contrastive step with a frozen audio encoder. With
+    `data.features` set (stage 2.1 under `run_stage`), the step takes the
+    batch's encoded full grids from it instead of running the encoder."""
     if cfg.stage_id not in ("2", "2.1"):
         raise InvalidInput(f"stage2_step called with stage {cfg.stage_id!r}")
     if data.token_rows is None:
@@ -299,11 +332,17 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
     lr = cfg.base_lr if lr is None else lr
 
     b, n, _ = data.patches.shape
-    pe = net.posenc_for(state.online, data.n_f, data.n_t)
     vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)  # stage 2.1: all visible
+    if data.features is not None and vis.shape[1] != n:
+        raise InvalidInput(f"stage {cfg.stage_id} masks patches; "
+                           "precomputed full-grid features do not apply")
     with _quiet():
-        with ad.no_grad():  # the audio encoder is frozen
-            z_v = net.encode_selected(state.online, data.patches, vis, pe)
+        if data.features is not None:
+            z_v = data.features
+        else:
+            with ad.no_grad():  # the audio encoder is frozen
+                pe = net.posenc_for(state.online, data.n_f, data.n_t)
+                z_v = net.encode_selected(state.online, data.patches, vis, pe)
         s_a = net.project_audio(state.projector, z_v)
         s_t = net.encode_text_batch(state.textpath, data.token_rows)
         loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
@@ -334,7 +373,9 @@ class FinetuneResult:
 
 def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
                       seed: int = 0, head: net.Affine | None = None) -> FinetuneResult:
-    """Supervised multi-label fine-tune: linear head on the clip feature."""
+    """Supervised multi-label fine-tune: linear head on the clip feature.
+    With a frozen encoder the clip features never change, so they are
+    computed once and each step runs only the head."""
     if cfg.stage_id != "1.1":
         raise InvalidInput(f"stage1_1_finetune called with stage {cfg.stage_id!r}")
     if data.labels is None or data.n_samples == 0:
@@ -353,18 +394,21 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
         params.update(trainable_params(state, "1.1"))
     opt = AdamW(params, lr=cfg.base_lr)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    encoder_scope = ad.no_grad if cfg.freeze_audio_encoder else contextlib.nullcontext
+    if cfg.freeze_audio_encoder:
+        clips = frozen_features(state.online, data, cfg.batch_size,
+                                lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n_samples)
         for start in range(0, data.n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = data.take(idx)
             with _quiet():
-                with encoder_scope():
-                    z = encode_tokens(state.online, batch.patches, pe)
-                _, clip = summarize_features(z, data.n_f, data.n_t)
-                loss = bce_with_logits(affine(head, clip), batch.labels)
+                if cfg.freeze_audio_encoder:
+                    clip = clips[idx]
+                else:
+                    z = encode_tokens(state.online, data.patches[idx], pe)
+                    _, clip = summarize_features(z, data.n_f, data.n_t)
+                loss = bce_with_logits(affine(head, clip), data.labels[idx])
             _check_finite(loss_bce=loss)
             opt.zero_grad()
             loss.backward()
@@ -389,11 +433,19 @@ def write_loss_log(path, rows: list[dict], header: bool = False) -> None:
 
 def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
-    """Train one stage to completion; returns the state and the loss log."""
+    """Train one stage to completion; returns the state and the loss log.
+
+    A stage that masks nothing with a frozen encoder (stage 2.1) encodes
+    every clip once, before the first epoch, into a copy of `data`; the
+    caller's `data` is left as it was. That holds
+    n_samples x n_patches x dim float64 values for the whole run.
+    """
     if cfg.stage_id == "1.1":
         raise InvalidConfig("use stage1_1_finetune for stage 1.1")
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
+    if cfg.stage_id in ("2", "2.1") and cfg.mask_ratio == 0.0 and cfg.epochs > 0:
+        data = replace(data, features=frozen_features(state.online, data, cfg.batch_size))
 
     if out_dir is not None:
         ckpt_dir = os.path.join(out_dir, "checkpoints")

@@ -11,9 +11,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "benchmarks")
 
-# Installs the tracer, runs one tiny stage-1 step and one feature
-# extraction, and checks that the wrapped names were the ones called
-# and that extraction recorded no graph.
+# Installs the tracer, runs one tiny stage-1 step, one feature extraction
+# and a tiny stage-2.1 run, and checks that the wrapped names were the ones
+# called, that extraction recorded no graph, and that stage 2.1 encoded
+# each clip once while the tracer still saw every step.
 TRACED_RUN = """
 import numpy as np
 from miniclap import evaluation as ev, network as net, trainer
@@ -39,6 +40,13 @@ mels = [MelSpectrogram(rng.standard_normal((80, 70)))]
 ev.clip_features(state, mels)
 ev.semantic_features(state, mels)
 assert tracer.counts["autodiff.graph_nodes"] == nodes, "feature extraction built a graph"
+before = dict(tracer.counts)
+text_cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, text_vocab=11, text_depth=1,
+                       text_heads=2, text_maxlen=8)
+data = trainer.StageData(rng.standard_normal((6, 10, 256)), 5, 2,
+                         token_rows=[[3 + i % 5, 4] for i in range(6)])
+refine = trainer.stage_config_from("2.1", dict(epochs=2, warmup_epochs=0, batch_size=4))
+_, rows = trainer.run_stage(refine, data, net.init_model_state(text_cfg, 0), seed=0)
 tracer.uninstall()
 assert net.encode_tokens is original
 names = {span[0] for span in tracer.spans}
@@ -48,7 +56,13 @@ for name in ("masking.sample_partition", "network.encode_tokens.online",
              "evaluation.clip_features", "evaluation.semantic_features"):
     assert name in names, f"traced run never reached {name}"
 # online and target in the step, then one call for all 3 windows per feature kind
-assert tracer.counts["network.encode_tokens.calls"] == 4, dict(tracer.counts)
+assert before["network.encode_tokens.calls"] == 4, before
+# stage 2.1 encodes each of its 6 clips of 10 patches once, in batches of 4,
+# and the step timer and tracer still see each of its 2 x 2 steps
+assert tracer.counts["network.encode_tokens.tokens"] - before["network.encode_tokens.tokens"] == 60
+assert tracer.counts["network.encode_tokens.calls"] - before["network.encode_tokens.calls"] == 2
+assert len(rows) == 4
+assert sum(span[0] == "trainer.stage2_step" for span in tracer.spans) == len(rows)
 print("traced run ok")
 """
 

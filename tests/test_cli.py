@@ -144,6 +144,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
         assert not os.path.exists(tmp_path / "checkpoints")
 
+    @pytest.mark.parametrize("setting, message", [
+        ("stage1.epochs=2.5", "stage1.epochs must be an integer, got 2.5"),
+        ("stage1.batch_size=abc", "stage1.batch_size must be an integer, got 'abc'"),
+        ("stage1.mask_ratio=abc", "stage1.mask_ratio must be a number, got 'abc'"),
+        ("stage1.lambda_clap=abc", "stage1.lambda_clap must be a number, got 'abc'"),
+        ("model.depth=1.5", "model.depth must be an integer, got 1.5"),
+        ("model.dim=abc", "model.dim must be an integer, got 'abc'"),
+        ("model.text_projector=yes", "model.text_projector must be true or false, got 'yes'"),
+    ])
+    def test_wrongly_typed_setting_is_exit_1(self, corpus, tmp_path, capsys, setting, message):
+        code = _stage1(corpus, tmp_path, ["--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert not os.path.exists(tmp_path / "checkpoints")
+
     @pytest.mark.parametrize("verb", ["extract-features", "eval-zeroshot", "eval-retrieval",
                                       "pretrain-stage1", "pretrain-stage2"])
     def test_empty_manifest_is_exit_1(self, corpus, stage1, tmp_path, capsys, verb):

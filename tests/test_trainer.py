@@ -6,10 +6,12 @@ import copy
 import numpy as np
 import pytest
 
-from miniclap import losses, network as net, trainer
+from miniclap import autodiff as ad, losses, network as net, trainer
 from miniclap.autodiff import Tensor
 from miniclap.config import ModelConfig
 from miniclap.errors import InvalidConfig, InvalidInput
+from miniclap.frontend import summarize_features
+from miniclap.masking import batch_partitions
 from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
                               run_stage, stage1_1_finetune, stage1_step, stage2_step,
                               stage_config_from)
@@ -37,6 +39,12 @@ def _stage1_data(rng, n=12):
 def _stage2_data(rng, n=12):
     tokens = [[3 + int(i % 7), 4, 0] for i in range(n)]
     return StageData(rng.standard_normal((n, 10, 256)) * 0.3, 5, 2, token_rows=tokens)
+
+
+def _labeled_data(rng, n=8):
+    labels = np.zeros((n, 3))
+    labels[np.arange(n), np.arange(n) % 3] = 1.0
+    return StageData(rng.standard_normal((n, 10, 256)) * 0.3, 5, 2, labels=labels)
 
 
 class TestSchedules:
@@ -218,6 +226,19 @@ class TestStageConfig:
         with pytest.raises(InvalidConfig, match=f"stage {stage}: "):
             stage_config_from(stage, bad)
 
+    def test_value_types(self):
+        # an int passes as a float and is stored as one; a bool is only a bool
+        cfg = stage_config_from("1", dict(base_lr=1, lambda_clap=0))
+        assert type(cfg.base_lr) is float and type(cfg.weights.lambda_clap) is float
+        assert stage_config_from("1.1", dict(freeze_audio_encoder=True)).freeze_audio_encoder
+        for stage, bad in [("1.1", dict(freeze_audio_encoder=1)), ("1.1", dict(epochs=True)),
+                           ("2", dict(base_lr="3e-6"))]:
+            with pytest.raises(InvalidConfig, match=f"{next(iter(bad))} must be"):
+                stage_config_from(stage, bad)
+        assert type(ModelConfig(mlp_ratio=4).mlp_ratio) is float
+        with pytest.raises(InvalidConfig, match="model.text_vocab must be an integer"):
+            ModelConfig(text_vocab=False)
+
     def test_trained_groups(self):
         state = _state()
         groups = {stage: {name.split(".")[0] for name in trainer.trainable_params(state, stage)}
@@ -392,16 +413,145 @@ class TestStage2Step:
             stage2_step(state, _stage2_data(rng), stage_config_from("1", {}),
                         np.random.default_rng(0), opt)
 
+    def test_precomputed_features_rejected_when_masking(self, rng):
+        state = _state()
+        data = _stage2_data(rng, n=4)
+        data.features = trainer.frozen_features(state.online, data, 4)
+        cfg = stage_config_from("2", dict(batch_size=4, epochs=1))
+        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        with pytest.raises(InvalidInput, match="masks patches"):
+            stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+        assert opt.step_count == 0
+
+
+def _count_encoded_tokens(monkeypatch) -> list[int]:
+    """Record the tokens of every encoder call, by name and through
+    `encode_selected` alike."""
+    tokens = []
+    encode = net.encode_tokens
+
+    def counting(params, patches, pe):
+        tokens.append(patches.shape[0] * patches.shape[1])
+        return encode(params, patches, pe)
+
+    monkeypatch.setattr(net, "encode_tokens", counting)
+    monkeypatch.setattr(trainer, "encode_tokens", counting)
+    return tokens
+
+
+def _oracle_run_stage2(cfg, data, state, seed):
+    """Stage 2/2.1 without masking, as `run_stage` ran it when every step
+    encoded its batch: same partitions drawn, same updates, same log rows."""
+    rng = np.random.default_rng(seed)
+    steps_per_epoch = -(-data.n_samples // cfg.batch_size)
+    total, warmup = cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
+    opt = AdamW(trainer.trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    rows, step = [], 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(data.n_samples)
+        for start in range(0, data.n_samples, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            lr = lr_at(step, total, warmup, cfg.base_lr)
+            vis, _ = batch_partitions(data.patches.shape[1], 0.0, len(idx), rng)
+            assert vis.shape[1] == data.patches.shape[1]
+            with ad.no_grad():
+                z = net.encode_tokens(state.online, data.patches[idx], pe)
+            s_a = net.project_audio(state.projector, z)
+            s_t = net.encode_text_batch(state.textpath, [data.token_rows[i] for i in idx])
+            loss = losses.clap_loss(losses.similarity_matrix(s_a, s_t), state.tau)
+            opt.zero_grad()
+            loss.backward()
+            opt.step(lr)
+            state.tau.data = np.asarray(losses.clip_temperature(float(state.tau.data)))
+            rows.append({"epoch": epoch, "step": step, "loss_total": f"{loss.item():.8f}",
+                         "loss_m2d": "", "loss_clap": f"{loss.item():.8f}",
+                         "lr": f"{lr:.10g}", "ema": ""})
+            step += 1
+    return rows
+
+
+class TestEncodeOnce:
+    """A frozen, unmasked grid is encoded once per run, and training on
+    those features matches encoding every batch byte for byte."""
+
+    UNMASKED = [("2.1", {}), ("2", dict(mask_ratio=0.0))]
+
+    @pytest.mark.parametrize("stage, extra", UNMASKED)
+    def test_unmasked_stage_matches_per_batch_encode(self, rng, tmp_path, stage, extra):
+        data = _stage2_data(rng, n=10)
+        cfg = stage_config_from(stage, dict(epochs=3, warmup_epochs=1, batch_size=4,
+                                            base_lr=1e-3, **extra))
+        state, _ = run_stage(cfg, data, _state(), seed=5, out_dir=str(tmp_path))
+        assert data.features is None  # the caller's data is left as it was
+        oracle_state = _state()
+        oracle = tmp_path / "oracle.csv"
+        trainer.write_loss_log(oracle, _oracle_run_stage2(cfg, data, oracle_state, 5),
+                               header=True)
+        assert (tmp_path / "losses.csv").read_bytes() == oracle.read_bytes()
+        assert net.param_digest(state) == net.param_digest(oracle_state)
+
+    @pytest.mark.parametrize("stage, extra", UNMASKED)
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_unmasked_stage_encodes_each_clip_once(self, rng, monkeypatch, stage, extra,
+                                                   epochs):
+        data = _stage2_data(rng, n=10)
+        tokens = _count_encoded_tokens(monkeypatch)
+        cfg = stage_config_from(stage, dict(epochs=epochs, warmup_epochs=0, batch_size=4,
+                                            base_lr=1e-3, **extra))
+        _, rows = run_stage(cfg, data, _state(), seed=0)
+        assert len(rows) == 3 * epochs
+        assert sum(tokens) == data.n_samples * data.patches.shape[1]
+
+    def test_masked_stage2_encodes_every_step(self, rng, monkeypatch):
+        data = _stage2_data(rng, n=10)
+        tokens = _count_encoded_tokens(monkeypatch)
+        cfg = stage_config_from("2", dict(epochs=2, warmup_epochs=0, batch_size=4, base_lr=1e-3))
+        run_stage(cfg, data, _state(), seed=0)
+        assert len(tokens) == 6  # one visible-patch encode per step
+
+    def test_frozen_stage1_1_matches_per_batch_encode(self, rng):
+        data = _labeled_data(rng)
+        cfg = stage_config_from("1.1", dict(epochs=3, batch_size=3, base_lr=1e-2,
+                                            freeze_audio_encoder=True))
+        state = _state()
+        result = stage1_1_finetune(state, data, cfg, seed=4)
+
+        rng_oracle = np.random.default_rng(4)
+        head = net.init_affine(rng_oracle, data.n_f * TINY.dim, data.labels.shape[1])
+        opt = AdamW(net.named_params(head, "head"), lr=cfg.base_lr)
+        pe = net.posenc_for(state.online, data.n_f, data.n_t)
+        want = []
+        for _ in range(cfg.epochs):
+            order = rng_oracle.permutation(data.n_samples)
+            for start in range(0, data.n_samples, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                with ad.no_grad():
+                    z = net.encode_tokens(state.online, data.patches[idx], pe)
+                _, clip = summarize_features(z, data.n_f, data.n_t)
+                loss = trainer.bce_with_logits(net.affine(head, clip), data.labels[idx])
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                want.append(loss.item())
+        assert result.losses == want
+        assert net.param_digest(result.head) == net.param_digest(head)
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_frozen_stage1_1_encodes_each_clip_once(self, rng, monkeypatch, epochs):
+        data = _labeled_data(rng)
+        tokens = _count_encoded_tokens(monkeypatch)
+        cfg = stage_config_from("1.1", dict(epochs=epochs, batch_size=3,
+                                            freeze_audio_encoder=True))
+        result = stage1_1_finetune(_state(), data, cfg, seed=0)
+        assert len(result.losses) == 3 * epochs
+        assert sum(tokens) == data.n_samples * data.patches.shape[1]
+
 
 class TestStage11Finetune:
-    def _labeled_data(self, rng, n=8):
-        labels = np.zeros((n, 3))
-        labels[np.arange(n), np.arange(n) % 3] = 1.0
-        return StageData(rng.standard_normal((n, 10, 256)) * 0.3, 5, 2, labels=labels)
-
     def test_one_batch_overfit(self, rng):
         state = _state()
-        data = self._labeled_data(rng)
+        data = _labeled_data(rng)
         cfg = stage_config_from("1.1", dict(epochs=50, batch_size=8, base_lr=1e-2))
         result = stage1_1_finetune(state, data, cfg, seed=0)
         assert len(result.losses) == 50
@@ -411,7 +561,7 @@ class TestStage11Finetune:
         state = _state()
         digest = net.param_digest(state)
         cfg = stage_config_from("1.1", dict(epochs=0))
-        result = stage1_1_finetune(state, self._labeled_data(rng), cfg, seed=0)
+        result = stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
         assert result.losses == []
         assert net.param_digest(state) == digest
 
@@ -420,14 +570,14 @@ class TestStage11Finetune:
         digest = net.param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=5, batch_size=8,
                                             freeze_audio_encoder=True))
-        stage1_1_finetune(state, self._labeled_data(rng), cfg, seed=0)
+        stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
         assert net.param_digest(state.online) == digest
 
     def test_full_mode_updates_encoder(self, rng):
         state = _state()
         digest = net.param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=2, batch_size=8))
-        stage1_1_finetune(state, self._labeled_data(rng), cfg, seed=0)
+        stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
         assert net.param_digest(state.online) != digest
 
     def test_empty_dataset_rejected(self, rng):
@@ -439,7 +589,7 @@ class TestStage11Finetune:
 
     def test_non_finite_loss_stops_before_update(self, rng):
         state = _state()
-        data = self._labeled_data(rng)
+        data = _labeled_data(rng)
         data.patches[3] = np.nan
         digest = net.param_digest(state)
         head = net.init_affine(np.random.default_rng(0), data.n_f * TINY.dim, 3)
