@@ -446,8 +446,8 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU (fused forward and backward)."""
     x = Tensor.wrap(x)
     xd = x.data
-    x2 = xd * xd
-    t = x2 * xd  # t holds the tanh argument, then the tanh itself
+    t = xd * xd  # t holds x^3, the tanh argument, then the tanh itself
+    t *= xd
     t *= _GELU_A
     t += xd
     t *= _GELU_C
@@ -462,7 +462,8 @@ def gelu(x: Tensor) -> Tensor:
         np.subtract(1.0, slope, out=slope)
         slope *= xd
         slope *= 0.5 * _GELU_C
-        tmp = x2 * (3 * _GELU_A)
+        tmp = xd * xd
+        tmp *= 3 * _GELU_A
         tmp += 1.0
         slope *= tmp
         np.add(t, 1.0, out=tmp)

@@ -7,6 +7,7 @@ import csv
 import functools
 import math
 import os
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -71,7 +72,11 @@ class StageConfig:
 
     def __post_init__(self):
         _stage(self.stage_id)  # rejects an unknown id
-        check_field_types(self, _key_prefix(self.stage_id))
+        prefix = _key_prefix(self.stage_id)
+        check_field_types(self, prefix)
+        if self.stage_id == "1":  # optional elsewhere, read here
+            for key in ("ema_start", "ema_end"):
+                setattr(self, key, check_type(prefix + key, getattr(self, key), "float"))
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise InvalidConfig(f"stage {self.stage_id}: mask_ratio outside [0, 1]")
         if self.epochs < 0 or self.warmup_epochs < 0 or self.batch_size < 1:
@@ -213,11 +218,12 @@ class StageData:
 
     `features` is the frozen encoder's output for every full grid. A
     caller leaves it unset: `run_stage` fills it in a copy, once per run,
-    for a stage that masks nothing (stage 2.1), and `stage2_step` then
-    takes it in place of encoding the batch.
+    for a stage that masks nothing (stage 2.1), and drops the patches
+    from that copy; `stage2_step` then takes the features in place of
+    encoding the batch.
     """
 
-    patches: np.ndarray  # [n_samples, n_patches, 256]
+    patches: np.ndarray | None  # [n_samples, n_patches, 256]; None once features replace it
     n_f: int
     n_t: int
     embeddings: np.ndarray | None = None  # [n_samples, emb_dim] (stage 1)
@@ -226,12 +232,17 @@ class StageData:
     features: np.ndarray | None = None  # [n_samples, n_patches, dim] (stage 2.1)
 
     @property
+    def grids(self) -> np.ndarray:
+        """The per-patch rows a step reads: the features when set, else the patches."""
+        return self.patches if self.features is None else self.features
+
+    @property
     def n_samples(self) -> int:
-        return self.patches.shape[0]
+        return self.grids.shape[0]
 
     def take(self, idx: np.ndarray) -> "StageData":
         return StageData(
-            patches=self.patches[idx],
+            patches=None if self.patches is None else self.patches[idx],
             n_f=self.n_f,
             n_t=self.n_t,
             embeddings=None if self.embeddings is None else self.embeddings[idx],
@@ -273,10 +284,31 @@ def _check_finite(**losses: Tensor) -> None:
                                "stopped before the parameter update")
 
 
+@functools.cache
+def _target_worker() -> futures.ThreadPoolExecutor:
+    """The one thread that runs stage 1's EMA-target branch, created on
+    first use; no other stage starts it."""
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-target")
+
+
+def _encode_targets(target: net.EncoderParams, patches: np.ndarray, msk: np.ndarray,
+                    pe: np.ndarray) -> Tensor:
+    """The standardized EMA-target features of the masked patches. The
+    target's parameters are requires_grad=False, so no graph forms; numpy
+    keeps error state per thread, so this runs under its own `_quiet`."""
+    with _quiet():
+        return net.standardize_targets(net.encode_selected(target, patches, msk, pe))
+
+
 def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
                 rng: np.random.Generator, opt: AdamW,
                 lr: float | None = None, ema_alpha: float | None = None) -> dict:
-    """One multitask step on a batch; updates the online side and the EMA target."""
+    """One multitask step on a batch; updates the online side and the EMA target.
+
+    The target branch reads only the EMA weights, the patches and the mask,
+    so it runs on `_target_worker` while this thread runs the online
+    forward; numpy and BLAS release the interpreter lock in their loops.
+    The step waits for it before leaving, on success or error."""
     if cfg.stage_id != "1":
         raise InvalidInput(f"stage1_step called with stage {cfg.stage_id!r}")
     if data.embeddings is None:
@@ -290,13 +322,14 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     if msk.shape[1] == 0 or vis.shape[1] == 0:
         raise InvalidInput("stage 1 needs both visible and masked patches")
 
+    pending = _target_worker().submit(_encode_targets, state.target, data.patches, msk, pe)
     with _quiet():
-        z_v = net.encode_selected(state.online, data.patches, vis, pe)
-        predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
-        # target branch: parameters are requires_grad=False, so no graph forms
-        z_m = net.encode_selected(state.target, data.patches, msk, pe)
-        target = net.standardize_targets(z_m)
-        loss_m2d = m2d_loss(predicted, target)
+        try:
+            z_v = net.encode_selected(state.online, data.patches, vis, pe)
+            predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
+        finally:
+            futures.wait((pending,))
+        loss_m2d = m2d_loss(predicted, pending.result())
 
         if cfg.weights.lambda_clap > 0:
             s_a = net.project_audio(state.projector, z_v)
@@ -331,7 +364,7 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
         raise InvalidInput("stage 2 batches need token sequences")
     lr = cfg.base_lr if lr is None else lr
 
-    b, n, _ = data.patches.shape
+    b, n, _ = data.grids.shape
     vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)  # stage 2.1: all visible
     if data.features is not None and vis.shape[1] != n:
         raise InvalidInput(f"stage {cfg.stage_id} masks patches; "
@@ -445,7 +478,8 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
     if cfg.stage_id in ("2", "2.1") and cfg.mask_ratio == 0.0 and cfg.epochs > 0:
-        data = replace(data, features=frozen_features(state.online, data, cfg.batch_size))
+        data = replace(data, patches=None,
+                       features=frozen_features(state.online, data, cfg.batch_size))
 
     if out_dir is not None:
         ckpt_dir = os.path.join(out_dir, "checkpoints")

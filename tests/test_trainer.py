@@ -1,7 +1,12 @@
 """Schedules, optimizer behavior, stage-step contracts (freeze,
 stop-gradient, EMA, temperature), and the stage runner."""
 
+import ast
 import copy
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -232,7 +237,8 @@ class TestStageConfig:
         assert type(cfg.base_lr) is float and type(cfg.weights.lambda_clap) is float
         assert stage_config_from("1.1", dict(freeze_audio_encoder=True)).freeze_audio_encoder
         for stage, bad in [("1.1", dict(freeze_audio_encoder=1)), ("1.1", dict(epochs=True)),
-                           ("2", dict(base_lr="3e-6"))]:
+                           ("2", dict(base_lr="3e-6")), ("1", dict(ema_start=None)),
+                           ("1", dict(ema_end=None))]:
             with pytest.raises(InvalidConfig, match=f"{next(iter(bad))} must be"):
                 stage_config_from(stage, bad)
         assert type(ModelConfig(mlp_ratio=4).mlp_ratio) is float
@@ -345,6 +351,147 @@ class TestStage1Step:
         with pytest.raises(InvalidInput):
             stage1_step(state, _stage1_data(rng), stage_config_from("2", {}),
                         np.random.default_rng(0), opt)
+
+
+def _serial_stage1_step(state, data, cfg, rng, opt, lr, ema_alpha):
+    """Stage 1 as one thread runs it: the online forward, then the target
+    branch, then the loss, update and EMA."""
+    b, n, _ = data.patches.shape
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    vis, msk = batch_partitions(n, cfg.mask_ratio, b, rng)
+    z_v = net.encode_selected(state.online, data.patches, vis, pe)
+    predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
+    target = net.standardize_targets(net.encode_selected(state.target, data.patches, msk, pe))
+    loss_m2d = losses.m2d_loss(predicted, target)
+    s_a = net.project_audio(state.projector, z_v)
+    s_t = net.map_text_embedding(state.textpath, data.embeddings)
+    loss_clap = losses.clap_loss(losses.similarity_matrix(s_a, s_t), state.tau)
+    total = losses.combined_loss(loss_m2d, loss_clap, cfg.weights)
+    opt.zero_grad()
+    total.backward()
+    opt.step(lr)
+    state.tau.data = np.asarray(losses.clip_temperature(float(state.tau.data)))
+    ema_update(state.target, state.online, ema_alpha)
+    return {"loss_total": total.item(), "loss_m2d": loss_m2d.item(),
+            "loss_clap": loss_clap.item()}
+
+
+class TargetFailed(Exception):
+    pass
+
+
+def _fail_for_target(monkeypatch, error, before=lambda: None):
+    """Make `encode_selected` raise `error` for the EMA target, after
+    calling `before`; the online encoder runs as usual."""
+    encode = net.encode_selected
+
+    def encode_selected(params, patches, idx, pe):
+        if not params.patch_embed.weight.requires_grad:
+            before()
+            raise error
+        return encode(params, patches, idx, pe)
+
+    monkeypatch.setattr(net, "encode_selected", encode_selected)
+
+
+class TestTargetOverlap:
+    """Stage 1 runs its EMA-target branch on a worker thread while the
+    online forward runs; the results are those of one thread."""
+
+    def test_overlapped_steps_match_serial_oracle(self, rng):
+        data = _stage1_data(rng, n=8)
+        cfg = _stage1_cfg()
+        runs = []
+        for step_fn in (stage1_step, _serial_stage1_step):
+            state = _state()
+            opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+            gen = np.random.default_rng(7)
+            stats = [step_fn(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
+                             gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
+                     for i in range(3)]
+            moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
+            runs.append((stats, net.param_digest(state.online), net.param_digest(state.target),
+                         net.param_digest(state), moments))
+        assert runs[0] == runs[1]
+
+    def test_target_error_propagates_before_any_update(self, rng, monkeypatch):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        digest = net.param_digest(state)
+        error = TargetFailed("target branch failed")
+        _fail_for_target(monkeypatch, error)
+        with pytest.raises(TargetFailed) as caught:
+            stage1_step(state, _stage1_data(rng, n=4), _stage1_cfg(),
+                        np.random.default_rng(0), opt)
+        assert caught.value is error
+        assert net.param_digest(state) == digest
+        assert opt.step_count == 0
+
+    def test_online_error_waits_for_target_branch(self, rng, monkeypatch):
+        finished = []
+        _fail_for_target(monkeypatch, TargetFailed("target"),
+                         before=lambda: (time.sleep(0.2), finished.append(True)))
+
+        def failing_predict(*args):
+            raise InvalidInput("online branch failed")
+
+        monkeypatch.setattr(net, "predict_masked", failing_predict)
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        with pytest.raises(InvalidInput, match="online branch failed"):
+            stage1_step(state, _stage1_data(rng, n=4), _stage1_cfg(),
+                        np.random.default_rng(0), opt)
+        assert finished == [True]  # the worker was done when the error left the step
+        assert opt.step_count == 0
+
+
+# Counts the threads alive after each of stages 1.1 (encoder trained,
+# then frozen), 2 and 2.1 and an extraction, then after a stage-1 run.
+THREAD_COUNT_RUN = """
+import threading
+import numpy as np
+from miniclap import evaluation as ev, network as net, trainer
+from miniclap.config import ModelConfig
+from miniclap.frontend import MelSpectrogram
+
+cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
+                  predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
+                  text_maxlen=8, emb_dim=12)
+rng = np.random.default_rng(0)
+patches = rng.standard_normal((6, 10, 256))
+counts = [threading.active_count()]
+labels = np.eye(3)[np.arange(6) % 3]
+for frozen in (False, True):
+    trainer.stage1_1_finetune(
+        net.init_model_state(cfg, 0), trainer.StageData(patches, 5, 2, labels=labels),
+        trainer.stage_config_from("1.1", dict(epochs=1, batch_size=4,
+                                              freeze_audio_encoder=frozen)))
+    counts.append(threading.active_count())
+text = trainer.StageData(patches, 5, 2, token_rows=[[3 + i % 5, 4] for i in range(6)])
+for stage in ("2", "2.1"):
+    trainer.run_stage(trainer.stage_config_from(stage, dict(epochs=1, warmup_epochs=0,
+                                                            batch_size=4)),
+                      text, net.init_model_state(cfg, 0))
+    counts.append(threading.active_count())
+ev.clip_features(net.init_model_state(cfg, 0), [MelSpectrogram(rng.standard_normal((80, 70)))])
+counts.append(threading.active_count())
+trainer.run_stage(trainer.stage_config_from("1", dict(epochs=2, warmup_epochs=0, batch_size=4)),
+                  trainer.StageData(patches, 5, 2, embeddings=rng.standard_normal((6, 12))),
+                  net.init_model_state(cfg, 0))
+counts.append(threading.active_count())
+print(counts)
+"""
+
+
+def test_only_stage1_starts_a_thread():
+    src = os.path.dirname(os.path.dirname(trainer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    # stages 1.1, 2 and 2.1 and extraction start none; stage 1 starts its one worker
+    assert counts == [counts[0]] * 6 + [counts[0] + 1], counts
 
 
 class TestStage2Step:
@@ -502,6 +649,22 @@ class TestEncodeOnce:
         _, rows = run_stage(cfg, data, _state(), seed=0)
         assert len(rows) == 3 * epochs
         assert sum(tokens) == data.n_samples * data.patches.shape[1]
+
+    @pytest.mark.parametrize("stage, extra", UNMASKED)
+    def test_unmasked_batches_carry_no_patches(self, rng, monkeypatch, stage, extra):
+        batches = []
+        step = trainer.stage2_step
+
+        def recording_step(state, batch, *args, **kwargs):
+            batches.append(batch)
+            return step(state, batch, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "stage2_step", recording_step)
+        data = _stage2_data(rng, n=10)
+        cfg = stage_config_from(stage, dict(epochs=2, warmup_epochs=0, batch_size=4, **extra))
+        run_stage(cfg, data, _state(), seed=0)
+        assert [len(b.features) for b in batches] == [4, 4, 2] * 2
+        assert all(b.patches is None for b in batches)  # the step reads only features
 
     def test_masked_stage2_encodes_every_step(self, rng, monkeypatch):
         data = _stage2_data(rng, n=10)
