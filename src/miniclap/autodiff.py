@@ -20,6 +20,7 @@ with a hand-written VJP that keeps only what its backward needs:
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -36,19 +37,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-_grad_enabled = True  # False only inside no_grad()
+class _GradMode(threading.local):
+    enabled = True  # False only inside no_grad(), on the thread that entered it
+
+
+_grad = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Within the block, every op returns a constant with no parents."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
+    """Within the block, every op this thread runs returns a constant with
+    no parents. The mode is per thread, so threads that enter and leave
+    their own blocks at overlapping times cannot leave each other's off."""
+    saved = _grad.enabled
+    _grad.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _grad.enabled = saved
 
 
 class Tensor:
@@ -88,7 +94,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, vjp) -> "Tensor":
-        if not (_grad_enabled and any(p.requires_grad for p in parents)):
+        if not (_grad.enabled and any(p.requires_grad for p in parents)):
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 

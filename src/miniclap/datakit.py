@@ -1,8 +1,10 @@
 """Dataset manifests, the text-embedding cache format, tokenization,
-WAV I/O, and the deterministic synthetic audio-caption corpus."""
+WAV I/O, atomic file writes, and the deterministic synthetic
+audio-caption corpus."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -16,6 +18,22 @@ from .config import SAMPLE_RATE
 from .errors import FormatError, InvalidInput, ParseError
 
 MISSING_CAPTION_TEMPLATE = "The sound of {labels}"
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside `path` for writing, and move it into
+    place when the block ends without error, so `path` holds either the
+    previous file or the whole new one. On error the temporary file goes."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass

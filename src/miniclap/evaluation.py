@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,7 @@ from . import autodiff as ad
 from . import network as net
 from .autodiff import log_softmax
 from .config import N_FREQ_PATCHES
+from .datakit import atomic_open
 from .errors import FormatError, InvalidInput, Unsupported
 from .frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
 from .losses import similarity_matrix
@@ -273,20 +275,27 @@ def attention_map(ap: AudioProjectorParams, z: np.ndarray) -> np.ndarray:
 # -- whole-clip feature extraction ------------------------------------------------
 
 
-WINDOW_CHUNK = 32  # windows per encoder call; bounds the activations held at once
+# windows per encoder call; two calls run at once, so at most 32 windows'
+# activations are held at a time
+WINDOW_CHUNK = 16
 
 
 def encode_windows(state: ModelState, mels: list[MelSpectrogram],
                    summary=lambda z: z.data) -> tuple[np.ndarray, np.ndarray]:
     """Encode every window of every clip with the online encoder, in
-    chunks of WINDOW_CHUNK windows and without building a graph.
+    chunks and without building a graph.
 
     A clip is split into consecutive windows of `input_frames` frames;
-    the last one is zero-padded to the full width. `summary` maps each
-    chunk's [w, n_f*n_t, dim] patch features to per-window rows, so
-    only the summaries of all windows are held at once; by default it
-    keeps the patch features. Returns the stacked summaries and each
-    window's clip index.
+    the last one is zero-padded to the full width. A chunk holds
+    min(WINDOW_CHUNK, ceil(windows / 2)) windows. This thread encodes the
+    chunks at even positions and `net.worker()` the odd ones; numpy and
+    BLAS release the interpreter lock, so the two run on two cores. The
+    call returns when every chunk is done, and an error from either
+    thread reaches the caller unchanged. `summary` maps each chunk's
+    [w, n_f*n_t, dim] patch features to per-window rows, so only the
+    summaries of all windows are held at once; by default it keeps the
+    patch features. Returns the stacked summaries, in window order, and
+    each window's clip index.
     """
     if not mels:
         raise InvalidInput("no clips to encode")
@@ -295,17 +304,29 @@ def encode_windows(state: ModelState, mels: list[MelSpectrogram],
                for clip, mel in enumerate(mels)
                for start in range(0, max(1, mel.n_frames), width)]
     pe = state.online.posenc.table  # every window has the configured width
-    out = []
-    for first in range(0, len(windows), WINDOW_CHUNK):
-        chunk = windows[first:first + WINDOW_CHUNK]
+    size = min(WINDOW_CHUNK, -(-len(windows) // 2))
+    chunks = [windows[first:first + size] for first in range(0, len(windows), size)]
+
+    def encode(chunk):
         patches = np.stack([patchify(pad_or_crop_to_grid(w, width)).patches for _, w in chunk])
-        with ad.no_grad():
-            out.append(summary(net.encode_tokens(state.online, patches, pe)))
+        with ad.no_grad():  # grad mode is per thread: each thread enters its own
+            return summary(net.encode_tokens(state.online, patches, pe))
+
+    pending = [net.worker().submit(encode, chunk) for chunk in chunks[1::2]]
+    out = [None] * len(chunks)
+    try:
+        out[::2] = [encode(chunk) for chunk in chunks[::2]]
+    finally:
+        futures.wait(pending)
+    out[1::2] = [p.result() for p in pending]
     return np.concatenate(out), np.array([clip for clip, _ in windows])
 
 
 def _mean_per_clip(feats: np.ndarray, owner: np.ndarray, n_clips: int) -> np.ndarray:
-    return np.stack([feats[owner == clip].mean(axis=0) for clip in range(n_clips)])
+    """Each clip's mean row. `owner` is sorted, because `encode_windows`
+    emits windows in clip order, so each clip's rows are one slice."""
+    bounds = np.searchsorted(owner, np.arange(n_clips + 1))
+    return np.stack([feats[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def clip_features(state: ModelState, mels: list[MelSpectrogram]) -> np.ndarray:
@@ -330,17 +351,19 @@ FEATURE_VERSION = 1
 
 
 def write_features(path, ids: list[str], features: np.ndarray) -> None:
+    """Write the feature file and its `.ids` sidecar. Each file is written
+    atomically, and neither is replaced unless both were written whole;
+    the sidecar is replaced first, just before the feature file."""
     arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim != 2 or len(ids) != arr.shape[0]:
         raise InvalidInput("need one id per feature row")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh, atomic_open(str(path) + ".ids", "w", encoding="utf-8") as sidecar:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", FEATURE_VERSION))
         fh.write(struct.pack("<I", arr.shape[1]))
         fh.write(struct.pack("<Q", arr.shape[0]))
         fh.write(arr.tobytes())
-    with open(str(path) + ".ids", "w", encoding="utf-8") as fh:
-        fh.writelines(i + "\n" for i in ids)
+        sidecar.writelines(i + "\n" for i in ids)
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:

@@ -13,15 +13,16 @@ A single sample is a batch of one. Only `project_audio`,
 `map_text_embedding` and `encode_text` also take one unbatched sample.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
+`worker()` is the one thread besides the caller's that runs forwards.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
 import hashlib
-import os
 import struct
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from . import autodiff as ad
 from . import masking
 from .autodiff import Tensor
 from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
-from .datakit import PAD_ID
+from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc, interpolate_posenc
 
@@ -319,6 +320,15 @@ def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
     return interpolate_posenc(pe, n_t).table
 
 
+@functools.cache
+def worker() -> futures.ThreadPoolExecutor:
+    """The process's one worker thread, created on first use. Stage 1 runs
+    its EMA-target branch on it and `evaluation.encode_windows` every other
+    chunk of windows. Neither is ever called from the worker, so a task
+    never waits on another task queued behind it."""
+    return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")
+
+
 def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     """Batched core: [B, k, 256] patches plus their [B|1, k, dim] position rows."""
     x = affine(params.patch_embed, patch_vectors) + pe_rows
@@ -452,29 +462,22 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, state: ModelState) -> None:
-    """Write the checkpoint to a temporary file beside `path`, then move it
-    into place, so `path` holds either the previous file or the whole new one."""
+    """Write the checkpoint atomically: `path` holds either the previous
+    file or the whole new one."""
     params = named_params(state)
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<I", CKPT_VERSION))
-            fh.write(state.config.digest())
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params.items():
-                encoded = name.encode("utf-8")
-                arr = np.asarray(tensor.data).astype("<f4")  # astype keeps 0-d shape
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<I", CKPT_VERSION))
+        fh.write(state.config.digest())
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params.items():
+            encoded = name.encode("utf-8")
+            arr = np.asarray(tensor.data).astype("<f4")  # astype keeps 0-d shape
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def _read_exact(fh, n: int) -> bytes:

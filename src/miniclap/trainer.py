@@ -284,13 +284,6 @@ def _check_finite(**losses: Tensor) -> None:
                                "stopped before the parameter update")
 
 
-@functools.cache
-def _target_worker() -> futures.ThreadPoolExecutor:
-    """The one thread that runs stage 1's EMA-target branch, created on
-    first use; no other stage starts it."""
-    return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-target")
-
-
 def _encode_targets(target: net.EncoderParams, patches: np.ndarray, msk: np.ndarray,
                     pe: np.ndarray) -> Tensor:
     """The standardized EMA-target features of the masked patches. The
@@ -306,7 +299,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     """One multitask step on a batch; updates the online side and the EMA target.
 
     The target branch reads only the EMA weights, the patches and the mask,
-    so it runs on `_target_worker` while this thread runs the online
+    so it runs on `net.worker()` while this thread runs the online
     forward; numpy and BLAS release the interpreter lock in their loops.
     The step waits for it before leaving, on success or error."""
     if cfg.stage_id != "1":
@@ -322,7 +315,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     if msk.shape[1] == 0 or vis.shape[1] == 0:
         raise InvalidInput("stage 1 needs both visible and masked patches")
 
-    pending = _target_worker().submit(_encode_targets, state.target, data.patches, msk, pe)
+    pending = net.worker().submit(_encode_targets, state.target, data.patches, msk, pe)
     with _quiet():
         try:
             z_v = net.encode_selected(state.online, data.patches, vis, pe)

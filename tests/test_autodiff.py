@@ -1,5 +1,7 @@
 """Gradient and semantics checks for the autodiff engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -272,4 +274,27 @@ class TestNoGrad:
             with ad.no_grad():
                 raise RuntimeError("raised inside the block")
         out = a * 2.0
+        assert out.requires_grad and out._parents
+
+    def test_mode_is_per_thread(self, rng):
+        a = _param(rng, 2)
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def hold_no_grad():
+            with ad.no_grad():
+                inside.append((a * 2.0).requires_grad)
+                entered.set()
+                release.wait(timeout=30)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert entered.wait(timeout=30)
+            out = a * 2.0  # built while the other thread's block is open
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert inside == [False]
         assert out.requires_grad and out._parents

@@ -55,8 +55,8 @@ for name in ("masking.sample_partition", "network.encode_tokens.online",
              "network.project_audio", "trainer.stage1_step",
              "evaluation.clip_features", "evaluation.semantic_features"):
     assert name in names, f"traced run never reached {name}"
-# online and target in the step, then one call for all 3 windows per feature kind
-assert before["network.encode_tokens.calls"] == 4, before
+# online and target in the step, then the 3 windows in 2 chunks per feature kind
+assert before["network.encode_tokens.calls"] == 6, before
 # stage 2.1 encodes each of its 6 clips of 10 patches once, in batches of 4,
 # and the step timer and tracer still see each of its 2 x 2 steps
 assert tracer.counts["network.encode_tokens.tokens"] - before["network.encode_tokens.tokens"] == 60

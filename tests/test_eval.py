@@ -3,16 +3,20 @@ zero-shot and retrieval oracles, attention maps, file formats."""
 
 import json
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from miniclap import evaluation as ev, network as net
-from miniclap.config import ModelConfig
+from miniclap import autodiff as ad, evaluation as ev, network as net
+from miniclap.autodiff import Tensor
+from miniclap.config import N_FREQ_PATCHES, ModelConfig
 from miniclap.errors import FormatError, InvalidInput, Unsupported
 from miniclap.evaluation import LabeledFeatureSet, attention_map, caption_from_label, \
     linear_probe, retrieval_metrics, zero_shot_classify
-from miniclap.frontend import MelSpectrogram
+from miniclap.frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "caption_fixtures.json")
 
@@ -297,6 +301,21 @@ class TestFeatureFiles:
         ev.write_features(path, got_ids, got)
         assert path.read_bytes() == first
 
+    def test_failed_write_keeps_previous_pair(self, rng, tmp_path):
+        path = tmp_path / "x.feat"
+        feats = rng.standard_normal((4, 5)).astype(np.float32).astype(np.float64)
+        ids = [f"clip-{i}" for i in range(4)]
+        ev.write_features(path, ids, feats)
+        before = path.read_bytes(), (tmp_path / "x.feat.ids").read_bytes()
+        # the feature file is written whole; the sidecar fails at its third line
+        with pytest.raises(TypeError):
+            ev.write_features(path, ["a", "b", None, "d", "e"], rng.standard_normal((5, 3)))
+        assert (path.read_bytes(), (tmp_path / "x.feat.ids").read_bytes()) == before
+        assert sorted(os.listdir(tmp_path)) == ["x.feat", "x.feat.ids"]
+        got_ids, got = ev.read_features(path)
+        assert got_ids == ids
+        np.testing.assert_array_equal(got, feats)
+
     def test_truncated_rejected(self, rng, tmp_path):
         path = tmp_path / "x.feat"
         ev.write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
@@ -375,3 +394,108 @@ class TestChunkedFeatures:
         for features in (ev.encode_windows, ev.clip_features, ev.semantic_features):
             with pytest.raises(InvalidInput):
                 features(state, [])
+
+
+def _serial_features(state, mels, kind):
+    """Oracle: the same chunks as `encode_windows`, encoded one after another
+    on this thread, then a masked mean per clip."""
+    width = state.config.input_frames
+    windows, owner = [], []
+    for clip, mel in enumerate(mels):
+        for start in range(0, max(1, mel.n_frames), width):
+            window = MelSpectrogram(mel.values[:, start:start + width])
+            windows.append(patchify(pad_or_crop_to_grid(window, width)).patches)
+            owner.append(clip)
+    size = min(ev.WINDOW_CHUNK, -(-len(windows) // 2))
+    rows = []
+    with ad.no_grad():
+        for first in range(0, len(windows), size):
+            z = net.encode_tokens(state.online, np.stack(windows[first:first + size]),
+                                  state.online.posenc.table)
+            if kind == "clip":
+                rows.append(summarize_features(z, N_FREQ_PATCHES, state.config.n_time_patches)[1].data)
+            else:
+                rows.append(net.project_audio(state.projector, z).data)
+    rows, owner = np.concatenate(rows), np.array(owner)
+    return np.stack([rows[owner == clip].mean(axis=0) for clip in range(len(mels))])
+
+
+class TestTwoThreadExtraction:
+    CFG = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
+
+    # 1, 2 and 3 windows in all, and more than two full chunks
+    @pytest.mark.parametrize("frames, n_windows", [
+        ((20,), 1), ((32, 5), 2), ((20, 64), 3), ((20, 40 * 32 + 5, 33), 2 * ev.WINDOW_CHUNK + 12)])
+    def test_matches_serial_oracle(self, rng, frames, n_windows):
+        assert sum(-(-t // 32) for t in frames) == n_windows
+        state = net.init_model_state(self.CFG, seed=6)
+        mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
+        got = {"clip": ev.clip_features(state, mels), "semantic": ev.semantic_features(state, mels)}
+        for kind, features in got.items():
+            want = _serial_features(state, mels, kind)
+            assert features.dtype == want.dtype and features.tobytes() == want.tobytes(), kind
+
+    def test_worker_error_reaches_caller_after_its_own_chunk(self, rng):
+        state = net.init_model_state(self.CFG, seed=6)
+        caller = threading.get_ident()
+        error = RuntimeError("worker chunk failed")
+        finished = []
+
+        def summary(z):
+            if threading.get_ident() != caller:
+                raise error
+            time.sleep(0.2)  # the worker's chunk fails long before this one ends
+            finished.append(len(z.data))
+            return z.data
+
+        with pytest.raises(RuntimeError) as caught:
+            ev.encode_windows(state, [MelSpectrogram(rng.standard_normal((80, 64)))], summary)
+        assert caught.value is error
+        assert finished == [1]
+
+    def test_caller_error_waits_for_worker_chunks(self, rng):
+        state = net.init_model_state(self.CFG, seed=6)
+        caller = threading.get_ident()
+        finished = []
+
+        def summary(z):
+            if threading.get_ident() == caller:
+                raise RuntimeError("caller chunk failed")
+            time.sleep(0.1)
+            finished.append(len(z.data))
+            return z.data
+
+        # 4 windows: 2 chunks of 2, one on each thread
+        with pytest.raises(RuntimeError, match="caller chunk failed"):
+            ev.encode_windows(state, [MelSpectrogram(rng.standard_normal((80, 128)))], summary)
+        assert finished == [2]
+
+    def test_concurrent_extractions_stay_identical(self, rng):
+        state = net.init_model_state(self.CFG, seed=6)
+        mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in (20, 100, 33, 300)]
+        first = ev.semantic_features(state, mels).tobytes()
+        results, errors = [], []
+
+        def extract(n):
+            try:
+                for _ in range(n):
+                    results.append(ev.semantic_features(state, mels).tobytes())
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # two callers and the shared worker: more threads than cores
+            callers = [threading.Thread(target=extract, args=(10,)) for _ in range(2)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert len(results) == 20 and all(r == first for r in results)
+        a = Tensor(np.ones(2), requires_grad=True)
+        assert (a * 2.0).requires_grad  # grad mode is still on in this thread

@@ -446,7 +446,8 @@ class TestTargetOverlap:
 
 
 # Counts the threads alive after each of stages 1.1 (encoder trained,
-# then frozen), 2 and 2.1 and an extraction, then after a stage-1 run.
+# then frozen), 2 and 2.1 and a three-window extraction, then after a
+# stage-1 run.
 THREAD_COUNT_RUN = """
 import threading
 import numpy as np
@@ -483,15 +484,16 @@ print(counts)
 """
 
 
-def test_only_stage1_starts_a_thread():
+def test_stage1_and_extraction_share_one_thread():
     src = os.path.dirname(os.path.dirname(trainer.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    # stages 1.1, 2 and 2.1 and extraction start none; stage 1 starts its one worker
-    assert counts == [counts[0]] * 6 + [counts[0] + 1], counts
+    # stages 1.1, 2 and 2.1 start none; extraction starts the one shared
+    # worker, and stage 1 reuses it
+    assert counts == [counts[0]] * 5 + [counts[0] + 1] * 2, counts
 
 
 class TestStage2Step:
