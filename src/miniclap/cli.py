@@ -39,7 +39,7 @@ def main(argv=None) -> int:
         out = args.out or os.path.join(os.environ.get(OUT_ENV, "runs"), args.verb)
         os.makedirs(out, exist_ok=True)
         cfg = C.apply_overrides(C.load_config_file(args.config) if args.config else {}, args.set)
-        with open(os.path.join(out, "config.txt"), "w", encoding="utf-8") as fh:
+        with dk.atomic_open(os.path.join(out, "config.txt"), "w", encoding="utf-8") as fh:
             fh.write(C.render_config(cfg))
         return args.func(args, out, cfg)
     except (InvalidInput, InvalidConfig, ParseError, FormatError, Unsupported,
@@ -231,9 +231,9 @@ def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
     result = trainer.stage1_1_finetune(state, data, stage_cfg, seed=args.seed)
 
     net.save_checkpoint(os.path.join(out, "finetuned.ckpt"), state)
-    np.savez(os.path.join(out, "head.npz"),
-             weight=result.head.weight.data, bias=result.head.bias.data,
-             classes=np.array(classes))
+    with dk.atomic_open(os.path.join(out, "head.npz")) as fh:
+        np.savez(fh, weight=result.head.weight.data, bias=result.head.bias.data,
+                 classes=np.array(classes))
     if result.losses:
         print(f"stage 1.1 done: {len(result.losses)} steps, final BCE {result.losses[-1]:.6f}")
     return 0

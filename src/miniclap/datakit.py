@@ -147,16 +147,15 @@ def cache_read(path) -> EmbeddingCache:
         version, dim, count = struct.unpack("<IIQ", header)
         if version != CACHE_VERSION:
             raise FormatError(f"unsupported cache version {version}")
-        rows: dict[bytes, np.ndarray] = {}
         record = DIGEST_BYTES + 4 * dim
+        # the header's sizes are checked against the file before any read
+        if count * record != os.fstat(fh.fileno()).st_size - fh.tell():
+            raise FormatError("cache file is truncated or has trailing bytes")
+        rows: dict[bytes, np.ndarray] = {}
         for _ in range(count):
             chunk = fh.read(record)
-            if len(chunk) != record:
-                raise FormatError("truncated cache record")
             rows[chunk[:DIGEST_BYTES]] = np.frombuffer(
                 chunk[DIGEST_BYTES:], dtype="<f4").astype(np.float64)
-        if fh.read(1):
-            raise FormatError("trailing bytes after cache payload")
     return EmbeddingCache(dim=dim, rows=rows)
 
 
@@ -204,32 +203,14 @@ class Tokenizer:
     def encode(self, text: str) -> list[int]:
         return [self._ids.get(w, OOV_ID) for w in self.words(text)] + [END_ID]
 
-    def decode(self, ids: list[int]) -> str:
-        words = [self.vocab[i - _SPECIALS] for i in ids
-                 if i >= _SPECIALS and i - _SPECIALS < len(self.vocab)]
-        return " ".join(words)
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.writelines(word + "\n" for word in self.vocab)
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
         with open(path, "r", encoding="utf-8") as fh:
             return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
-
-
-_DEFAULT_WORDS = (
-    ["the", "sound", "of", "class", "tone", "can", "be", "heard", "music",
-     "musical", "instrument", "a", "an", "and"]
-    + [str(n) for n in range(32)]
-)
-DEFAULT_TOKENIZER = Tokenizer(_DEFAULT_WORDS)
-
-
-def tokenize(caption: str) -> list[int]:
-    """Tokenize with the built-in default vocabulary."""
-    return DEFAULT_TOKENIZER.encode(caption)
 
 
 # -- WAV I/O ---------------------------------------------------------------------
@@ -246,12 +227,18 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None
 
 
 def read_wav(path) -> np.ndarray:
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise FormatError("expected 16-bit mono PCM")
-        if fh.getframerate() != SAMPLE_RATE:
-            raise InvalidInput(f"expected {SAMPLE_RATE} Hz audio")
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise FormatError(f"{path}: expected 16-bit mono PCM")
+            if fh.getframerate() != SAMPLE_RATE:
+                raise InvalidInput(f"{path}: expected {SAMPLE_RATE} Hz audio")
+            raw = fh.readframes(fh.getnframes())
+    # `wave` raises RuntimeError when a chunk size points past the file
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise FormatError(f"{path}: not a readable WAV file ({exc or 'truncated'})") from exc
+    if len(raw) % 2:
+        raise FormatError(f"{path}: truncated WAV sample data")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
 
 

@@ -5,6 +5,7 @@ attention export."""
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -377,9 +378,10 @@ def read_features(path) -> tuple[list[str], np.ndarray]:
         (count,) = struct.unpack("<Q", header[8:])
         if version != FEATURE_VERSION:
             raise FormatError(f"unsupported feature-file version {version}")
-        payload = fh.read(4 * dim * count)
-        if len(payload) != 4 * dim * count or fh.read(1):
+        # the header's sizes are checked against the file before the read
+        if 4 * dim * count != os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError("feature payload size mismatch")
+        payload = fh.read(4 * dim * count)
     arr = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float64)
     with open(str(path) + ".ids", "r", encoding="utf-8") as fh:
         ids = [line.rstrip("\n") for line in fh]
@@ -392,7 +394,7 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
     if not rows:
         raise InvalidInput("no metric rows to write")
     fieldnames = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

@@ -49,20 +49,12 @@ class PatchGrid:
         if self.patches.shape != (self.n_f * self.n_t, C.PATCH_SIZE * C.PATCH_SIZE):
             raise InvalidInput("patch array does not match grid dimensions")
 
-    @property
-    def n(self) -> int:
-        return self.n_f * self.n_t
-
 
 @dataclass
 class PositionalEncoding:
     table: np.ndarray  # [n_f * n_t, dim]
     n_f: int
     n_t: int
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
 
 
 def _hz_to_mel(f):
@@ -141,12 +133,6 @@ def standardize(m: MelSpectrogram, mean: float = C.MEL_MEAN, std: float = C.MEL_
     return MelSpectrogram((m.values - mean) / std)
 
 
-def unstandardize(m: MelSpectrogram, mean: float = C.MEL_MEAN, std: float = C.MEL_STD) -> MelSpectrogram:
-    if std <= 0:
-        raise InvalidInput("std must be positive")
-    return MelSpectrogram(m.values * std + mean)
-
-
 def pad_or_crop_to_grid(m: MelSpectrogram, target_frames: int, crop_offset: int = 0) -> MelSpectrogram:
     """Pad with zeros on the right or crop at `crop_offset` to the target width.
 
@@ -167,16 +153,12 @@ def pad_or_crop_to_grid(m: MelSpectrogram, target_frames: int, crop_offset: int 
     return MelSpectrogram(m.values[:, crop_offset:crop_offset + target_frames].copy())
 
 
-def patchify(m) -> PatchGrid:
-    """Split a spectrogram (MelSpectrogram or 2-D array) into patches."""
-    values = m.values if isinstance(m, MelSpectrogram) else np.asarray(m, dtype=np.float64)
-    if values.ndim != 2:
-        raise InvalidInput("expected a 2-D spectrogram")
-    rows, cols = values.shape
-    if rows % C.PATCH_SIZE != 0 or cols % C.PATCH_SIZE != 0:
-        raise InvalidInput("spectrogram dimensions must be divisible by the patch size")
-    n_f, n_t = rows // C.PATCH_SIZE, cols // C.PATCH_SIZE
-    blocks = values.reshape(n_f, C.PATCH_SIZE, n_t, C.PATCH_SIZE)
+def patchify(m: MelSpectrogram) -> PatchGrid:
+    """Split a spectrogram into patches."""
+    if m.n_frames % C.PATCH_SIZE != 0:
+        raise InvalidInput("spectrogram width must be divisible by the patch size")
+    n_f, n_t = C.N_FREQ_PATCHES, m.n_frames // C.PATCH_SIZE
+    blocks = m.values.reshape(n_f, C.PATCH_SIZE, n_t, C.PATCH_SIZE)
     patches = blocks.transpose(0, 2, 1, 3).reshape(n_f * n_t, C.PATCH_SIZE * C.PATCH_SIZE)
     return PatchGrid(patches, n_f, n_t)
 
@@ -219,22 +201,3 @@ def _sincos_1d(pos: np.ndarray, dim: int) -> np.ndarray:
     omega = 1.0 / (10000.0 ** (np.arange(dim // 2) / (dim / 2.0)))
     angles = pos[:, None] * omega[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-
-
-def interpolate_posenc(pe: PositionalEncoding, new_n_t: int) -> PositionalEncoding:
-    """Resample the table along the time axis (endpoint-aligned linear)."""
-    if new_n_t < 1:
-        raise InvalidInput("new_n_t must be at least 1")
-    if new_n_t == pe.n_t:
-        return PositionalEncoding(pe.table.copy(), pe.n_f, pe.n_t)
-    grid = pe.table.reshape(pe.n_f, pe.n_t, pe.dim)
-    if pe.n_t == 1:
-        out = np.repeat(grid, new_n_t, axis=1)
-    else:
-        src = np.arange(pe.n_t, dtype=np.float64)
-        dst = (np.arange(new_n_t, dtype=np.float64) * (pe.n_t - 1) / (new_n_t - 1)
-               if new_n_t > 1 else np.zeros(1))
-        lo = np.clip(np.floor(dst).astype(int), 0, pe.n_t - 2)
-        frac = (dst - src[lo])[None, :, None]
-        out = grid[:, lo, :] * (1.0 - frac) + grid[:, lo + 1, :] * frac
-    return PositionalEncoding(out.reshape(pe.n_f * new_n_t, pe.dim), pe.n_f, new_n_t)

@@ -9,8 +9,8 @@ gradient can ever reach it.
 
 Forwards are batched: patches are [B, n, 256], encoder and predictor
 features [B, k, dim], and per-row patch selections [B, k] index arrays.
-A single sample is a batch of one. Only `project_audio`,
-`map_text_embedding` and `encode_text` also take one unbatched sample.
+A single sample is a batch of one, and every grid has the encoder's
+configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker()` is the one thread besides the caller's that runs forwards.
@@ -33,7 +33,7 @@ from .autodiff import Tensor
 from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
 from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
-from .frontend import PositionalEncoding, build_posenc, interpolate_posenc
+from .frontend import PositionalEncoding, build_posenc
 
 LN_EPS = 1e-6
 _NEG_BIAS = -1e9
@@ -313,11 +313,9 @@ def param_digest(obj) -> str:
 
 def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
     pe = params.posenc
-    if (n_f, n_t) == (pe.n_f, pe.n_t):
-        return pe.table
-    if n_f != pe.n_f:
-        raise InvalidInput(f"grid has {n_f} frequency patches, encoder expects {pe.n_f}")
-    return interpolate_posenc(pe, n_t).table
+    if (n_f, n_t) != (pe.n_f, pe.n_t):
+        raise InvalidInput(f"grid is {n_f}x{n_t} patches, encoder expects {pe.n_f}x{pe.n_t}")
+    return pe.table
 
 
 @functools.cache
@@ -377,40 +375,28 @@ def standardize_targets(z_m, eps: float = 1e-6) -> Tensor:
 
 
 def project_audio(ap: AudioProjectorParams, z) -> Tensor:
-    """Summarize patch features into one semantic audio feature.
-
-    z is [k, dim] or [B, k, dim]; output [dim] or [B, dim].
-    """
+    """Summarize each row's [k, dim] patch features into one semantic
+    audio feature: z is [B, k, dim], output [B, dim]."""
     z = Tensor.wrap(z)
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = z.reshape(1, *z.shape)
-    if z.shape[1] < 1:
-        raise InvalidInput("audio projector needs at least one feature row")
+    if z.ndim != 3 or z.shape[1] < 1:
+        raise InvalidInput(f"audio projector needs [B, k>=1, dim] features, got shape {z.shape}")
     if ap.kind == "mlp":
-        pooled = z.mean(axis=1)
-        out = affine(ap.mlp_out, ad.gelu(affine(ap.mlp_in, pooled)))
-    else:
-        b, _, d = z.shape
-        cls = ap.cls_token.expand((b, 1, d))
-        x = ad.concat([cls, z], axis=1)
-        for block in ap.blocks:
-            x = block_forward(block, x)
-        out = ad.gather_rows(x, np.zeros((b, 1), dtype=int)).reshape(b, d)
-    return out.reshape(out.shape[1]) if squeeze else out
+        return affine(ap.mlp_out, ad.gelu(affine(ap.mlp_in, z.mean(axis=1))))
+    b, _, d = z.shape
+    x = ad.concat([ap.cls_token.expand((b, 1, d)), z], axis=1)
+    for block in ap.blocks:
+        x = block_forward(block, x)
+    return ad.gather_rows(x, np.zeros((b, 1), dtype=int)).reshape(b, d)
 
 
 def map_text_embedding(tp: TextPathParams, e) -> Tensor:
-    """Affine map from cached sentence embeddings to the semantic dim."""
+    """Affine map from cached [B, emb_dim] sentence embeddings to the
+    semantic dim."""
     e = Tensor.wrap(e)
     want = tp.llm_map.weight.shape[0]
-    if e.ndim not in (1, 2) or e.shape[-1] != want:
-        raise InvalidInput(f"expected {want}-d embeddings, got shape {e.shape}")
-    squeeze = e.ndim == 1
-    if squeeze:
-        e = e.reshape(1, want)
-    out = _apply_text_projector(tp, affine(tp.llm_map, e))
-    return out.reshape(out.shape[1]) if squeeze else out
+    if e.ndim != 2 or e.shape[1] != want:
+        raise InvalidInput(f"expected [B, {want}] embeddings, got shape {e.shape}")
+    return _apply_text_projector(tp, affine(tp.llm_map, e))
 
 
 def _apply_text_projector(tp: TextPathParams, s_t: Tensor) -> Tensor:
@@ -419,13 +405,8 @@ def _apply_text_projector(tp: TextPathParams, s_t: Tensor) -> Tensor:
     return affine(tp.projector_out, ad.gelu(affine(tp.projector_in, s_t)))
 
 
-def encode_text(tp: TextPathParams, tokens) -> Tensor:
-    """Token ids -> pooled first-token feature, [dim]."""
-    out = encode_text_batch(tp, [list(tokens)])
-    return out.reshape(out.shape[1])
-
-
 def encode_text_batch(tp: TextPathParams, token_rows: list[list[int]]) -> Tensor:
+    """Token-id rows -> each row's pooled first-token feature, [B, dim]."""
     enc = tp.encoder
     if enc is None:
         raise InvalidInput("text path has no text encoder (stage-2 configuration required)")
@@ -504,18 +485,18 @@ def load_checkpoint(path, cfg: ModelConfig, seed: int = 0) -> ModelState:
             raise FormatError(f"expected {len(params)} tensors, file has {count}")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            name = _read_exact(fh, name_len).decode("utf-8", "replace")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            payload = _read_exact(fh, 4 * size)
+            # name and shape are checked against the model before the
+            # payload is read, so a corrupt header never sizes a read
             if name not in params:  # each name is popped once it is read
                 raise FormatError(f"unknown or repeated tensor {name!r} in checkpoint")
             tensor = params.pop(name)
             if tuple(tensor.data.shape) != shape:
                 raise FormatError(f"shape mismatch for {name!r}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-            tensor.data = arr.astype(np.float64)
+            payload = _read_exact(fh, 4 * tensor.data.size)
+            tensor.data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint payload")
     return state

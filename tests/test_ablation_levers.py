@@ -63,7 +63,7 @@ class TestTextProjectorLever:
                              text_projector=True, emb_dim=12)
         base = net.init_model_state(base_cfg, seed=0)
         with_tp = net.init_model_state(tp_cfg, seed=0)
-        e = rng.standard_normal(12)
+        e = rng.standard_normal((1, 12))
         plain = net.map_text_embedding(base.textpath, e).data
         projected = net.map_text_embedding(with_tp.textpath, e).data
         assert not np.allclose(plain, projected)

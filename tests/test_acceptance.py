@@ -143,15 +143,15 @@ def test_criterion_03_gradient_checks(rng):
                        net.named_params(ln, "norm"))
 
     state = net.init_model_state(TINY, seed=2)
-    z = rng.standard_normal((3, TINY.dim))
-    rp = rng.standard_normal(TINY.dim)
+    z = rng.standard_normal((1, 3, TINY.dim))
+    rp = rng.standard_normal((1, TINY.dim))
     assert_grads_match(lambda: (net.project_audio(state.projector, z) * rp).sum(),
                        net.named_params(state.projector, "projector"))
 
     text_params = dict(net.named_params(state.textpath.encoder, "text"))
     text_params.update(net.named_params(state.textpath.llm_map, "llm_map"))
-    e = rng.standard_normal(TINY.emb_dim)
-    fn = lambda: ((net.encode_text(state.textpath, [3, 6, 2])
+    e = rng.standard_normal((1, TINY.emb_dim))
+    fn = lambda: ((net.encode_text_batch(state.textpath, [[3, 6, 2]])
                    + net.map_text_embedding(state.textpath, e)) * rp).sum()
     assert_grads_match(fn, text_params)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import miniclap
-from miniclap import datakit as dk
+from miniclap import config as C, datakit as dk
 from miniclap.cli import _build_parser, main
 from miniclap.evaluation import write_features
 
@@ -89,6 +89,22 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("kind", ["text", "truncated"])
+    def test_malformed_wav_is_exit_1(self, corpus, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.wav"
+        wav = (corpus / "wavs" / "synth-00-0000.wav").read_bytes()
+        bad.write_bytes({"text": b"not a wav file\n", "truncated": wav[:30]}[kind])
+        entries = dk.load_manifest(corpus / "manifest.jsonl")[:2]
+        entries[1].source = str(bad)
+        manifest = tmp_path / "manifest.jsonl"
+        dk.save_manifest(manifest, entries)
+        code = main(["pretrain-stage1", "--manifest", str(manifest),
+                     "--cache", str(corpus / "embeddings.cache"),
+                     "--out", str(tmp_path / "out"), *TINY_MODEL])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bad.wav" in err[0], err
 
     def test_diverging_stage1_is_exit_1(self, corpus, tmp_path, capsys):
         code = _stage1(corpus, tmp_path, ["--set", "stage1.warmup_epochs=0",
@@ -189,6 +205,19 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and entries[2].id in err[0], err
+
+
+def test_failed_config_snapshot_keeps_previous_file(tmp_path, monkeypatch):
+    (tmp_path / "config.txt").write_text("previous = snapshot\n")
+
+    def fail(cfg):  # called while the snapshot file is open
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(C, "render_config", fail)
+    with pytest.raises(RuntimeError):
+        main(["synth-data", "--classes", "2", "--per-class", "1", "--out", str(tmp_path)])
+    assert (tmp_path / "config.txt").read_text() == "previous = snapshot\n"
+    assert os.listdir(tmp_path) == ["config.txt"]
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
@@ -300,6 +329,22 @@ class TestPipeline:
         assert (out / "finetuned.ckpt").exists()
         head = np.load(out / "head.npz")
         assert head["weight"].shape == (5 * 8, 2)
+
+    def test_failed_head_write_keeps_previous_file(self, corpus, stage1, tmp_path, monkeypatch):
+        (tmp_path / "head.npz").write_bytes(b"previous head")
+
+        def fail(fh, **arrays):
+            fh.write(b"partial")
+            raise RuntimeError("write failed")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(RuntimeError):
+            main(["finetune-stage1.1", "--manifest", str(corpus / "manifest.jsonl"),
+                  "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                  "--out", str(tmp_path), *TINY_MODEL,
+                  "--set", "stage1_1.epochs=1", "--set", "stage1_1.batch_size=6"])
+        assert (tmp_path / "head.npz").read_bytes() == b"previous head"
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
     def test_stage2_artifacts(self, stage2):
         assert (stage2 / "vocab.txt").exists()

@@ -2,6 +2,8 @@
 the deterministic synthetic corpus."""
 
 import hashlib
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +100,23 @@ class TestEmbeddingCache:
         with pytest.raises(FormatError):
             dk.cache_read(path)
 
+    @pytest.mark.parametrize("dim, count", [(2**32 - 1, 1), (8, 2**60), (9, 1)])
+    def test_corrupt_size_fields_rejected(self, rng, tmp_path, dim, count):
+        path = tmp_path / "e.cache"
+        dk.cache_write(path, 8, {dk.caption_digest("x"): rng.standard_normal(8)})
+        data = bytearray(path.read_bytes())
+        data[8:20] = struct.pack("<IQ", dim, count)  # after magic and version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            dk.cache_read(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        path = tmp_path / "e.cache"
+        dk.cache_write(path, 8, {dk.caption_digest("x"): rng.standard_normal(8)})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            dk.cache_read(path)
+
     def test_dim_mismatch_rejected(self, rng, tmp_path):
         with pytest.raises(InvalidInput):
             dk.cache_write(tmp_path / "e.cache", 8,
@@ -110,26 +129,32 @@ class TestEmbeddingCache:
             dk.cache_read(path).lookup("absent")
 
 
+@pytest.fixture
+def tokenizer():
+    return dk.Tokenizer.fit([dk.synth_caption(c) for c in range(4)] + ["a dog barks"])
+
+
 class TestTokenizer:
-    def test_casefold_and_punctuation(self):
-        assert dk.tokenize("Dog barks.") == dk.tokenize("dog barks")
+    def test_casefold_and_punctuation(self, tokenizer):
+        assert tokenizer.encode("Dog barks.") == tokenizer.encode("dog barks")
+        assert dk.OOV_ID not in tokenizer.encode("Dog barks.")
 
-    def test_empty_string_is_end_token(self):
-        assert dk.tokenize("") == [dk.END_ID]
+    def test_empty_string_is_end_token(self, tokenizer):
+        assert tokenizer.encode("") == [dk.END_ID]
 
-    def test_ends_with_end_token(self):
-        assert dk.tokenize("the sound")[-1] == dk.END_ID
+    def test_ends_with_end_token(self, tokenizer):
+        assert tokenizer.encode("the sound")[-1] == dk.END_ID
 
-    def test_round_trip_for_in_vocab_text(self):
+    def test_round_trip_for_in_vocab_text(self, tokenizer):
         text = "the sound of class 3 tone can be heard"
-        ids = dk.DEFAULT_TOKENIZER.encode(text)
+        ids = tokenizer.encode(text)
         assert dk.OOV_ID not in ids
-        decoded = dk.DEFAULT_TOKENIZER.decode(ids)
-        assert decoded == text
-        assert dk.DEFAULT_TOKENIZER.encode(decoded) == ids
+        inverse = {tokenizer.encode(word)[0]: word for word in tokenizer.vocab}
+        assert len(inverse) == len(tokenizer.vocab)  # one id per word
+        assert " ".join(inverse[i] for i in ids[:-1]) == text
 
-    def test_out_of_vocab_maps_to_oov(self):
-        ids = dk.tokenize("zyzzyva")
+    def test_out_of_vocab_maps_to_oov(self, tokenizer):
+        ids = tokenizer.encode("zyzzyva")
         assert ids == [dk.OOV_ID, dk.END_ID]
 
     def test_fit_orders_by_frequency_then_alphabetically(self):
@@ -151,6 +176,15 @@ class TestTokenizer:
         assert loaded.vocab == tok.vocab
         assert loaded.encode("beta") == tok.encode("beta")
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        dk.Tokenizer.fit(["alpha beta gamma"]).save(path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # "delta" is written, then None is refused
+            dk.Tokenizer(["delta", None]).save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["vocab.txt"]
+
 
 class TestWav:
     def test_round_trip_within_quantization(self, rng, tmp_path):
@@ -160,6 +194,20 @@ class TestWav:
         back = dk.read_wav(path)
         assert back.shape == samples.shape
         assert np.abs(back - samples).max() <= 1.0 / 32767 + 1e-9
+
+    @pytest.mark.parametrize("kind", ["text", "truncated", "half-sample", "chunk-size"])
+    def test_malformed_file_is_format_error(self, tmp_path, kind):
+        path = tmp_path / "x.wav"
+        dk.write_wav(path, np.zeros(1600))
+        data = path.read_bytes()
+        path.write_bytes({
+            "text": b"not a wav file\n",
+            "truncated": data[:30],  # ends inside the fmt chunk
+            "half-sample": data[:45],  # the 44-byte header and one byte of a sample
+            "chunk-size": data[:16] + struct.pack("<I", 2**31 - 1) + data[20:],  # fmt size
+        }[kind])
+        with pytest.raises(FormatError, match="x.wav"):
+            dk.read_wav(path)
 
 
 class TestSynthCorpus:

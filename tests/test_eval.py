@@ -3,6 +3,7 @@ zero-shot and retrieval oracles, attention maps, file formats."""
 
 import json
 import os
+import struct
 import sys
 import threading
 import time
@@ -329,6 +330,16 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             ev.read_features(path)
 
+    @pytest.mark.parametrize("dim, count", [(2**32 - 1, 2**40), (2**32 - 1, 2), (3, 2**40)])
+    def test_corrupt_size_fields_rejected(self, rng, tmp_path, dim, count):
+        path = tmp_path / "x.feat"
+        ev.write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
+        data = bytearray(path.read_bytes())
+        data[8:20] = struct.pack("<IQ", dim, count)  # after magic and version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            ev.read_features(path)
+
 
 class TestReportsAndPgm:
     def test_pgm_layout(self, tmp_path):
@@ -353,6 +364,16 @@ class TestReportsAndPgm:
         path = tmp_path / "m.csv"
         ev.write_metrics_csv(path, [{"metric": "acc", "value": 0.5}])
         assert path.read_text().splitlines()[0] == "metric,value"
+
+    def test_failed_metrics_csv_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        ev.write_metrics_csv(path, [{"metric": "acc", "value": 0.5}])
+        before = path.read_bytes()
+        # the header and first row are written, then the second row's key is refused
+        with pytest.raises(ValueError):
+            ev.write_metrics_csv(path, [{"metric": "r@1", "value": 1.0}, {"other": 2}])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 class TestChunkedFeatures:

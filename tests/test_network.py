@@ -3,6 +3,7 @@ identity-block contracts, stop-gradient guarantees, gradient checks for
 every block type, and checkpoint round trips."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -84,19 +85,11 @@ class TestEncode:
         b = net.init_model_state(TINY, seed=9)
         assert net.param_digest(a) == net.param_digest(b)
 
-    def test_wider_grid_uses_interpolated_positions(self, state, rng):
-        # a grid longer than the configured duration stretches the
-        # position table instead of failing
-        from miniclap.frontend import interpolate_posenc
-
-        patches = _patches(rng, b=2, n_f=5, n_t=4)
-        vis, _ = _partitions(patches.shape[1], 0.0, b=2)
-        pe = net.posenc_for(state.online, 5, 4)
-        got = net.encode_selected(state.online, patches, vis, pe).data
-        want_pe = interpolate_posenc(state.online.posenc, 4).table
-        for row in range(2):
-            want = oracle_encoder(state.online, patches[row], want_pe)
-            np.testing.assert_allclose(got[row], want, atol=1e-10)
+    def test_wider_grid_rejected(self, state):
+        # every grid is padded or cropped to input_frames first, so a
+        # grid of any other shape is an error that names both shapes
+        with pytest.raises(InvalidInput, match="5x4 patches, encoder expects 5x2"):
+            net.posenc_for(state.online, 5, 4)
 
     def test_wrong_frequency_patch_count_rejected(self, state):
         with pytest.raises(InvalidInput):
@@ -181,39 +174,45 @@ class TestStandardizeTargets:
 class TestProjectAudio:
     def test_identity_block_returns_class_token(self, state):
         _zero_residuals(state.projector.blocks[0])
-        out = net.project_audio(state.projector, np.zeros((1, TINY.dim))).data
-        np.testing.assert_allclose(out, state.projector.cls_token.data.reshape(-1), atol=1e-12)
+        out = net.project_audio(state.projector, np.zeros((2, 1, TINY.dim))).data
+        cls = state.projector.cls_token.data.reshape(1, -1)
+        np.testing.assert_allclose(out, np.repeat(cls, 2, axis=0), atol=1e-12)
 
     def test_permutation_invariant_over_rows(self, state, rng):
-        z = rng.standard_normal((7, TINY.dim))
+        z = rng.standard_normal((2, 7, TINY.dim))
         base = net.project_audio(state.projector, z).data
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(7)
-            out = net.project_audio(state.projector, z[perm]).data
+            out = net.project_audio(state.projector, z[:, perm]).data
             np.testing.assert_allclose(out, base, atol=1e-10)
 
     def test_matches_straight_line_oracle(self, state, rng):
-        z = rng.standard_normal((4, TINY.dim))
+        z = rng.standard_normal((3, 4, TINY.dim))
         got = net.project_audio(state.projector, z).data
-        x = np.concatenate([state.projector.cls_token.data.reshape(1, -1), z], axis=0)
-        for blk in state.projector.blocks:
-            x = oracle_block(x, blk)
-        np.testing.assert_allclose(got, x[0], atol=1e-10)
+        for row in range(3):
+            x = np.concatenate([state.projector.cls_token.data.reshape(1, -1), z[row]], axis=0)
+            for blk in state.projector.blocks:
+                x = oracle_block(x, blk)
+            np.testing.assert_allclose(got[row], x[0], atol=1e-10)
 
     def test_empty_input_rejected(self, state):
         with pytest.raises(InvalidInput):
-            net.project_audio(state.projector, np.zeros((0, TINY.dim)))
+            net.project_audio(state.projector, np.zeros((1, 0, TINY.dim)))
+
+    def test_unbatched_input_rejected(self, state):
+        with pytest.raises(InvalidInput, match=r"\[B, k>=1, dim\]"):
+            net.project_audio(state.projector, np.zeros((4, TINY.dim)))
 
     def test_mlp_variant(self, rng):
         cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32,
                           projector_kind="mlp")
         state = net.init_model_state(cfg, seed=0)
-        z = rng.standard_normal((5, 8))
+        z = rng.standard_normal((2, 5, 8))
         out = net.project_audio(state.projector, z)
-        assert out.data.shape == (8,)
+        assert out.data.shape == (2, 8)
         # mean-pooled: permutation leaves the output identical
         perm = np.random.default_rng(1).permutation(5)
-        np.testing.assert_allclose(net.project_audio(state.projector, z[perm]).data,
+        np.testing.assert_allclose(net.project_audio(state.projector, z[:, perm]).data,
                                    out.data, atol=1e-12)
 
 
@@ -221,56 +220,59 @@ class TestTextPath:
     def test_zero_map_gives_zero(self, state):
         state.textpath.llm_map.weight.data[:] = 0
         state.textpath.llm_map.bias.data[:] = 0
-        out = net.map_text_embedding(state.textpath, np.ones(TINY.emb_dim)).data
-        np.testing.assert_array_equal(out, np.zeros(TINY.dim))
+        out = net.map_text_embedding(state.textpath, np.ones((2, TINY.emb_dim))).data
+        np.testing.assert_array_equal(out, np.zeros((2, TINY.dim)))
 
     def test_identity_prefix_copy(self, state):
         w = np.zeros((TINY.emb_dim, TINY.dim))
         w[:TINY.dim, :] = np.eye(TINY.dim)
         state.textpath.llm_map.weight.data = w
         state.textpath.llm_map.bias.data[:] = 0
-        e = np.arange(TINY.emb_dim, dtype=np.float64)
+        e = np.arange(2 * TINY.emb_dim, dtype=np.float64).reshape(2, TINY.emb_dim)
         out = net.map_text_embedding(state.textpath, e).data
-        np.testing.assert_allclose(out, e[:TINY.dim], atol=1e-12)
+        np.testing.assert_allclose(out, e[:, :TINY.dim], atol=1e-12)
 
     def test_matrix_vector_oracle(self, state, rng):
-        e = rng.standard_normal(TINY.emb_dim)
+        e = rng.standard_normal((3, TINY.emb_dim))
         got = net.map_text_embedding(state.textpath, e).data
-        want = e @ state.textpath.llm_map.weight.data + state.textpath.llm_map.bias.data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        for row in range(3):
+            want = e[row] @ state.textpath.llm_map.weight.data + state.textpath.llm_map.bias.data
+            np.testing.assert_allclose(got[row], want, atol=1e-12)
 
     def test_wrong_dim_rejected(self, state):
         with pytest.raises(InvalidInput):
-            net.map_text_embedding(state.textpath, np.ones(TINY.emb_dim + 1))
+            net.map_text_embedding(state.textpath, np.ones((1, TINY.emb_dim + 1)))
+        with pytest.raises(InvalidInput):  # one unbatched embedding
+            net.map_text_embedding(state.textpath, np.ones(TINY.emb_dim))
 
     def test_encode_text_deterministic(self, state):
-        tokens = [3, 5, 7, 0]
-        a = net.encode_text(state.textpath, tokens).data
-        b = net.encode_text(state.textpath, tokens).data
+        rows = [[3, 5, 7, 0]]
+        a = net.encode_text_batch(state.textpath, rows).data
+        b = net.encode_text_batch(state.textpath, rows).data
         assert np.array_equal(a, b)
 
     def test_single_token_identity_blocks_returns_embedding(self, state):
         for blk in state.textpath.encoder.blocks:
             _zero_residuals(blk)
-        out = net.encode_text(state.textpath, [4]).data
+        out = net.encode_text_batch(state.textpath, [[4]]).data
         # position table is zero-initialized, so the embedding passes through
-        np.testing.assert_allclose(out, state.textpath.encoder.tok_embed.data[4], atol=1e-12)
+        np.testing.assert_allclose(out[0], state.textpath.encoder.tok_embed.data[4], atol=1e-12)
 
     def test_matches_straight_line_oracle(self, state, rng):
         enc = state.textpath.encoder
         enc.pos_embed.data = rng.standard_normal(enc.pos_embed.data.shape) * 0.1
         tokens = [3, 9, 1, 0]
-        got = net.encode_text(state.textpath, tokens).data
+        got = net.encode_text_batch(state.textpath, [tokens]).data
         x = enc.tok_embed.data[tokens] + enc.pos_embed.data[:4]
         for blk in enc.blocks:
             x = oracle_block(x, blk)
-        np.testing.assert_allclose(got, x[0], atol=1e-10)
+        np.testing.assert_allclose(got[0], x[0], atol=1e-10)
 
     def test_empty_and_overlong_rejected(self, state):
         with pytest.raises(InvalidInput):
-            net.encode_text(state.textpath, [])
+            net.encode_text_batch(state.textpath, [[]])
         with pytest.raises(InvalidInput):
-            net.encode_text(state.textpath, list(range(TINY.text_maxlen + 1)))
+            net.encode_text_batch(state.textpath, [list(range(TINY.text_maxlen + 1))])
 
     def test_batch_padding_matches_single(self, state, rng):
         enc = state.textpath.encoder
@@ -278,14 +280,14 @@ class TestTextPath:
         rows = [[3, 5, 7, 2, 0], [4, 0], [8, 6, 0]]
         batched = net.encode_text_batch(state.textpath, rows).data
         for i, row in enumerate(rows):
-            single = net.encode_text(state.textpath, row).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-10)
+            single = net.encode_text_batch(state.textpath, [row]).data
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-10)
 
     def test_no_encoder_configured_rejected(self):
         cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
         state = net.init_model_state(cfg, seed=0)
         with pytest.raises(InvalidInput):
-            net.encode_text(state.textpath, [1, 2])
+            net.encode_text_batch(state.textpath, [[1, 2]])
 
 
 class TestGradients:
@@ -309,8 +311,8 @@ class TestGradients:
     def test_projector_gradcheck(self, rng):
         cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
         state = net.init_model_state(cfg, seed=1)
-        z = rng.standard_normal((3, 8))
-        r = rng.standard_normal(8)
+        z = rng.standard_normal((2, 3, 8))
+        r = rng.standard_normal((2, 8))
         params = net.named_params(state.projector, "projector")
         fn = lambda: (net.project_audio(state.projector, z) * r).sum()
         assert_grads_match(fn, params)
@@ -391,6 +393,23 @@ class TestCheckpoint:
         q, k = b"online.blocks.0.attn_q.weight", b"online.blocks.0.attn_k.weight"
         assert data.count(q) == 1 and data.count(k) == 1
         path.write_bytes(data.replace(q, k))  # names attn_k twice, leaves out attn_q
+        with pytest.raises(FormatError):
+            net.load_checkpoint(path, TINY)
+
+    @pytest.mark.parametrize("field", ["shape", "name"])
+    def test_corrupt_first_tensor_header_rejected(self, state, tmp_path, field):
+        path = tmp_path / "m.ckpt"
+        net.save_checkpoint(path, state)
+        data = bytearray(path.read_bytes())
+        # magic, version, config digest and tensor count take 44 bytes
+        (name_len,) = struct.unpack_from("<H", data, 44)
+        ndim_at = 44 + 2 + name_len
+        assert data[ndim_at] == 2  # online.patch_embed.weight
+        if field == "shape":  # 2**64 - 2**33 + 1 entries: overflows an int64 product
+            data[ndim_at + 1:ndim_at + 9] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        else:  # not UTF-8
+            data[46:46 + name_len] = b"\xff" * name_len
+        path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             net.load_checkpoint(path, TINY)
 
