@@ -15,12 +15,19 @@ one place that rejects a zero-norm feature row.
 The network's layers are four fused float64 ops, each one graph node
 with a hand-written VJP that keeps only what its backward needs:
 `linear`, `attention`, `layer_norm_core` and `gelu`.
+
+`backward(pool)` splits the work: the calling thread walks the
+input-gradient chain while the pool computes the gradients that feed
+only a leaf parameter (weights, biases, norm gains) and GELU's slopes.
+Stage 1 passes `network.worker()`, the worker's third user; every other
+caller runs those tasks inline, with the same bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
+from concurrent import futures
 
 import numpy as np
 
@@ -98,8 +105,21 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+    def backward(self, pool: futures.Executor | None = None) -> None:
+        """Accumulate gradients of this scalar into every reachable tensor.
+
+        A VJP may hand back a contribution as a deferred task (a callable):
+        `linear`'s weight and bias gradients and `layer_norm_core`'s gain
+        and bias sums. One that feeds a leaf runs on `pool` when given, as
+        do the gradient-free `factor`s some VJPs carry (GELU's slope),
+        submitted in the order the walk needs them; this thread then walks
+        only the input-gradient chain. Without a pool each task runs here,
+        at the point it is produced. Either way a leaf's parts are summed
+        in the order they arrived and then added onto `.grad`, so the bytes
+        do not depend on the pool. No `.grad` changes unless the walk and
+        every task succeed, and the call returns or raises only after every
+        task it submitted has finished; a task's error is raised as is.
+        """
         if not self.requires_grad:
             raise InvalidInput("loss is detached from all trainable parameters")
         if self.data.size != 1:
@@ -120,20 +140,58 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
+        order.reverse()
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._vjp is not None:
-                for parent, pg in node._vjp(g):
-                    if not parent.requires_grad:
-                        continue
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
-            else:
-                node.grad = g if node.grad is None else node.grad + g
+        grads: dict[int, np.ndarray] = {}
+        parts: dict[int, tuple[Tensor, list]] = {}  # leaf id -> (leaf, parts in arrival order)
+        submitted: list[futures.Future] = []  # leaf tasks, in the order they were produced
+        factors: dict[int, futures.Future] = {}  # node id -> its VJP's factor, until used
+
+        def run_task(t: Tensor, task):  # on the pool only when it feeds a leaf
+            if t._vjp is None and pool is not None:
+                submitted.append(pool.submit(task))
+                return submitted[-1]
+            return task()
+
+        def receive(pairs) -> None:
+            # One VJP's output. Its tasks start before any sum, in the order
+            # listed, as when a VJP computed everything itself; and as a
+            # function, no local outlives the call to hold a task's inputs.
+            pairs = [(t, run_task(t, pg) if callable(pg) else pg) for t, pg in pairs
+                     if t.requires_grad]
+            for t, pg in pairs:
+                if t._vjp is None:
+                    parts.setdefault(id(t), (t, []))[1].append(pg)
+                else:
+                    acc = grads.get(id(t))
+                    grads[id(t)] = pg if acc is None else acc + pg
+
+        try:
+            if pool is not None:
+                for node in order:
+                    if hasattr(node._vjp, "factor"):
+                        factors[id(node)] = pool.submit(node._vjp.factor)
+            receive(((self, np.ones_like(self.data)),))
+            for node in order:
+                g = grads.pop(id(node), None)
+                if g is None:
+                    continue
+                if id(node) in factors:
+                    receive(node._vjp(g, factors.pop(id(node)).result()))
+                else:
+                    receive(node._vjp(g))
+        finally:
+            futures.wait([*factors.values(), *submitted])
+        for future in [*factors.values(), *submitted]:
+            future.result()  # raises a task's error before any .grad changes
+
+        for leaf, leaf_parts in parts.values():
+            total = None
+            for pg in leaf_parts:
+                if isinstance(pg, futures.Future):
+                    pg = pg.result()
+                total = pg if total is None else total + pg
+            leaf.grad = total if leaf.grad is None else leaf.grad + total
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -394,9 +452,9 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             grads.append((x, (g2 @ wd.T).reshape(xd.shape)))
         if w.requires_grad:
-            grads.append((w, x2.T @ g2))
+            grads.append((w, lambda: x2.T @ g2))
         if b.requires_grad:
-            grads.append((b, g2.sum(axis=0)))
+            grads.append((b, lambda: g2.sum(axis=0)))
         return grads
 
     return Tensor._make(out.reshape(*xd.shape[:-1], wd.shape[1]), (x, w, b), vjp)
@@ -462,7 +520,7 @@ def gelu(x: Tensor) -> Tensor:
     out *= xd
     out *= 0.5
 
-    def vjp(g):
+    def factor():
         # slope = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)
         slope = t * t
         np.subtract(1.0, slope, out=slope)
@@ -475,9 +533,14 @@ def gelu(x: Tensor) -> Tensor:
         np.add(t, 1.0, out=tmp)
         tmp *= 0.5
         slope += tmp
+        return slope
+
+    def vjp(g, slope=None):
+        slope = factor() if slope is None else slope
         slope *= g
         return ((x, slope),)
 
+    vjp.factor = factor  # independent of g: `backward` may compute it ahead on its pool
     return Tensor._make(out, (x,), vjp)
 
 
@@ -499,8 +562,8 @@ def layer_norm_core(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor
         gx = gy - gm
         gx -= y * gyy
         gx /= sigma
-        return ((x, gx), (gain, _unbroadcast(g * y, gain.shape)),
-                (bias, _unbroadcast(g, bias.shape)))
+        return ((x, gx), (gain, lambda: _unbroadcast(g * y, gain.shape)),
+                (bias, lambda: _unbroadcast(g, bias.shape)))
 
     return Tensor._make(out, (x, gain, bias), vjp)
 

@@ -233,12 +233,14 @@ def read_wav(path) -> np.ndarray:
                 raise FormatError(f"{path}: expected 16-bit mono PCM")
             if fh.getframerate() != SAMPLE_RATE:
                 raise InvalidInput(f"{path}: expected {SAMPLE_RATE} Hz audio")
-            raw = fh.readframes(fh.getnframes())
+            n_frames = fh.getnframes()
+            raw = fh.readframes(n_frames)
     # `wave` raises RuntimeError when a chunk size points past the file
     except (wave.Error, EOFError, RuntimeError) as exc:
         raise FormatError(f"{path}: not a readable WAV file ({exc or 'truncated'})") from exc
-    if len(raw) % 2:
-        raise FormatError(f"{path}: truncated WAV sample data")
+    if len(raw) != n_frames * 2:
+        raise FormatError(f"{path}: truncated WAV sample data "
+                          f"({len(raw)} of {n_frames * 2} bytes)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
 
 

@@ -13,7 +13,8 @@ A single sample is a batch of one, and every grid has the encoder's
 configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
-`worker()` is the one thread besides the caller's that runs forwards.
+`worker()` is the one thread besides the caller's; it runs forwards and
+stage 1's weight-gradient tasks.
 """
 
 from __future__ import annotations
@@ -320,9 +321,10 @@ def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
 
 @functools.cache
 def worker() -> futures.ThreadPoolExecutor:
-    """The process's one worker thread, created on first use. Stage 1 runs
-    its EMA-target branch on it and `evaluation.encode_windows` every other
-    chunk of windows. Neither is ever called from the worker, so a task
+    """The process's one worker thread, created on first use. It has three
+    users: stage 1 runs its EMA-target branch on it, stage 1's backward its
+    weight gradients and GELU slopes, and `evaluation.encode_windows` every
+    other chunk of windows. None is ever called from the worker, so a task
     never waits on another task queued behind it."""
     return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")
 
@@ -410,6 +412,8 @@ def encode_text_batch(tp: TextPathParams, token_rows: list[list[int]]) -> Tensor
     enc = tp.encoder
     if enc is None:
         raise InvalidInput("text path has no text encoder (stage-2 configuration required)")
+    if not token_rows:
+        raise InvalidInput("empty text batch")
     lengths = [len(row) for row in token_rows]
     if min(lengths) < 1:
         raise InvalidInput("empty token sequence")

@@ -301,7 +301,9 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     The target branch reads only the EMA weights, the patches and the mask,
     so it runs on `net.worker()` while this thread runs the online
     forward; numpy and BLAS release the interpreter lock in their loops.
-    The step waits for it before leaving, on success or error."""
+    The step waits for it before leaving, on success or error. The
+    backward then hands its weight gradients and GELU slopes to the same
+    worker while this thread walks the input-gradient chain."""
     if cfg.stage_id != "1":
         raise InvalidInput(f"stage1_step called with stage {cfg.stage_id!r}")
     if data.embeddings is None:
@@ -335,7 +337,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     _check_finite(loss_m2d=loss_m2d, loss_clap=loss_clap, loss_total=total)
 
     opt.zero_grad()
-    total.backward()
+    total.backward(net.worker())
     opt.step(lr)
     state.tau.data = np.asarray(clip_temperature(float(state.tau.data)))
     ema_update(state.target, state.online, ema_alpha)

@@ -1,11 +1,13 @@
 """Gradient and semantics checks for the autodiff engine."""
 
 import threading
+import time
+from concurrent import futures
 
 import numpy as np
 import pytest
 
-from miniclap import autodiff as ad
+from miniclap import autodiff as ad, network as net
 from miniclap.autodiff import Tensor
 from miniclap.errors import InvalidInput
 
@@ -234,6 +236,102 @@ class TestGraphSemantics:
         out1 = ad.softmax(a @ a, axis=-1).data
         out2 = ad.softmax(a @ a, axis=-1).data
         assert np.array_equal(out1, out2)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with futures.ThreadPoolExecutor(1) as executor:
+        yield executor
+
+
+class TestPooledBackward:
+    """`backward(pool)` runs leaf-only gradients and GELU slopes on the pool;
+    the result is the inline path's, byte for byte."""
+
+    @staticmethod
+    def _twice_used_leaves(rng):
+        affine = net.init_affine(rng, 6, 6)
+        affine.bias.data = rng.standard_normal(6)
+        norm = net.init_layernorm(rng, 6)
+        norm.gain.data, norm.bias.data = rng.standard_normal(6), rng.standard_normal(6)
+        x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        r = rng.standard_normal((2, 5, 6))
+
+        def loss():
+            h = net.layer_norm(norm, ad.gelu(net.affine(affine, x)))
+            h = net.layer_norm(norm, ad.gelu(net.affine(affine, h)))
+            return (h * r).sum()
+
+        return loss, [x, affine.weight, affine.bias, norm.gain, norm.bias]
+
+    def test_leaf_used_twice_matches_inline(self, rng, pool):
+        loss, leaves = self._twice_used_leaves(rng)
+
+        def grads_after(executors):
+            for leaf in leaves:
+                leaf.grad = None
+            for executor in executors:  # a second pass adds onto .grad
+                loss().backward(executor)
+            return [leaf.grad.tobytes() for leaf in leaves]
+
+        assert grads_after([pool]) == grads_after([None])
+        assert grads_after([pool, pool]) == grads_after([None, None])
+
+    def test_root_leaf_gets_unit_grad(self, pool):
+        a = Tensor(1.0, requires_grad=True)
+        a.backward(pool)
+        assert a.grad == 1.0
+
+    @pytest.mark.parametrize("failing", ["weight", "factor"])
+    def test_task_error_waits_for_every_task_and_touches_no_grad(self, rng, pool, failing):
+        w, v = _param(rng, 3), _param(rng, 3)
+        w.grad = np.full(3, 7.0)  # left from an earlier backward
+        error = RuntimeError("task failed")
+        finished = []
+
+        def fail():
+            raise error
+
+        def slow():
+            time.sleep(0.2)
+            finished.append(True)
+            return np.ones(3)
+
+        def inner_vjp(g, factor=None):
+            return ((v, slow),)
+
+        def root_vjp(g, factor=None):  # v's first part arrives before w's failing one
+            return ((v, np.ones(3)), (w, fail), (inner, np.ones(3)))
+
+        if failing == "factor":  # the failing task is the first the walk needs
+            root_vjp.factor, inner_vjp.factor = fail, slow
+        inner = Tensor._make(np.zeros(3), (v,), inner_vjp)
+        root = Tensor._make(np.array(0.0), (v, w, inner), root_vjp)
+        with pytest.raises(RuntimeError) as caught:
+            root.backward(pool)
+        assert caught.value is error
+        assert finished == [True]
+        np.testing.assert_array_equal(w.grad, np.full(3, 7.0))
+        assert v.grad is None
+
+    def test_walk_error_waits_for_submitted_tasks(self, rng, pool):
+        w = _param(rng, 3)
+        finished = []
+
+        def slow():
+            time.sleep(0.2)
+            finished.append(True)
+            return np.ones(3)
+
+        def failing_vjp(g):
+            raise InvalidInput("walk failed")
+
+        mid = Tensor._make(np.zeros(3), (w,), failing_vjp)
+        root = Tensor._make(np.array(0.0), (mid, w), lambda g: ((w, slow), (mid, np.ones(3))))
+        with pytest.raises(InvalidInput, match="walk failed"):
+            root.backward(pool)
+        assert finished == [True]
+        assert w.grad is None
 
 
 class TestGatherRows:

@@ -90,11 +90,12 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
 
-    @pytest.mark.parametrize("kind", ["text", "truncated"])
+    @pytest.mark.parametrize("kind", ["text", "truncated", "sample-cut"])
     def test_malformed_wav_is_exit_1(self, corpus, tmp_path, capsys, kind):
         bad = tmp_path / "bad.wav"
         wav = (corpus / "wavs" / "synth-00-0000.wav").read_bytes()
-        bad.write_bytes({"text": b"not a wav file\n", "truncated": wav[:30]}[kind])
+        bad.write_bytes({"text": b"not a wav file\n", "truncated": wav[:30],
+                         "sample-cut": wav[:44 + 200]}[kind])  # 100 whole samples
         entries = dk.load_manifest(corpus / "manifest.jsonl")[:2]
         entries[1].source = str(bad)
         manifest = tmp_path / "manifest.jsonl"

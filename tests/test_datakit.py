@@ -209,6 +209,16 @@ class TestWav:
         with pytest.raises(FormatError, match="x.wav"):
             dk.read_wav(path)
 
+    def test_cut_at_sample_boundary_is_format_error(self, tmp_path):
+        path = tmp_path / "x.wav"
+        dk.write_wav(path, np.zeros(100))
+        data = path.read_bytes()
+        assert len(data) == 244  # a 44-byte header and 100 two-byte samples
+        for size in range(44, 244, 2):
+            path.write_bytes(data[:size])
+            with pytest.raises(FormatError, match="x.wav"):
+                dk.read_wav(path)
+
 
 class TestSynthCorpus:
     def test_counts_and_distinct_captions(self):

@@ -269,6 +269,8 @@ class TestTextPath:
         np.testing.assert_allclose(got[0], x[0], atol=1e-10)
 
     def test_empty_and_overlong_rejected(self, state):
+        with pytest.raises(InvalidInput, match="empty text batch"):
+            net.encode_text_batch(state.textpath, [])
         with pytest.raises(InvalidInput):
             net.encode_text_batch(state.textpath, [[]])
         with pytest.raises(InvalidInput):

@@ -445,6 +445,34 @@ class TestTargetOverlap:
         assert opt.step_count == 0
 
 
+class TestSplitBackward:
+    """Stage 1's backward hands weight gradients and GELU slopes to the
+    worker; everything it produces is byte-identical to the inline path."""
+
+    @staticmethod
+    def _run(data, cfg):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        gen = np.random.default_rng(11)
+        record = []
+        for i in range(3):
+            stats = stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
+                                gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
+            record.append((stats, net.param_digest(state),
+                           [(name, p.grad.tobytes()) for name, p in opt.params.items()]))
+        moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
+        return record, moments
+
+    def test_pooled_steps_match_inline_path(self, rng, monkeypatch):
+        data = _stage1_data(rng, n=8)
+        cfg = _stage1_cfg()
+        pooled = self._run(data, cfg)
+        backward = Tensor.backward
+        monkeypatch.setattr(Tensor, "backward", lambda self, pool=None: backward(self))
+        inline = self._run(data, cfg)
+        assert pooled == inline
+
+
 # Counts the threads alive after each of stages 1.1 (encoder trained,
 # then frozen), 2 and 2.1 and a three-window extraction, then after a
 # stage-1 run.
