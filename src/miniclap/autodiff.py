@@ -19,8 +19,8 @@ with a hand-written VJP that keeps only what its backward needs:
 `backward(pool)` splits the work: the calling thread walks the
 input-gradient chain while the pool computes the gradients that feed
 only a leaf parameter (weights, biases, norm gains) and GELU's slopes.
-Stage 1 passes `network.worker()`, the worker's third user; every other
-caller runs those tasks inline, with the same bytes.
+Stage 1 passes `threads.worker()`, one of the worker's four users;
+every other caller runs those tasks inline, with the same bytes.
 """
 
 from __future__ import annotations

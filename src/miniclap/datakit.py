@@ -94,7 +94,7 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 
 def save_manifest(path, entries: list[ManifestEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.writelines(entry.to_json() + "\n" for entry in entries)
 
 
@@ -124,7 +124,7 @@ class EmbeddingCache:
 def cache_write(path, dim: int, rows: dict[bytes, np.ndarray]) -> None:
     if dim < 1:
         raise InvalidInput("cache dim must be positive")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<IIQ", CACHE_VERSION, dim, len(rows)))
         for digest, vector in rows.items():
@@ -219,11 +219,11 @@ class Tokenizer:
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(sample_rate)
-        fh.writeframes(pcm.tobytes())
+    with atomic_open(path) as fh, wave.open(fh, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(sample_rate)
+        wav.writeframes(pcm.tobytes())
 
 
 def read_wav(path) -> np.ndarray:

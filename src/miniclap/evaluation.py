@@ -424,6 +424,6 @@ def write_pgm(path, weights: np.ndarray, n_f: int, n_t: int) -> None:
     peak = w.max()
     scaled = np.zeros_like(w) if peak == 0 else w / peak
     pixels = np.flipud(np.round(scaled * 255).astype(np.uint8))
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"P5\n{n_t} {n_f}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

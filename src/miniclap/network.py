@@ -13,17 +13,15 @@ A single sample is a batch of one, and every grid has the encoder's
 configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
-`worker()` is the one thread besides the caller's; it runs forwards and
-stage 1's weight-gradient tasks.
+`worker` is `threads.worker`, the one thread besides the caller's; it
+runs forwards, stage 1's weight-gradient tasks and front-end halves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import struct
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +33,7 @@ from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
 from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc
+from .threads import worker  # re-exported: stage 1 and extraction call `net.worker()`
 
 LN_EPS = 1e-6
 _NEG_BIAS = -1e9
@@ -317,16 +316,6 @@ def posenc_for(params: EncoderParams, n_f: int, n_t: int) -> np.ndarray:
     if (n_f, n_t) != (pe.n_f, pe.n_t):
         raise InvalidInput(f"grid is {n_f}x{n_t} patches, encoder expects {pe.n_f}x{pe.n_t}")
     return pe.table
-
-
-@functools.cache
-def worker() -> futures.ThreadPoolExecutor:
-    """The process's one worker thread, created on first use. It has three
-    users: stage 1 runs its EMA-target branch on it, stage 1's backward its
-    weight gradients and GELU slopes, and `evaluation.encode_windows` every
-    other chunk of windows. None is ever called from the worker, so a task
-    never waits on another task queued behind it."""
-    return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")
 
 
 def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:

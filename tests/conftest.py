@@ -1,12 +1,13 @@
-"""Shared test utilities: finite-difference gradient checking and a
+"""Shared test utilities: finite-difference gradient checking, a
 straight-line (loop-based) transformer forward oracle that is
-independent of the autodiff engine."""
+independent of the autodiff engine, and a disk that fills up mid-write."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from miniclap import datakit as dk
 from miniclap.autodiff import Tensor
 
 
@@ -114,3 +115,31 @@ def oracle_predictor_input(z_v: np.ndarray, token: np.ndarray, pe: np.ndarray,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class _FullDisk:
+    """A file whose second write raises, as on a disk that fills up."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(28, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every file `datakit.atomic_open` opens fails on its second write."""
+    monkeypatch.setattr(dk, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)), raising=False)

@@ -11,13 +11,14 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "benchmarks")
 
-# Installs the tracer, runs one tiny stage-1 step, one feature extraction
-# and a tiny stage-2.1 run, and checks that the wrapped names were the ones
-# called, that extraction recorded no graph, and that stage 2.1 encoded
-# each clip once while the tracer still saw every step.
+# Installs the tracer, runs one tiny stage-1 step, one feature extraction,
+# a tiny stage-2.1 run and one long clip's log-mel, and checks that the
+# wrapped names were the ones called, that extraction recorded no graph,
+# that stage 2.1 encoded each clip once while the tracer still saw every
+# step, and that a log-mel split across two threads counts as one call.
 TRACED_RUN = """
 import numpy as np
-from miniclap import evaluation as ev, network as net, trainer
+from miniclap import evaluation as ev, frontend as fe, network as net, trainer
 from miniclap.config import ModelConfig
 from miniclap.frontend import MelSpectrogram
 from tracer import Tracer
@@ -47,13 +48,15 @@ data = trainer.StageData(rng.standard_normal((6, 10, 256)), 5, 2,
                          token_rows=[[3 + i % 5, 4] for i in range(6)])
 refine = trainer.stage_config_from("2.1", dict(epochs=2, warmup_epochs=0, batch_size=4))
 _, rows = trainer.run_stage(refine, data, net.init_model_state(text_cfg, 0), seed=0)
+fe.compute_logmel(fe.Waveform(rng.standard_normal(2 * fe.MIN_PART_FRAMES * 160)))
 tracer.uninstall()
 assert net.encode_tokens is original
 names = {span[0] for span in tracer.spans}
 for name in ("masking.sample_partition", "network.encode_tokens.online",
              "network.encode_tokens.target", "network.predictor_forward",
              "network.project_audio", "trainer.stage1_step",
-             "evaluation.clip_features", "evaluation.semantic_features"):
+             "evaluation.clip_features", "evaluation.semantic_features",
+             "frontend.compute_logmel"):
     assert name in names, f"traced run never reached {name}"
 # online and target in the step, then the 3 windows in 2 chunks per feature kind
 assert before["network.encode_tokens.calls"] == 6, before
@@ -63,6 +66,7 @@ assert tracer.counts["network.encode_tokens.tokens"] - before["network.encode_to
 assert tracer.counts["network.encode_tokens.calls"] - before["network.encode_tokens.calls"] == 2
 assert len(rows) == 4
 assert sum(span[0] == "trainer.stage2_step" for span in tracer.spans) == len(rows)
+assert tracer.counts["frontend.compute_logmel.calls"] == 1, dict(tracer.counts)
 print("traced run ok")
 """
 

@@ -58,6 +58,17 @@ class TestManifest:
         with pytest.raises(ParseError):
             dk.load_manifest(path)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        dk.save_manifest(path, [dk.ManifestEntry("z", "rain can be heard", 1.0, "z.wav")])
+        before = path.read_bytes()
+        entries = [dk.ManifestEntry("a", "dog can be heard", 2.0, "a.wav", ["dog"]),
+                   dk.ManifestEntry("b", "c", 1.0, {"f0": {1.0}})]
+        with pytest.raises(TypeError):  # the first line is written, then the set is refused
+            dk.save_manifest(path, entries)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.jsonl"]
+
 
 class TestEmbeddingCache:
     def test_round_trip_bit_identical_rows(self, rng, tmp_path):
@@ -121,6 +132,17 @@ class TestEmbeddingCache:
         with pytest.raises(InvalidInput):
             dk.cache_write(tmp_path / "e.cache", 8,
                            {dk.caption_digest("x"): rng.standard_normal(9)})
+
+    def test_failed_write_keeps_previous_file(self, rng, tmp_path):
+        path = tmp_path / "e.cache"
+        dk.cache_write(path, 8, {dk.caption_digest("x"): rng.standard_normal(8)})
+        before = path.read_bytes()
+        rows = {dk.caption_digest("y"): rng.standard_normal(8), b"short": rng.standard_normal(8)}
+        with pytest.raises(InvalidInput):  # the first row is written, then the key is refused
+            dk.cache_write(path, 8, rows)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["e.cache"]
+        assert dk.cache_read(path).dim == 8
 
     def test_lookup_missing_caption(self, tmp_path):
         path = tmp_path / "e.cache"
@@ -218,6 +240,15 @@ class TestWav:
             path.write_bytes(data[:size])
             with pytest.raises(FormatError, match="x.wav"):
                 dk.read_wav(path)
+
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, full_disk):
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError):
+            dk.write_wav(path, np.zeros(100))
+        assert path.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["x.wav"]
 
 
 class TestSynthCorpus:

@@ -353,6 +353,14 @@ class TestReportsAndPgm:
         np.testing.assert_array_equal(pixels[1], [0, 64, 128])
         np.testing.assert_array_equal(pixels[0], [255, 0, 128])
 
+    def test_failed_pgm_write_keeps_previous_file(self, tmp_path, full_disk):
+        path = tmp_path / "a.pgm"
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError):
+            ev.write_pgm(path, np.ones(6), n_f=2, n_t=3)
+        assert path.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["a.pgm"]
+
     def test_format_table_alignment(self):
         rows = [{"metric": "acc", "value": "0.95"}, {"metric": "r@1", "value": "1.0"}]
         table = ev.format_table(rows)

@@ -1,5 +1,9 @@
-"""Front-end checks: framing/shape laws, oracle STFT comparison,
-patchify round trips, feature summarization, positional encoding."""
+"""Front-end checks: framing/shape laws, oracle STFT comparison, the
+two-thread split against the one-thread gather, patchify round trips,
+feature summarization, positional encoding."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +72,90 @@ class TestComputeLogmel:
         a = fe.compute_logmel(_wave(samples)).values
         b = fe.compute_logmel(_wave(samples)).values
         assert np.array_equal(a, b)
+
+
+def gather_logmel(samples: np.ndarray) -> np.ndarray:
+    """`compute_logmel` before strided framing and the split: every frame
+    gathered by fancy indexing, all on the calling thread."""
+    half = C.WIN_LENGTH // 2
+    mode = "reflect" if samples.size > half else "constant"
+    padded = np.pad(samples, half, mode=mode)
+    n_frames = -(-samples.size // C.HOP_LENGTH)
+    starts = np.arange(n_frames) * C.HOP_LENGTH
+    frames = padded[starts[:, None] + np.arange(C.WIN_LENGTH)[None, :]]
+    spectrum = np.fft.rfft(frames * np.hanning(C.WIN_LENGTH), n=C.N_FFT, axis=1)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    return np.log((power @ fe.mel_filterbank().T).T + C.LOG_FLOOR)
+
+
+MIN = fe.MIN_PART_FRAMES
+BLOCK = fe.BLOCK_FRAMES
+HOP = C.HOP_LENGTH
+# a long clip: each half holds at least MIN frames
+LONG = 2 * MIN * HOP
+
+
+class TestTwoThreadLogmel:
+    @pytest.mark.parametrize("n_samples", [
+        1, 160, 161, 199, 200,
+        2 * MIN * HOP,  # halves of exactly MIN frames
+        2 * MIN * HOP - HOP + 1,  # the same frame count, the last frame short
+        (2 * MIN - 1) * HOP,  # one frame under: no split
+        (2 * MIN + 1) * HOP - 37,  # an odd frame count: the worker's half is longer
+        (2 * BLOCK - 1) * HOP,  # one block, on one thread
+        2 * BLOCK * HOP,  # two blocks, on one thread
+        (4 * BLOCK - 2) * HOP + 1,  # one thread's blocks: two of BLOCK, one of 2 * BLOCK - 1
+        9 * C.SAMPLE_RATE,
+    ])
+    def test_byte_identical_to_gather(self, n_samples):
+        samples = np.random.default_rng(n_samples).standard_normal(n_samples)
+        assert np.array_equal(fe.compute_logmel(_wave(samples)).values, gather_logmel(samples))
+
+    def _record_parts(self, monkeypatch):
+        parts, original = [], fe._mel_power
+
+        def record(frames, out):
+            parts.append((threading.current_thread() is threading.main_thread(), len(frames)))
+            original(frames, out)
+
+        monkeypatch.setattr(fe, "_mel_power", record)
+        return parts
+
+    def test_split_only_when_each_half_keeps_the_minimum(self, monkeypatch):
+        parts = self._record_parts(monkeypatch)
+        fe.compute_logmel(_wave(np.ones((2 * MIN - 1) * HOP)))
+        assert parts == [(True, 2 * MIN - 1)]
+        parts.clear()
+        fe.compute_logmel(_wave(np.ones((2 * MIN + 1) * HOP)))
+        # the caller takes the first half, the worker the longer second one
+        assert sorted(parts) == [(False, MIN + 1), (True, MIN)]
+
+    def test_worker_error_reaches_caller_as_same_object(self, monkeypatch):
+        error, original = RuntimeError("worker half failed"), fe._mel_power
+
+        def fail_on_worker(frames, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            original(frames, out)
+
+        monkeypatch.setattr(fe, "_mel_power", fail_on_worker)
+        with pytest.raises(RuntimeError) as info:
+            fe.compute_logmel(_wave(np.ones(LONG)))
+        assert info.value is error
+
+    def test_caller_error_returns_after_worker_half(self, monkeypatch):
+        finished = threading.Event()
+
+        def fail_on_caller(frames, out):
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("caller half failed")
+            time.sleep(0.2)
+            finished.set()
+
+        monkeypatch.setattr(fe, "_mel_power", fail_on_caller)
+        with pytest.raises(ValueError, match="caller half failed"):
+            fe.compute_logmel(_wave(np.ones(LONG)))
+        assert finished.is_set()
 
 
 class TestFilterbank:

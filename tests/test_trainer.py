@@ -479,7 +479,7 @@ class TestSplitBackward:
 THREAD_COUNT_RUN = """
 import threading
 import numpy as np
-from miniclap import evaluation as ev, network as net, trainer
+from miniclap import evaluation as ev, frontend as fe, network as net, trainer
 from miniclap.config import ModelConfig
 from miniclap.frontend import MelSpectrogram
 
@@ -489,6 +489,8 @@ cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
 rng = np.random.default_rng(0)
 patches = rng.standard_normal((6, 10, 256))
 counts = [threading.active_count()]
+fe.compute_logmel(fe.Waveform(rng.standard_normal((2 * fe.MIN_PART_FRAMES - 1) * 160)))
+counts.append(threading.active_count())
 labels = np.eye(3)[np.arange(6) % 3]
 for frozen in (False, True):
     trainer.stage1_1_finetune(
@@ -502,6 +504,8 @@ for stage in ("2", "2.1"):
                                                             batch_size=4)),
                       text, net.init_model_state(cfg, 0))
     counts.append(threading.active_count())
+fe.compute_logmel(fe.Waveform(rng.standard_normal(2 * fe.MIN_PART_FRAMES * 160)))
+counts.append(threading.active_count())
 ev.clip_features(net.init_model_state(cfg, 0), [MelSpectrogram(rng.standard_normal((80, 70)))])
 counts.append(threading.active_count())
 trainer.run_stage(trainer.stage_config_from("1", dict(epochs=2, warmup_epochs=0, batch_size=4)),
@@ -519,9 +523,10 @@ def test_stage1_and_extraction_share_one_thread():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    # stages 1.1, 2 and 2.1 start none; extraction starts the one shared
-    # worker, and stage 1 reuses it
-    assert counts == [counts[0]] * 5 + [counts[0] + 1] * 2, counts
+    # a short clip's log-mel and stages 1.1, 2 and 2.1 start none; a long
+    # clip's log-mel starts the one shared worker, and extraction and
+    # stage 1 reuse it
+    assert counts == [counts[0]] * 6 + [counts[0] + 1] * 3, counts
 
 
 class TestStage2Step:
