@@ -14,7 +14,8 @@ configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's; it
-runs forwards, stage 1's weight-gradient tasks and front-end halves.
+runs forwards (stage 2's frozen encodes among them), stage 1's
+weight-gradient tasks and front-end halves.
 """
 
 from __future__ import annotations

@@ -63,10 +63,11 @@ def one_blas_thread() -> BlasThreads:
 @functools.cache
 def worker() -> futures.ThreadPoolExecutor:
     """The process's one worker thread, created on first use, after
-    `one_blas_thread`. It has four users: stage 1 runs its EMA-target
+    `one_blas_thread`. It has five users: stage 1 runs its EMA-target
     branch on it, stage 1's backward its weight gradients and GELU
-    slopes, `evaluation.encode_windows` every other chunk of windows, and
-    `frontend.compute_logmel` the second half of a long clip's frames.
+    slopes, `evaluation.encode_windows` every other chunk of windows,
+    `frontend.compute_logmel` the second half of a long clip's frames,
+    and a masked stage 2's `run_stage` the next batch's frozen encode.
     None is ever called from the worker, so a task never waits on another
     task queued behind it."""
     one_blas_thread()

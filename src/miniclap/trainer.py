@@ -20,7 +20,7 @@ from .config import check_field_types, check_type
 from .errors import InvalidConfig, InvalidInput
 from .frontend import summarize_features
 from .losses import LossWeights, clap_loss, clip_temperature, combined_loss, m2d_loss, similarity_matrix
-from .masking import batch_partitions
+from .masking import batch_partitions, masked_count
 from .network import ModelState, affine, encode_tokens, named_params
 
 
@@ -216,11 +216,13 @@ def trainable_params(state: ModelState, stage_id: str) -> dict[str, Tensor]:
 class StageData:
     """Precomputed per-sample inputs for one stage.
 
-    `features` is the frozen encoder's output for every full grid. A
-    caller leaves it unset: `run_stage` fills it in a copy, once per run,
-    for a stage that masks nothing (stage 2.1), and drops the patches
-    from that copy; `stage2_step` then takes the features in place of
-    encoding the batch.
+    `features` is the frozen audio encoder's output, which is all a
+    stage-2/2.1 step reads of the audio. A caller leaves it unset:
+    `run_stage` fills it in for each step's batch, which then carries no
+    patches. In stage 2.1 (and an unmasked stage 2) it is the batch's
+    rows of a once-per-run encode of every full grid; in a masked stage
+    2 it is the future of the batch's visible-patch encode, which runs
+    on `net.worker()` and which `stage2_step` waits for.
     """
 
     patches: np.ndarray | None  # [n_samples, n_patches, 256]; None once features replace it
@@ -229,16 +231,12 @@ class StageData:
     embeddings: np.ndarray | None = None  # [n_samples, emb_dim] (stage 1)
     token_rows: list[list[int]] | None = None  # stage 2 / 2.1
     labels: np.ndarray | None = None  # [n_samples, n_classes] multi-hot (stage 1.1)
-    features: np.ndarray | None = None  # [n_samples, n_patches, dim] (stage 2.1)
-
-    @property
-    def grids(self) -> np.ndarray:
-        """The per-patch rows a step reads: the features when set, else the patches."""
-        return self.patches if self.features is None else self.features
+    # [n_samples, visible patches, dim], or a future of it (stages 2 / 2.1)
+    features: np.ndarray | futures.Future | None = None
 
     @property
     def n_samples(self) -> int:
-        return self.grids.shape[0]
+        return (self.patches if self.features is None else self.features).shape[0]
 
     def take(self, idx: np.ndarray) -> "StageData":
         return StageData(
@@ -252,21 +250,61 @@ class StageData:
         )
 
 
-def frozen_features(encoder: net.EncoderParams, data: StageData, batch_size: int,
-                    summary=lambda z: z.data) -> np.ndarray:
-    """Encode every full grid once with a frozen encoder: in natural order,
-    `batch_size` clips per call, without a graph. `summary` maps each
-    call's [b, n_patches, dim] output to the rows kept; by default all of
-    it, which holds n_samples x n_patches x dim float64 values at once."""
-    pe = net.posenc_for(encoder, data.n_f, data.n_t)
+# Token rows per frozen encoder call (see `encode_frozen`). Larger calls
+# hold more memory at once: on the text-stages benchmark, 256 kept stage
+# 2's peak RSS 5% above one-thread stage 2, 512 took it to 10% and one
+# call per batch to 22%, for a step p50 at most 10% lower (README,
+# Performance).
+FROZEN_TOKENS = 256
+# OpenBLAS computes a product of fewer than 16 rows with another kernel,
+# whose bytes differ from those of a larger product (see
+# `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
+MIN_ROWS = 16
+
+
+def encode_frozen(encoder: net.EncoderParams, patches: np.ndarray, pe: np.ndarray,
+                  clips: np.ndarray, vis: np.ndarray | None = None,
+                  max_clips: int | None = None, summary=lambda z: z.data) -> np.ndarray:
+    """Encode through a frozen encoder, without a graph, each row's
+    patches `vis` [b, V] (all n when None) of the clips `patches[clips]`;
+    `patches` is [n_samples, n, 256] and `pe` the [n, dim] position
+    table. Each encoder call takes whole clips, gathered just before it:
+    at most FROZEN_TOKENS token rows and `max_clips` clips, or one clip
+    when a clip alone is larger, but never fewer than MIN_ROWS rows
+    unless all the clips have fewer; the clips are spread evenly over the
+    calls. `summary` maps each call's [c, V, dim] output to the rows
+    kept, which are written into one array, byte-identical to one call
+    over all the clips. Enters its own `no_grad` and `_quiet`, which are
+    per thread, so it can run on `net.worker()`."""
+    b = len(clips)
+    k = max(patches.shape[1] if vis is None else vis.shape[1], 1)
+    most = min(max(1, FROZEN_TOKENS // k), b if max_clips is None else max_clips)
+    calls = max(1, min(-(-b // most), b // -(-MIN_ROWS // k)))
+    bounds = [b * i // calls for i in range(calls + 1)]
     out = None
     with _quiet(), ad.no_grad():
-        for start in range(0, data.n_samples, batch_size):
-            rows = summary(encode_tokens(encoder, data.patches[start:start + batch_size], pe))
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            part = clips[start:end]
+            if vis is None:
+                z = encode_tokens(encoder, patches[part], pe)
+            else:
+                z = encode_tokens(encoder, patches[part[:, None], vis[start:end]],
+                                  pe[vis[start:end]])
+            rows = summary(z)
             if out is None:
-                out = np.empty((data.n_samples, *rows.shape[1:]))
-            out[start:start + len(rows)] = rows
+                out = np.empty((b, *rows.shape[1:]))
+            out[start:end] = rows
     return out
+
+
+def frozen_features(encoder: net.EncoderParams, data: StageData, batch_size: int,
+                    summary=lambda z: z.data) -> np.ndarray:
+    """Encode every full grid once with a frozen encoder, in natural
+    order, through `encode_frozen` with at most `batch_size` clips per
+    call. By default the result holds n_samples x n_patches x dim float64
+    values."""
+    return encode_frozen(encoder, data.patches, net.posenc_for(encoder, data.n_f, data.n_t),
+                         np.arange(data.n_samples), max_clips=batch_size, summary=summary)
 
 
 # -- stage steps --------------------------------------------------------------
@@ -349,28 +387,29 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
 
 
 def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
-                rng: np.random.Generator, opt: AdamW, lr: float | None = None) -> dict:
-    """One contrastive step with a frozen audio encoder. With
-    `data.features` set (stage 2.1 under `run_stage`), the step takes the
-    batch's encoded full grids from it instead of running the encoder."""
+                opt: AdamW, lr: float | None = None) -> dict:
+    """One contrastive step with a frozen audio encoder, on the batch's
+    encoded audio `data.features` as `run_stage` supplies it: an array,
+    or the future of one, which the step waits for before anything else.
+    An error from that encode leaves the step as the same object, before
+    any update."""
     if cfg.stage_id not in ("2", "2.1"):
         raise InvalidInput(f"stage2_step called with stage {cfg.stage_id!r}")
     if data.token_rows is None:
         raise InvalidInput("stage 2 batches need token sequences")
+    if data.features is None:
+        raise InvalidInput("stage 2 batches need their encoded audio features")
     lr = cfg.base_lr if lr is None else lr
 
-    b, n, _ = data.grids.shape
-    vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)  # stage 2.1: all visible
-    if data.features is not None and vis.shape[1] != n:
-        raise InvalidInput(f"stage {cfg.stage_id} masks patches; "
-                           "precomputed full-grid features do not apply")
+    z_v = data.features
+    if isinstance(z_v, futures.Future):
+        z_v = z_v.result()
+    n = data.n_f * data.n_t
+    visible = n - masked_count(n, cfg.mask_ratio)
+    if z_v.shape[1] != visible:
+        raise InvalidInput(f"stage {cfg.stage_id} keeps {visible} of {n} patches per clip; "
+                           f"the features have {z_v.shape[1]}")
     with _quiet():
-        if data.features is not None:
-            z_v = data.features
-        else:
-            with ad.no_grad():  # the audio encoder is frozen
-                pe = net.posenc_for(state.online, data.n_f, data.n_t)
-                z_v = net.encode_selected(state.online, data.patches, vis, pe)
         s_a = net.project_audio(state.projector, z_v)
         s_t = net.encode_text_batch(state.textpath, data.token_rows)
         loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
@@ -459,20 +498,42 @@ def write_loss_log(path, rows: list[dict], header: bool = False) -> None:
         writer.writerows(rows)
 
 
+def _batch_plan(cfg: StageConfig, n_samples: int, n_patches: int, rng: np.random.Generator):
+    """Each step's (epoch, sample indices, visible patches [b, V]), drawn
+    from `rng` in the order the steps have always drawn them: an epoch's
+    permutation, then each of its batches' partitions. Stage 1 draws its
+    partitions in `stage1_step`, so its visible patches are None."""
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_samples)
+        for start in range(0, n_samples, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            vis = None
+            if cfg.stage_id != "1":
+                vis, _ = batch_partitions(n_patches, cfg.mask_ratio, len(idx), rng)
+            yield epoch, idx, vis
+
+
 def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
     """Train one stage to completion; returns the state and the loss log.
 
-    A stage that masks nothing with a frozen encoder (stage 2.1) encodes
-    every clip once, before the first epoch, into a copy of `data`; the
-    caller's `data` is left as it was. That holds
-    n_samples x n_patches x dim float64 values for the whole run.
+    Stages 2 and 2.1 hand each step its batch's encoded audio. A stage
+    that masks nothing (stage 2.1) encodes every clip once, before the
+    first epoch, into a copy of `data`; the caller's `data` is left as it
+    was. That holds n_samples x n_patches x dim float64 values for the
+    whole run. A masked stage 2 submits each batch's visible-patch encode
+    to `net.worker()` one step ahead: batch k+1's encode runs while step
+    k trains the text side, and never more than one is queued ahead. The
+    run never returns or raises while an encode is running; an encode's
+    error reaches the caller as the same object, from the step that
+    needs it, before that step's update.
     """
     if cfg.stage_id == "1.1":
         raise InvalidConfig("use stage1_1_finetune for stage 1.1")
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
-    if cfg.stage_id in ("2", "2.1") and cfg.mask_ratio == 0.0 and cfg.epochs > 0:
+    masked = cfg.stage_id == "2" and cfg.mask_ratio > 0.0
+    if cfg.stage_id in ("2", "2.1") and not masked and cfg.epochs > 0:
         data = replace(data, patches=None,
                        features=frozen_features(state.online, data, cfg.batch_size))
 
@@ -488,32 +549,51 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
     opt = AdamW(trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    if masked:
+        text = replace(data, patches=None)  # step batches carry no patches
+        pe = net.posenc_for(state.online, data.n_f, data.n_t)
 
-    step = 0
-    for epoch in range(cfg.epochs):
-        first_row = len(rows)
-        order = rng.permutation(data.n_samples)
-        for start in range(0, data.n_samples, cfg.batch_size):
-            batch = data.take(order[start:start + cfg.batch_size])
-            lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
-            if cfg.stage_id == "1":
-                alpha = ema_decay_at(step + 1, total_steps, cfg.ema_start, cfg.ema_end)
-                stats = stage1_step(state, batch, cfg, rng, opt, lr=lr, ema_alpha=alpha)
-                rows.append({"epoch": epoch, "step": step,
-                             "loss_total": f"{stats['loss_total']:.8f}",
-                             "loss_m2d": f"{stats['loss_m2d']:.8f}",
-                             "loss_clap": f"{stats['loss_clap']:.8f}",
-                             "lr": f"{lr:.10g}", "ema": f"{alpha:.10f}"})
-            else:
-                stats = stage2_step(state, batch, cfg, rng, opt, lr=lr)
-                rows.append({"epoch": epoch, "step": step,
-                             "loss_total": f"{stats['loss_clap']:.8f}",
-                             "loss_m2d": "", "loss_clap": f"{stats['loss_clap']:.8f}",
-                             "lr": f"{lr:.10g}", "ema": ""})
-            step += 1
-        if out_dir is not None:
+    def step_batch(idx: np.ndarray, vis: np.ndarray | None) -> StageData:
+        if not masked:
+            return data.take(idx)
+        encoded = net.worker().submit(encode_frozen, state.online, data.patches, pe, idx, vis)
+        return replace(text.take(idx), features=encoded)
+
+    def train(epoch: int, batch: StageData) -> None:
+        step = len(rows)
+        lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
+        if cfg.stage_id == "1":
+            alpha = ema_decay_at(step + 1, total_steps, cfg.ema_start, cfg.ema_end)
+            stats = stage1_step(state, batch, cfg, rng, opt, lr=lr, ema_alpha=alpha)
+            rows.append({"epoch": epoch, "step": step,
+                         "loss_total": f"{stats['loss_total']:.8f}",
+                         "loss_m2d": f"{stats['loss_m2d']:.8f}",
+                         "loss_clap": f"{stats['loss_clap']:.8f}",
+                         "lr": f"{lr:.10g}", "ema": f"{alpha:.10f}"})
+        else:
+            stats = stage2_step(state, batch, cfg, opt, lr=lr)
+            rows.append({"epoch": epoch, "step": step,
+                         "loss_total": f"{stats['loss_clap']:.8f}",
+                         "loss_m2d": "", "loss_clap": f"{stats['loss_clap']:.8f}",
+                         "lr": f"{lr:.10g}", "ema": ""})
+        if out_dir is not None and len(rows) % steps_per_epoch == 0:
             net.save_checkpoint(os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"), state)
-            write_loss_log(log_path, rows[first_row:])
+            write_loss_log(log_path, rows[-steps_per_epoch:])
+
+    # Stage 1 draws from `rng` inside its steps, so its plan is drawn step
+    # by step; the text stages' steps draw nothing, so theirs runs one ahead.
+    ahead = 0 if cfg.stage_id == "1" else 1
+    planned: list[tuple[int, StageData]] = []  # a step leaves it once it has finished
+    try:
+        for epoch, idx, vis in _batch_plan(cfg, data.n_samples, data.n_f * data.n_t, rng):
+            planned.append((epoch, step_batch(idx, vis)))
+            if len(planned) > ahead:
+                train(*planned[0])
+                del planned[0]
+        if planned:  # a text stage's last batch
+            train(*planned[0])
+    finally:
+        futures.wait([b.features for _, b in planned if isinstance(b.features, futures.Future)])
     if out_dir is not None:
         net.save_checkpoint(os.path.join(ckpt_dir, "final.ckpt"), state)
     return state, rows

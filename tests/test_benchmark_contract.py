@@ -48,6 +48,10 @@ data = trainer.StageData(rng.standard_normal((6, 10, 256)), 5, 2,
                          token_rows=[[3 + i % 5, 4] for i in range(6)])
 refine = trainer.stage_config_from("2.1", dict(epochs=2, warmup_epochs=0, batch_size=4))
 _, rows = trainer.run_stage(refine, data, net.init_model_state(text_cfg, 0), seed=0)
+refined = dict(tracer.counts)
+steps = sum(span[0] == "trainer.stage2_step" for span in tracer.spans)
+masked = trainer.stage_config_from("2", dict(epochs=2, warmup_epochs=0, batch_size=4))
+_, masked_rows = trainer.run_stage(masked, data, net.init_model_state(text_cfg, 0), seed=0)
 fe.compute_logmel(fe.Waveform(rng.standard_normal(2 * fe.MIN_PART_FRAMES * 160)))
 tracer.uninstall()
 assert net.encode_tokens is original
@@ -62,10 +66,16 @@ for name in ("masking.sample_partition", "network.encode_tokens.online",
 assert before["network.encode_tokens.calls"] == 6, before
 # stage 2.1 encodes each of its 6 clips of 10 patches once, in batches of 4,
 # and the step timer and tracer still see each of its 2 x 2 steps
-assert tracer.counts["network.encode_tokens.tokens"] - before["network.encode_tokens.tokens"] == 60
-assert tracer.counts["network.encode_tokens.calls"] - before["network.encode_tokens.calls"] == 2
+assert refined["network.encode_tokens.tokens"] - before["network.encode_tokens.tokens"] == 60
+assert refined["network.encode_tokens.calls"] - before["network.encode_tokens.calls"] == 2
 assert len(rows) == 4
-assert sum(span[0] == "trainer.stage2_step" for span in tracer.spans) == len(rows)
+assert steps == len(rows)
+# masked stage 2 encodes each step's rows' 7 visible patches of 10 on the
+# worker thread; every token is counted, and every step is a span
+assert len(masked_rows) == 4
+assert (tracer.counts["network.encode_tokens.tokens"] - refined["network.encode_tokens.tokens"]
+        == 2 * (4 + 2) * 7)
+assert sum(span[0] == "trainer.stage2_step" for span in tracer.spans) - steps == len(masked_rows)
 assert tracer.counts["frontend.compute_logmel.calls"] == 1, dict(tracer.counts)
 print("traced run ok")
 """

@@ -3,6 +3,7 @@ stop-gradient, EMA, temperature), and the stage runner."""
 
 import ast
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
@@ -473,9 +474,9 @@ class TestSplitBackward:
         assert pooled == inline
 
 
-# Counts the threads alive after each of stages 1.1 (encoder trained,
-# then frozen), 2 and 2.1 and a three-window extraction, then after a
-# stage-1 run.
+# Counts the threads alive after a short clip's log-mel, each of stages
+# 1.1 (encoder trained, then frozen), 2.1 and 2, a long clip's log-mel,
+# a three-window extraction and a stage-1 run.
 THREAD_COUNT_RUN = """
 import threading
 import numpy as np
@@ -499,7 +500,7 @@ for frozen in (False, True):
                                               freeze_audio_encoder=frozen)))
     counts.append(threading.active_count())
 text = trainer.StageData(patches, 5, 2, token_rows=[[3 + i % 5, 4] for i in range(6)])
-for stage in ("2", "2.1"):
+for stage in ("2.1", "2"):
     trainer.run_stage(trainer.stage_config_from(stage, dict(epochs=1, warmup_epochs=0,
                                                             batch_size=4)),
                       text, net.init_model_state(cfg, 0))
@@ -523,10 +524,20 @@ def test_stage1_and_extraction_share_one_thread():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    # a short clip's log-mel and stages 1.1, 2 and 2.1 start none; a long
-    # clip's log-mel starts the one shared worker, and extraction and
-    # stage 1 reuse it
-    assert counts == [counts[0]] * 6 + [counts[0] + 1] * 3, counts
+    # a short clip's log-mel and stages 1.1 and 2.1 start none; masked
+    # stage 2 starts the one shared worker, and a long clip's log-mel,
+    # extraction and stage 1 reuse it
+    assert counts == [counts[0]] * 5 + [counts[0] + 1] * 4, counts
+
+
+def _encoded(state, data, cfg, rng):
+    """`data` as `run_stage` hands it to a stage-2 step: its partition
+    drawn from `rng`, its visible patches encoded, no patches left."""
+    b, n = data.n_samples, data.n_f * data.n_t
+    vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    features = trainer.encode_frozen(state.online, data.patches, pe, np.arange(b), vis)
+    return dataclasses.replace(data, patches=None, features=features)
 
 
 class TestStage2Step:
@@ -538,17 +549,17 @@ class TestStage2Step:
         digest = net.param_digest(state.online)
         gen = np.random.default_rng(0)
         for _ in range(100):
-            stage2_step(state, data, cfg, gen, opt)
+            stage2_step(state, _encoded(state, data, cfg, gen), cfg, opt)
         assert net.param_digest(state.online) == digest
 
     def test_projector_and_text_encoder_do_update(self, rng):
         state = _state()
-        data = _stage2_data(rng, n=8)
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
+        data = _encoded(state, _stage2_data(rng, n=8), cfg, np.random.default_rng(0))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
         proj = net.param_digest(state.projector)
         text = net.param_digest(state.textpath.encoder)
-        stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+        stage2_step(state, data, cfg, opt)
         assert net.param_digest(state.projector) != proj
         assert net.param_digest(state.textpath.encoder) != text
 
@@ -559,7 +570,7 @@ class TestStage2Step:
         cfg = stage_config_from("2.1", dict(batch_size=2, base_lr=1e-3, epochs=1))
         frozen = copy.deepcopy(state)
         opt = AdamW(trainer.trainable_params(state, "2.1"), lr=1e-3)
-        stats = stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+        stats = stage2_step(state, _encoded(state, data, cfg, np.random.default_rng(0)), cfg, opt)
 
         pe = net.posenc_for(frozen.online, data.n_f, data.n_t)
         z = net.encode_tokens(frozen.online, data.patches, pe)
@@ -573,10 +584,11 @@ class TestStage2Step:
         data = _stage2_data(rng, n=4)
         data.patches[2] = np.nan
         cfg = stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
+        data = _encoded(state, data, cfg, np.random.default_rng(0))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
         digest = net.param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_clap"):
-            stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+            stage2_step(state, data, cfg, opt)
         assert net.param_digest(state) == digest
         assert opt.step_count == 0
 
@@ -592,8 +604,15 @@ class TestStage2Step:
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
         with pytest.raises(InvalidInput):
-            stage2_step(state, _stage2_data(rng), stage_config_from("1", {}),
-                        np.random.default_rng(0), opt)
+            stage2_step(state, _stage2_data(rng), stage_config_from("1", {}), opt)
+
+    def test_batch_without_features_rejected(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        with pytest.raises(InvalidInput, match="encoded audio features"):
+            stage2_step(state, _stage2_data(rng, n=4),
+                        stage_config_from("2", dict(batch_size=4, epochs=1)), opt)
+        assert opt.step_count == 0
 
     def test_precomputed_features_rejected_when_masking(self, rng):
         state = _state()
@@ -601,29 +620,40 @@ class TestStage2Step:
         data.features = trainer.frozen_features(state.online, data, 4)
         cfg = stage_config_from("2", dict(batch_size=4, epochs=1))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
-        with pytest.raises(InvalidInput, match="masks patches"):
-            stage2_step(state, data, cfg, np.random.default_rng(0), opt)
+        with pytest.raises(InvalidInput, match="keeps 7 of 10 patches per clip; the features have 10"):
+            stage2_step(state, data, cfg, opt)
         assert opt.step_count == 0
 
 
-def _count_encoded_tokens(monkeypatch) -> list[int]:
-    """Record the tokens of every encoder call, by name and through
-    `encode_selected` alike."""
-    tokens = []
+def _instrument_encoder(monkeypatch, slow_at=None, fail_at=None, error=None):
+    """Count the encoder calls started and finished, by name and through
+    `encode_selected` alike, and record each one's tokens; call `slow_at`
+    sleeps 0.2 s first, and call `fail_at` raises `error`."""
+    calls = {"started": 0, "finished": 0, "tokens": []}
     encode = net.encode_tokens
 
-    def counting(params, patches, pe):
-        tokens.append(patches.shape[0] * patches.shape[1])
-        return encode(params, patches, pe)
+    def encode_tokens(params, patches, pe):
+        call = calls["started"]
+        calls["started"] += 1
+        try:
+            if call == slow_at:
+                time.sleep(0.2)
+            if call == fail_at:
+                raise error
+            calls["tokens"].append(patches.shape[0] * patches.shape[1])
+            return encode(params, patches, pe)
+        finally:
+            calls["finished"] += 1
 
-    monkeypatch.setattr(net, "encode_tokens", counting)
-    monkeypatch.setattr(trainer, "encode_tokens", counting)
-    return tokens
+    monkeypatch.setattr(net, "encode_tokens", encode_tokens)
+    monkeypatch.setattr(trainer, "encode_tokens", encode_tokens)
+    return calls
 
 
 def _oracle_run_stage2(cfg, data, state, seed):
-    """Stage 2/2.1 without masking, as `run_stage` ran it when every step
-    encoded its batch: same partitions drawn, same updates, same log rows."""
+    """Stage 2/2.1 as `run_stage` ran it when every step drew its own
+    partition and encoded its batch inline: same draws, same updates,
+    same log rows."""
     rng = np.random.default_rng(seed)
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total, warmup = cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
@@ -635,10 +665,9 @@ def _oracle_run_stage2(cfg, data, state, seed):
         for start in range(0, data.n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             lr = lr_at(step, total, warmup, cfg.base_lr)
-            vis, _ = batch_partitions(data.patches.shape[1], 0.0, len(idx), rng)
-            assert vis.shape[1] == data.patches.shape[1]
+            vis, _ = batch_partitions(data.patches.shape[1], cfg.mask_ratio, len(idx), rng)
             with ad.no_grad():
-                z = net.encode_tokens(state.online, data.patches[idx], pe)
+                z = net.encode_selected(state.online, data.patches[idx], vis, pe)
             s_a = net.project_audio(state.projector, z)
             s_t = net.encode_text_batch(state.textpath, [data.token_rows[i] for i in idx])
             loss = losses.clap_loss(losses.similarity_matrix(s_a, s_t), state.tau)
@@ -653,6 +682,17 @@ def _oracle_run_stage2(cfg, data, state, seed):
     return rows
 
 
+def _assert_matches_oracle(cfg, data, tmp_path):
+    """`run_stage` writes the oracle's loss log and ends in its state, byte for byte."""
+    state, _ = run_stage(cfg, data, _state(), seed=5, out_dir=str(tmp_path))
+    assert data.features is None  # the caller's data is left as it was
+    oracle_state = _state()
+    oracle = tmp_path / "oracle.csv"
+    trainer.write_loss_log(oracle, _oracle_run_stage2(cfg, data, oracle_state, 5), header=True)
+    assert (tmp_path / "losses.csv").read_bytes() == oracle.read_bytes()
+    assert net.param_digest(state) == net.param_digest(oracle_state)
+
+
 class TestEncodeOnce:
     """A frozen, unmasked grid is encoded once per run, and training on
     those features matches encoding every batch byte for byte."""
@@ -661,24 +701,17 @@ class TestEncodeOnce:
 
     @pytest.mark.parametrize("stage, extra", UNMASKED)
     def test_unmasked_stage_matches_per_batch_encode(self, rng, tmp_path, stage, extra):
-        data = _stage2_data(rng, n=10)
-        cfg = stage_config_from(stage, dict(epochs=3, warmup_epochs=1, batch_size=4,
-                                            base_lr=1e-3, **extra))
-        state, _ = run_stage(cfg, data, _state(), seed=5, out_dir=str(tmp_path))
-        assert data.features is None  # the caller's data is left as it was
-        oracle_state = _state()
-        oracle = tmp_path / "oracle.csv"
-        trainer.write_loss_log(oracle, _oracle_run_stage2(cfg, data, oracle_state, 5),
-                               header=True)
-        assert (tmp_path / "losses.csv").read_bytes() == oracle.read_bytes()
-        assert net.param_digest(state) == net.param_digest(oracle_state)
+        _assert_matches_oracle(stage_config_from(stage, dict(epochs=3, warmup_epochs=1,
+                                                             batch_size=4, base_lr=1e-3,
+                                                             **extra)),
+                               _stage2_data(rng, n=10), tmp_path)
 
     @pytest.mark.parametrize("stage, extra", UNMASKED)
     @pytest.mark.parametrize("epochs", [2, 3])
     def test_unmasked_stage_encodes_each_clip_once(self, rng, monkeypatch, stage, extra,
                                                    epochs):
         data = _stage2_data(rng, n=10)
-        tokens = _count_encoded_tokens(monkeypatch)
+        tokens = _instrument_encoder(monkeypatch)["tokens"]
         cfg = stage_config_from(stage, dict(epochs=epochs, warmup_epochs=0, batch_size=4,
                                             base_lr=1e-3, **extra))
         _, rows = run_stage(cfg, data, _state(), seed=0)
@@ -703,10 +736,28 @@ class TestEncodeOnce:
 
     def test_masked_stage2_encodes_every_step(self, rng, monkeypatch):
         data = _stage2_data(rng, n=10)
-        tokens = _count_encoded_tokens(monkeypatch)
+        tokens = _instrument_encoder(monkeypatch)["tokens"]
         cfg = stage_config_from("2", dict(epochs=2, warmup_epochs=0, batch_size=4, base_lr=1e-3))
         run_stage(cfg, data, _state(), seed=0)
-        assert len(tokens) == 6  # one visible-patch encode per step
+        # every step encodes its rows' 7 visible patches of 10
+        assert sum(tokens) == 2 * (4 + 4 + 2) * 7
+
+    def test_frozen_features_calls_stay_within_budget(self, rng, monkeypatch):
+        data = _stage2_data(rng, n=11)
+        state = _state()
+        pe = net.posenc_for(state.online, data.n_f, data.n_t)
+        with ad.no_grad():
+            want = [net.encode_tokens(state.online, data.patches[start:start + 4], pe).data
+                    for start in range(0, 11, 4)]
+        monkeypatch.setattr(trainer, "FROZEN_TOKENS", 30)
+        tokens = _instrument_encoder(monkeypatch)["tokens"]
+        got = trainer.frozen_features(state.online, data, 4)
+        assert sum(tokens) == 11 * 10
+        assert all(trainer.MIN_ROWS <= t <= 30 for t in tokens), tokens
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        tokens.clear()
+        trainer.frozen_features(state.online, data, 2)  # the batch size bounds it too,
+        assert tokens == [20, 20, 20, 20, 30]  # except where a lone clip has under 16 rows
 
     def test_frozen_stage1_1_matches_per_batch_encode(self, rng):
         data = _labeled_data(rng)
@@ -738,12 +789,95 @@ class TestEncodeOnce:
     @pytest.mark.parametrize("epochs", [1, 4])
     def test_frozen_stage1_1_encodes_each_clip_once(self, rng, monkeypatch, epochs):
         data = _labeled_data(rng)
-        tokens = _count_encoded_tokens(monkeypatch)
+        tokens = _instrument_encoder(monkeypatch)["tokens"]
         cfg = stage_config_from("1.1", dict(epochs=epochs, batch_size=3,
                                             freeze_audio_encoder=True))
         result = stage1_1_finetune(_state(), data, cfg, seed=0)
         assert len(result.losses) == 3 * epochs
         assert sum(tokens) == data.n_samples * data.patches.shape[1]
+
+
+def _count_updates(monkeypatch) -> list:
+    updates = []
+    step = AdamW.step
+
+    def counting_step(self, lr=None):
+        step(self, lr)
+        updates.append(lr)
+
+    monkeypatch.setattr(AdamW, "step", counting_step)
+    return updates
+
+
+class EncodeFailed(Exception):
+    pass
+
+
+class TestMaskedPrefetch:
+    """A masked stage 2 encodes the next batch's visible patches on the
+    worker while the step trains the text side; the results are those of
+    encoding every batch inline."""
+
+    # 10 clips in batches of 4: 3 steps an epoch, the last one partial;
+    # each batch's 7 visible patches a clip go through one encoder call
+    CFG = dict(epochs=3, warmup_epochs=1, batch_size=4, base_lr=1e-3)
+
+    def test_matches_inline_oracle(self, rng, tmp_path):
+        _assert_matches_oracle(stage_config_from("2", self.CFG), _stage2_data(rng, n=10),
+                               tmp_path)
+
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_encode_error_reaches_caller_before_its_step_updates(self, rng, monkeypatch, k):
+        error = EncodeFailed("encode failed")
+        calls = _instrument_encoder(monkeypatch, slow_at=k + 1, fail_at=k, error=error)
+        updates = _count_updates(monkeypatch)
+        with pytest.raises(EncodeFailed) as caught:
+            run_stage(stage_config_from("2", self.CFG), _stage2_data(rng, n=10), _state())
+        assert caught.value is error
+        assert len(updates) == k
+        # batch k+1's encode was queued before step k, and the worker is idle
+        assert calls["started"] == min(k + 2, 9)
+        assert calls["finished"] == calls["started"]
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_non_finite_loss_waits_for_the_next_encode(self, rng, monkeypatch, k):
+        calls = _instrument_encoder(monkeypatch, slow_at=k + 1)
+        updates = _count_updates(monkeypatch)
+        clap = trainer.clap_loss
+        seen = []
+
+        def clap_loss(sim, tau):
+            seen.append(True)
+            loss = clap(sim, tau)
+            return loss * np.nan if len(seen) == k + 1 else loss
+
+        monkeypatch.setattr(trainer, "clap_loss", clap_loss)
+        with pytest.raises(InvalidInput, match="non-finite loss_clap"):
+            run_stage(stage_config_from("2", self.CFG), _stage2_data(rng, n=10), _state())
+        assert len(updates) == k
+        assert calls["started"] == calls["finished"] == k + 2
+
+    @pytest.mark.parametrize("visible", [None, 3])
+    def test_chunks_match_one_whole_batch_encode(self, rng, monkeypatch, visible):
+        state = _state()
+        patches = rng.standard_normal((20, 10, 256))
+        b = 11 if visible is None else 15
+        clips = rng.permutation(20)[:b]
+        table = state.online.posenc.table
+        if visible is None:
+            vis, rows, pe = None, patches[clips], table
+        else:
+            vis = np.stack([np.sort(rng.permutation(10)[:visible]) for _ in range(b)])
+            rows, pe = patches[clips[:, None], vis], table[vis]
+        with ad.no_grad():
+            want = net.encode_tokens(state.online, rows, pe).data
+        monkeypatch.setattr(trainer, "FROZEN_TOKENS", 30)
+        calls = _instrument_encoder(monkeypatch)
+        got = trainer.encode_frozen(state.online, patches, table, clips, vis)
+        # 11 x 10 rows in calls of 2, 3, 3 and 3 clips; 15 x 3 rows in calls
+        # of 7 and 8 clips, so that no call has fewer than 16 rows
+        assert calls["tokens"] == ([20, 30, 30, 30] if visible is None else [21, 24])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStage11Finetune:
