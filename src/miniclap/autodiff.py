@@ -382,7 +382,9 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows along the second-to-last axis.
 
     For x of shape [N, D] idx is [K]; for x of shape [B, N, D] idx is
-    [B, K] (per-batch row selection). Out-of-range indices raise.
+    [B, K] (per-batch row selection). Out-of-range indices raise. When no
+    index repeats within a row, the backward scatters with one fancy-index
+    add; otherwise it accumulates with `np.add.at`. Both give the same bytes.
     """
     x = Tensor.wrap(x)
     idx = np.asarray(idx)
@@ -397,7 +399,15 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         key = (np.arange(x.shape[0])[:, None], idx)
     else:
         raise InvalidInput("gather_rows supports 2-D or 3-D inputs")
-    return x[key]
+    if idx.shape[-1] > 1 and not np.diff(np.sort(idx, axis=-1), axis=-1).all():
+        return x[key]  # a repeated index must accumulate
+
+    def vjp(g):
+        out = np.zeros_like(x.data)
+        out[key] += g
+        return ((x, out),)
+
+    return Tensor._make(x.data[key], (x,), vjp)
 
 
 def _softmax_inplace(z: np.ndarray, axis: int) -> np.ndarray:
@@ -463,25 +473,28 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
 def attention(q, k, v, n_heads: int, key_bias: np.ndarray | None = None) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(dh) + key_bias) v (fused).
 
-    q, k and v are [B, N, d] with the heads side by side along d; the
-    output is [B, N, d] in the same layout. key_bias, if given, is a
-    constant broadcastable to the [B, H, N, N] logits; padded key columns
+    q is [B, R, d] and k, v are [B, N, d], with the heads side by side
+    along d; the output is [B, R, d] in q's layout, so R queries (R = N in
+    self-attention) attend over all N keys. key_bias, if given, is a
+    constant broadcastable to the [B, H, R, N] logits; padded key columns
     carry a large negative value. The backward keeps only the
     probabilities and head views of q, k and v.
     """
     q, k, v = Tensor.wrap(q), Tensor.wrap(k), Tensor.wrap(v)
-    b, n, d = q.shape
-    if k.shape != q.shape or v.shape != q.shape or d % n_heads:
-        raise InvalidInput(f"attention needs equal [B, N, d] inputs with d divisible by "
-                           f"{n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    if (q.ndim != 3 or k.ndim != 3 or v.shape != k.shape or q.shape[0] != k.shape[0]
+            or q.shape[2] != k.shape[2] or q.shape[2] % n_heads):
+        raise InvalidInput(f"attention needs [B, R, d] queries and equal [B, N, d] keys and "
+                           f"values with d divisible by {n_heads} heads, got {q.shape}, "
+                           f"{k.shape}, {v.shape}")
+    b, _, d = q.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    def heads(a: np.ndarray) -> np.ndarray:  # [B, N, d] -> [B, H, N, dh], a view
-        return a.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a: np.ndarray) -> np.ndarray:  # [B, L, d] -> [B, H, L, dh], a view
+        return a.reshape(b, a.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, N, dh] -> [B, N, d]
-        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, L, dh] -> [B, L, d]
+        return a.transpose(0, 2, 1, 3).reshape(b, a.shape[2], d)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     logits = qh @ kh.transpose(0, 1, 3, 2)

@@ -118,17 +118,35 @@ def init_block(rng, dim: int, n_heads: int, mlp_hidden: int, trainable: bool = T
     )
 
 
-def block_forward(p: Block, x, key_bias: np.ndarray | None = None) -> Tensor:
+def block_forward(p: Block, x, key_bias: np.ndarray | None = None,
+                  rows: np.ndarray | None = None) -> Tensor:
     """x is [B, N, d]. key_bias, if given, is broadcastable to the
-    attention logits [B, H, N, N]; padded key columns carry a large
-    negative value."""
+    attention logits [B, H, R, N]; padded key columns carry a large
+    negative value. rows, if given, is a [B, R] index array: every row
+    still serves as a key and value, but only the selected rows are
+    queried and carried through the residuals and the MLP, and the output
+    is [B, R, d], the same rows of the full block's output."""
     x = Tensor.wrap(x)
     h = layer_norm(p.norm1, x)
-    ctx = ad.attention(affine(p.attn_q, h), affine(p.attn_k, h), affine(p.attn_v, h),
+    h_q = h
+    if rows is not None:
+        x, h_q = ad.gather_rows(x, rows), ad.gather_rows(h, rows)
+    ctx = ad.attention(affine(p.attn_q, h_q), affine(p.attn_k, h), affine(p.attn_v, h),
                        p.n_heads, key_bias)
     x = x + affine(p.attn_out, ctx)
     h2 = layer_norm(p.norm2, x)
     return x + affine(p.mlp_out, ad.gelu(affine(p.mlp_in, h2)))
+
+
+def stack_rows(blocks: list[Block], x: Tensor, rows: np.ndarray,
+               key_bias: np.ndarray | None = None) -> Tensor:
+    """Run a block stack on [B, N, d] and return the [B, R] `rows` of its
+    output; the last block computes only those rows."""
+    if not blocks:
+        return ad.gather_rows(x, rows)
+    for block in blocks[:-1]:
+        x = block_forward(block, x, key_bias)
+    return block_forward(blocks[-1], x, key_bias, rows)
 
 
 # -- components ------------------------------------------------------------
@@ -339,11 +357,9 @@ def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,
     return encode_tokens(params, patches[np.arange(b)[:, None], idx], pe[idx])
 
 
-def predictor_forward(pp: PredictorParams, seq) -> Tensor:
-    x = Tensor.wrap(seq)
-    for block in pp.blocks:
-        x = block_forward(block, x)
-    return affine(pp.out, x)
+def predictor_forward(pp: PredictorParams, seq, rows: np.ndarray) -> Tensor:
+    """The predictor's output at the [B, R] `rows` of its [B, n, dim] input."""
+    return affine(pp.out, stack_rows(pp.blocks, seq, rows))
 
 
 def predict_masked(pp: PredictorParams, z_v, pe: np.ndarray, vis: np.ndarray,
@@ -351,7 +367,7 @@ def predict_masked(pp: PredictorParams, z_v, pe: np.ndarray, vis: np.ndarray,
     """Predict each row's masked features from its [B, V, dim] visible
     features; output [B, M, dim]."""
     seq = masking.assemble_predictor_input(z_v, pp.mask_token, pe, vis, msk)
-    return ad.gather_rows(predictor_forward(pp, seq), msk)
+    return predictor_forward(pp, seq, msk)
 
 
 def standardize_targets(z_m, eps: float = 1e-6) -> Tensor:
@@ -376,9 +392,7 @@ def project_audio(ap: AudioProjectorParams, z) -> Tensor:
         return affine(ap.mlp_out, ad.gelu(affine(ap.mlp_in, z.mean(axis=1))))
     b, _, d = z.shape
     x = ad.concat([ap.cls_token.expand((b, 1, d)), z], axis=1)
-    for block in ap.blocks:
-        x = block_forward(block, x)
-    return ad.gather_rows(x, np.zeros((b, 1), dtype=int)).reshape(b, d)
+    return stack_rows(ap.blocks, x, np.zeros((b, 1), dtype=int)).reshape(b, d)
 
 
 def map_text_embedding(tp: TextPathParams, e) -> Tensor:
@@ -424,10 +438,8 @@ def encode_text_batch(tp: TextPathParams, token_rows: list[list[int]]) -> Tensor
     if width > min(lengths):
         pad = np.arange(width)[None, :] >= np.asarray(lengths)[:, None]
         key_bias = np.where(pad, _NEG_BIAS, 0.0)[:, None, None, :]
-    for block in enc.blocks:
-        x = block_forward(block, x, key_bias=key_bias)
-    pooled = ad.gather_rows(x, np.zeros((b, 1), dtype=int)).reshape(b, x.shape[2])
-    return _apply_text_projector(tp, pooled)
+    pooled = stack_rows(enc.blocks, x, np.zeros((b, 1), dtype=int), key_bias)
+    return _apply_text_projector(tp, pooled.reshape(b, x.shape[2]))
 
 
 # -- checkpoints ------------------------------------------------------------

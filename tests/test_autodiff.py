@@ -118,11 +118,11 @@ def _padded_key_bias(lengths, width):
 
 def _attention_oracle(q, k, v, n_heads, lengths=None):
     """Row by row and head by head, over each row's first `lengths` keys."""
-    b, n, d = q.shape
+    b, _, d = q.shape
     dh = d // n_heads
-    out = np.zeros((b, n, d))
+    out = np.zeros(q.shape)
     for row in range(b):
-        keys = n if lengths is None else lengths[row]
+        keys = k.shape[1] if lengths is None else lengths[row]
         for head in range(n_heads):
             sl = slice(head * dh, (head + 1) * dh)
             logits = q[row, :, sl] @ k[row, :keys, sl].T / np.sqrt(dh)
@@ -184,6 +184,28 @@ class TestFusedOps:
             ad.attention(q, Tensor(rng.standard_normal((2, 4, 6))), q, 2)
         with pytest.raises(InvalidInput):
             ad.attention(q, q, q, 4)
+
+    @pytest.mark.parametrize("q_shape, kv_shape", [
+        ((2, 2, 4), (2, 5, 6)),  # query width differs from the keys'
+        ((3, 2, 6), (2, 5, 6)),  # batch differs
+        ((2, 6), (2, 5, 6)),  # queries not batched
+    ])
+    def test_attention_rejects_queries_that_do_not_fit_the_keys(self, rng, q_shape, kv_shape):
+        kv = Tensor(rng.standard_normal(kv_shape))
+        with pytest.raises(InvalidInput):
+            ad.attention(Tensor(rng.standard_normal(q_shape)), kv, kv, 2)
+
+    def test_attention_fewer_queries_than_keys(self, rng):
+        q, k, v = _param(rng, 2, 2, 6), _param(rng, 2, 5, 6), _param(rng, 2, 5, 6)
+        lengths = [5, 3]
+        key_bias = _padded_key_bias(lengths, 5)  # [B, 1, 1, N]
+        out = ad.attention(q, k, v, 2, key_bias)
+        assert out.shape == (2, 2, 6)
+        want = _attention_oracle(q.data, k.data, v.data, 2, lengths)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        r = rng.standard_normal((2, 2, 6))
+        fn = lambda: (ad.attention(q, k, v, 2, key_bias) * r).sum()
+        assert_grads_match(fn, {"q": q, "k": k, "v": v})
 
 
 class TestGraphSemantics:
@@ -352,6 +374,23 @@ class TestGatherRows:
     def test_out_of_range_rejected(self, rng):
         with pytest.raises(InvalidInput):
             ad.gather_rows(rng.standard_normal((4, 2)), np.array([4]))
+
+    @pytest.mark.parametrize("shape, idx", [
+        ((2, 6, 3), np.array([[5, 0, 2], [1, 4, 3]])),  # distinct in each row
+        ((2, 6, 3), np.array([[5, 0, 5], [1, 1, 1]])),  # repeated
+        ((6, 3), np.array([4, 0, 1])),
+        ((6, 3), np.array([4, 0, 4])),
+    ])
+    def test_backward_reproduces_add_at_bytes(self, rng, shape, idx):
+        a = _param(rng, *shape)
+        out = ad.gather_rows(a, idx)
+        g = rng.standard_normal(out.shape)
+        g[..., 0] = -0.0  # a zero-initialised add keeps 0.0, not -0.0
+        (out * g).sum().backward()
+        want = np.zeros(shape)
+        key = (idx,) if len(shape) == 2 else (np.arange(shape[0])[:, None], idx)
+        np.add.at(want, key, g)
+        assert a.grad.tobytes() == want.tobytes()
 
 
 class TestNoGrad:

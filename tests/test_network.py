@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from miniclap import masking, network as net
+from miniclap import autodiff as ad, masking, network as net
 from miniclap.autodiff import Tensor
 from miniclap.config import ModelConfig
 from miniclap.errors import FormatError, InvalidInput
@@ -140,6 +140,97 @@ class TestPredictMasked:
         got = net.predict_masked(state.predictor, z_v, pe, vis, msk).data
         want = _oracle_predict(state.predictor, z_v, pe, vis, msk)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def _predict_gather_after_stack(pp, z_v, pe, vis, msk):
+    """The predictor as it ran before its last block took rows: every
+    block and the output map on all n rows, then the masked rows kept."""
+    x = masking.assemble_predictor_input(z_v, pp.mask_token, pe, vis, msk)
+    for block in pp.blocks:
+        x = net.block_forward(block, x)
+    return ad.gather_rows(net.affine(pp.out, x), msk)
+
+
+class TestKeptRows:
+    """Each stack's last block computes only the rows its caller keeps."""
+
+    def _block_input(self, rng):
+        block = net.init_block(np.random.default_rng(0), 6, 2, 10)
+        x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        key_bias = np.zeros((2, 1, 1, 5))
+        key_bias[1, ..., 3:] = -1e9  # the second row pads its last two keys
+        return block, x, key_bias, np.array([[4, 0], [2, 1]])
+
+    def test_block_rows_equal_rows_of_full_block(self, rng):
+        block, x, key_bias, rows = self._block_input(rng)
+        full = net.block_forward(block, x, key_bias).data
+        got = net.block_forward(block, x, key_bias, rows).data
+        np.testing.assert_allclose(got, full[np.arange(2)[:, None], rows], rtol=0, atol=1e-12)
+
+    def test_block_rows_gradcheck(self, rng):
+        block, x, key_bias, rows = self._block_input(rng)
+        r = rng.standard_normal((2, 2, 6))
+        params = dict(net.named_params(block, "block"), x=x)
+        assert_grads_match(lambda: (net.block_forward(block, x, key_bias, rows) * r).sum(),
+                           params)
+
+    def test_predict_masked_matches_gather_after_stack(self, rng):
+        cfg = ModelConfig(dim=16, depth=1, heads=2, input_frames=32, predictor_depth=2,
+                          predictor_heads=2)
+        pp = net.init_model_state(cfg, seed=3).predictor
+        vis, msk = _partitions(10, 0.7, b=4, seed=2)
+        pe = build_posenc(5, 2, cfg.dim).table
+        r = rng.standard_normal((4, msk.shape[1], cfg.dim))
+        results = []
+        for forward in (net.predict_masked, _predict_gather_after_stack):
+            z_v = Tensor(np.random.default_rng(4).standard_normal((4, vis.shape[1], cfg.dim)),
+                         requires_grad=True)
+            for tensor in net.named_params(pp).values():
+                tensor.grad = None
+            out = forward(pp, z_v, pe, vis, msk)
+            (out * r).sum().backward()
+            grads = {name: t.grad for name, t in net.named_params(pp).items()}
+            results.append((out.data, z_v.grad, grads))
+        (out, z_grad, grads), (want_out, want_z_grad, want_grads) = results
+        assert out.tobytes() == want_out.tobytes()
+        assert z_grad.tobytes() == want_z_grad.tobytes()
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_depth_zero_stacks_keep_outputs(self, rng):
+        cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=0,
+                          projector_blocks=0, text_vocab=11, text_depth=0, text_maxlen=6)
+        state = net.init_model_state(cfg, seed=0)
+        vis, msk = _partitions(10, 0.5, b=2)
+        z_v = rng.standard_normal((2, vis.shape[1], 8))
+        pe = build_posenc(5, 2, 8).table
+        pp = state.predictor
+        np.testing.assert_array_equal(net.predict_masked(pp, z_v, pe, vis, msk).data,
+                                      _predict_gather_after_stack(pp, z_v, pe, vis, msk).data)
+        out = net.project_audio(state.projector, rng.standard_normal((2, 3, 8))).data
+        np.testing.assert_array_equal(out, np.repeat(state.projector.cls_token.data[0], 2, 0))
+        enc = state.textpath.encoder
+        out = net.encode_text_batch(state.textpath, [[3, 4], [5]]).data
+        np.testing.assert_array_equal(out, enc.tok_embed.data[[3, 5]] + enc.pos_embed.data[0])
+
+    def test_last_blocks_see_only_kept_rows(self, state, rng, monkeypatch):
+        """Regression guard: the MLP input of each stack's last block."""
+        seen = []
+        gelu = ad.gelu
+
+        def recording_gelu(x):
+            seen.append(x.shape)
+            return gelu(x)
+
+        monkeypatch.setattr(ad, "gelu", recording_gelu)
+        net.project_audio(state.projector, rng.standard_normal((3, 7, TINY.dim)))
+        assert seen[-1][:2] == (3, 1), seen
+        net.encode_text_batch(state.textpath, [[3, 6, 2, 5], [4, 1], [7]])
+        assert seen[-1][:2] == (3, 1), seen
+        vis, msk = _partitions(10, 0.7, seed=1)
+        z_v = rng.standard_normal((3, vis.shape[1], TINY.dim))
+        net.predict_masked(state.predictor, z_v, build_posenc(5, 2, TINY.dim).table, vis, msk)
+        assert seen[-1][:2] == (3, msk.shape[1]), seen
 
 
 class TestStandardizeTargets:
@@ -325,6 +416,13 @@ class TestGradients:
         params = net.named_params(state.textpath.encoder, "text")
         fn = lambda: (net.encode_text_batch(state.textpath, [[3, 6, 2, 5], [4, 1]]) * r).sum()
         assert_grads_match(fn, params)
+
+    def test_repeated_token_ids_accumulate(self, rng):
+        state = net.init_model_state(TINY, seed=2)
+        r = rng.standard_normal((2, TINY.dim))
+        tok_embed = state.textpath.encoder.tok_embed
+        fn = lambda: (net.encode_text_batch(state.textpath, [[3, 3, 5, 3], [5, 3]]) * r).sum()
+        assert_grads_match(fn, {"tok_embed": tok_embed})
 
     def test_encoder_stack_gradcheck(self, state, rng):
         patches = _patches(rng, b=2)
