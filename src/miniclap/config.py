@@ -8,6 +8,7 @@ CLI ``--set KEY=VALUE`` overrides are applied after parsing, last wins.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -27,6 +28,12 @@ MEL_MEAN = -7.26
 MEL_STD = 4.35
 PATCH_SIZE = 16
 N_FREQ_PATCHES = N_MELS // PATCH_SIZE  # 5
+
+
+# ModelConfig fields that must be at least 1, and those that may be 0
+_SIZES = ("dim", "heads", "input_frames", "predictor_heads", "projector_heads", "emb_dim",
+          "text_heads", "text_maxlen")
+_COUNTS = ("depth", "predictor_depth", "projector_blocks", "text_vocab", "text_depth")
 
 
 @dataclass
@@ -56,6 +63,15 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self, "model.")
+        for key in _SIZES:
+            if getattr(self, key) < 1:
+                raise InvalidConfig(f"model.{key} must be positive, got {getattr(self, key)}")
+        for key in _COUNTS:
+            if getattr(self, key) < 0:
+                raise InvalidConfig(f"model.{key} must be nonnegative, got {getattr(self, key)}")
+        if not (math.isfinite(self.mlp_ratio) and self.dim * self.mlp_ratio >= 1):
+            raise InvalidConfig("model.mlp_ratio must give the MLP at least one hidden unit, "
+                                f"got {self.mlp_ratio}")
         if self.dim % self.heads != 0:
             raise InvalidConfig("dim must be divisible by heads")
         if self.dim % 4 != 0:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import wave
 from dataclasses import dataclass, field
 
@@ -57,17 +58,23 @@ def _entry_from_record(record: dict, line: int) -> ManifestEntry:
     for key in ("id", "source", "duration_s"):
         if key not in record:
             raise ParseError(f"missing required field {key!r}", line=line)
-    labels = list(record.get("labels", []))
+    labels = record.get("labels", [])
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ParseError(f"labels must be a list of strings, got {labels!r}", line=line)
     caption = record.get("caption", "")
+    if not isinstance(caption, str):
+        raise ParseError(f"caption must be a string, got {caption!r}", line=line)
     if not caption:
         if not labels:
             raise ParseError("entry needs a caption or labels to derive one", line=line)
         caption = MISSING_CAPTION_TEMPLATE.format(labels=", ".join(labels))
-    duration = float(record["duration_s"])
-    if duration <= 0:
-        raise ParseError("duration_s must be positive", line=line)
+    duration = record["duration_s"]
+    # a positive finite number; NaN fails the comparison
+    if isinstance(duration, bool) or not isinstance(duration, (int, float)) \
+            or not 0 < duration <= sys.float_info.max:
+        raise ParseError(f"duration_s must be a positive number, got {duration!r}", line=line)
     return ManifestEntry(
-        id=str(record["id"]), caption=caption, duration_s=duration,
+        id=str(record["id"]), caption=caption, duration_s=float(duration),
         source=record["source"], labels=labels,
     )
 

@@ -7,12 +7,10 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import network as net
 from .autodiff import log_softmax
 from .config import N_FREQ_PATCHES
@@ -276,27 +274,18 @@ def attention_map(ap: AudioProjectorParams, z: np.ndarray) -> np.ndarray:
 # -- whole-clip feature extraction ------------------------------------------------
 
 
-# windows per encoder call; two calls run at once, so at most 32 windows'
-# activations are held at a time
-WINDOW_CHUNK = 16
-
-
 def encode_windows(state: ModelState, mels: list[MelSpectrogram],
                    summary=lambda z: z.data) -> tuple[np.ndarray, np.ndarray]:
-    """Encode every window of every clip with the online encoder, in
-    chunks and without building a graph.
+    """Encode every window of every clip with the online encoder, without
+    building a graph, through `net.encode_frozen` on this thread and
+    `net.worker()`.
 
     A clip is split into consecutive windows of `input_frames` frames;
-    the last one is zero-padded to the full width. A chunk holds
-    min(WINDOW_CHUNK, ceil(windows / 2)) windows. This thread encodes the
-    chunks at even positions and `net.worker()` the odd ones; numpy and
-    BLAS release the interpreter lock, so the two run on two cores. The
-    call returns when every chunk is done, and an error from either
-    thread reaches the caller unchanged. `summary` maps each chunk's
-    [w, n_f*n_t, dim] patch features to per-window rows, so only the
-    summaries of all windows are held at once; by default it keeps the
-    patch features. Returns the stacked summaries, in window order, and
-    each window's clip index.
+    the last one is zero-padded to the full width. `summary` maps each
+    encoder call's [w, n_f*n_t, dim] patch features to per-window rows,
+    so only the summaries of all windows are held at once; by default it
+    keeps the patch features. Returns the stacked summaries, in window
+    order, and each window's clip index.
     """
     if not mels:
         raise InvalidInput("no clips to encode")
@@ -304,23 +293,11 @@ def encode_windows(state: ModelState, mels: list[MelSpectrogram],
     windows = [(clip, MelSpectrogram(mel.values[:, start:start + width]))
                for clip, mel in enumerate(mels)
                for start in range(0, max(1, mel.n_frames), width)]
-    pe = state.online.posenc.table  # every window has the configured width
-    size = min(WINDOW_CHUNK, -(-len(windows) // 2))
-    chunks = [windows[first:first + size] for first in range(0, len(windows), size)]
-
-    def encode(chunk):
-        patches = np.stack([patchify(pad_or_crop_to_grid(w, width)).patches for _, w in chunk])
-        with ad.no_grad():  # grad mode is per thread: each thread enters its own
-            return summary(net.encode_tokens(state.online, patches, pe))
-
-    pending = [net.worker().submit(encode, chunk) for chunk in chunks[1::2]]
-    out = [None] * len(chunks)
-    try:
-        out[::2] = [encode(chunk) for chunk in chunks[::2]]
-    finally:
-        futures.wait(pending)
-    out[1::2] = [p.result() for p in pending]
-    return np.concatenate(out), np.array([clip for clip, _ in windows])
+    patches = np.stack([patchify(pad_or_crop_to_grid(w, width)).patches for _, w in windows])
+    # every window has the configured width
+    feats = net.encode_frozen(state.online, patches, state.online.posenc.table,
+                              summary=summary, pool=net.worker())
+    return feats, np.array([clip for clip, _ in windows])
 
 
 def _mean_per_clip(feats: np.ndarray, owner: np.ndarray, n_clips: int) -> np.ndarray:

@@ -14,8 +14,11 @@ configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's; it
-runs forwards (stage 2's frozen encodes among them), stage 1's
-weight-gradient tasks and front-end halves.
+runs forwards (the second half of `encode_frozen`'s clips and masked
+stage 2's one-ahead encodes among them), stage 1's weight-gradient
+tasks and front-end halves. `encode_frozen` is the one graph-free
+frozen-encode path: extraction, stages 2 and 2.1 and a frozen stage 1.1
+all encode through it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,7 @@ from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
 from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc
-from .threads import worker  # re-exported: stage 1 and extraction call `net.worker()`
+from .threads import worker  # re-exported: stage 1 and the frozen encodes call `net.worker()`
 
 LN_EPS = 1e-6
 _NEG_BIAS = -1e9
@@ -343,6 +348,75 @@ def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     for block in params.blocks:
         x = block_forward(block, x)
     return layer_norm(params.final_norm, x)
+
+
+# Token rows per frozen encoder call (see `encode_frozen`). Larger calls
+# hold more memory at once but make fewer calls: against 512, a budget of
+# 256 took extract-eval's step p50 15% and text-stages' 7% higher, for
+# 3-5% less peak memory (README, Performance).
+FROZEN_TOKENS = 512
+# OpenBLAS computes a product of fewer than 16 rows with another kernel,
+# whose bytes differ from those of a larger product (see
+# `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
+MIN_ROWS = 16
+
+
+def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
+                  clips: np.ndarray | None = None, vis: np.ndarray | None = None,
+                  summary=lambda z: z.data, pool=None) -> np.ndarray:
+    """Encode through a frozen encoder, without a graph, each row's
+    patches `vis` [b, V] (all n when None) of the clips `patches[clips]`
+    (every clip, in order, when None); `patches` is [n_samples, n, 256]
+    and `pe` the [n, dim] position table. `summary` maps each call's
+    [c, V, dim] output to the rows kept, which are written into one
+    array, byte-identical to one call over all the clips.
+
+    Given a `pool` (an executor other than the one this runs on), the
+    clips are split into two halves when each keeps at least MIN_ROWS
+    rows: this thread encodes the first, the pool the second. Each half
+    runs in calls of whole clips, gathered just before the call: at most
+    FROZEN_TOKENS token rows, or one clip when a clip alone is larger,
+    but never fewer than MIN_ROWS rows unless the half has fewer; its
+    clips are spread evenly over its calls. The call returns only when
+    both halves are done, and an error from either reaches the caller as
+    the same object. Each half enters its own `no_grad` and error state,
+    which are per thread."""
+    clips = np.arange(len(patches)) if clips is None else clips
+    b = len(clips)
+    k = max(patches.shape[1] if vis is None else vis.shape[1], 1)
+    out = None
+    made = threading.Lock()
+
+    def encode(lo: int, hi: int) -> None:
+        nonlocal out
+        n = hi - lo
+        calls = max(1, min(-(-n // max(1, FROZEN_TOKENS // k)), n // -(-MIN_ROWS // k)))
+        bounds = [lo + n * i // calls for i in range(calls + 1)]
+        with np.errstate(all="ignore"), ad.no_grad():
+            for start, end in zip(bounds[:-1], bounds[1:]):
+                part = clips[start:end]
+                if vis is None:
+                    z = encode_tokens(params, patches[part], pe)
+                else:
+                    z = encode_tokens(params, patches[part[:, None], vis[start:end]],
+                                      pe[vis[start:end]])
+                rows = summary(z)
+                with made:
+                    if out is None:
+                        out = np.empty((b, *rows.shape[1:]))
+                out[start:end] = rows
+
+    if pool is None or b // 2 * k < MIN_ROWS:
+        encode(0, b)
+    else:
+        mid = (b + 1) // 2
+        pending = pool.submit(encode, mid, b)
+        try:
+            encode(0, mid)
+        finally:
+            futures.wait((pending,))
+        pending.result()
+    return out
 
 
 def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,

@@ -65,10 +65,11 @@ def worker() -> futures.ThreadPoolExecutor:
     """The process's one worker thread, created on first use, after
     `one_blas_thread`. It has five users: stage 1 runs its EMA-target
     branch on it, stage 1's backward its weight gradients and GELU
-    slopes, `evaluation.encode_windows` every other chunk of windows,
-    `frontend.compute_logmel` the second half of a long clip's frames,
-    and a masked stage 2's `run_stage` the next batch's frozen encode.
-    None is ever called from the worker, so a task never waits on another
-    task queued behind it."""
+    slopes, `network.encode_frozen` the second half of the clips of
+    extraction, stage 2.1 and a frozen stage 1.1, `frontend.compute_logmel`
+    the second half of a long clip's frames, and a masked stage 2's
+    `run_stage` the next batch's frozen encode (which passes
+    `encode_frozen` no pool). None is ever called from the worker, so a
+    task never waits on another task queued behind it."""
     one_blas_thread()
     return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import network as net
 from .autodiff import Tensor
 from .config import check_field_types, check_type
@@ -220,9 +219,10 @@ class StageData:
     stage-2/2.1 step reads of the audio. A caller leaves it unset:
     `run_stage` fills it in for each step's batch, which then carries no
     patches. In stage 2.1 (and an unmasked stage 2) it is the batch's
-    rows of a once-per-run encode of every full grid; in a masked stage
-    2 it is the future of the batch's visible-patch encode, which runs
-    on `net.worker()` and which `stage2_step` waits for.
+    rows of a once-per-run `net.encode_frozen` of every full grid, split
+    between the caller and `net.worker()`; in a masked stage 2 it is the
+    future of the batch's visible-patch encode, which runs on
+    `net.worker()` alone and which `stage2_step` waits for.
     """
 
     patches: np.ndarray | None  # [n_samples, n_patches, 256]; None once features replace it
@@ -248,63 +248,6 @@ class StageData:
             labels=None if self.labels is None else self.labels[idx],
             features=None if self.features is None else self.features[idx],
         )
-
-
-# Token rows per frozen encoder call (see `encode_frozen`). Larger calls
-# hold more memory at once: on the text-stages benchmark, 256 kept stage
-# 2's peak RSS 5% above one-thread stage 2, 512 took it to 10% and one
-# call per batch to 22%, for a step p50 at most 10% lower (README,
-# Performance).
-FROZEN_TOKENS = 256
-# OpenBLAS computes a product of fewer than 16 rows with another kernel,
-# whose bytes differ from those of a larger product (see
-# `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
-MIN_ROWS = 16
-
-
-def encode_frozen(encoder: net.EncoderParams, patches: np.ndarray, pe: np.ndarray,
-                  clips: np.ndarray, vis: np.ndarray | None = None,
-                  max_clips: int | None = None, summary=lambda z: z.data) -> np.ndarray:
-    """Encode through a frozen encoder, without a graph, each row's
-    patches `vis` [b, V] (all n when None) of the clips `patches[clips]`;
-    `patches` is [n_samples, n, 256] and `pe` the [n, dim] position
-    table. Each encoder call takes whole clips, gathered just before it:
-    at most FROZEN_TOKENS token rows and `max_clips` clips, or one clip
-    when a clip alone is larger, but never fewer than MIN_ROWS rows
-    unless all the clips have fewer; the clips are spread evenly over the
-    calls. `summary` maps each call's [c, V, dim] output to the rows
-    kept, which are written into one array, byte-identical to one call
-    over all the clips. Enters its own `no_grad` and `_quiet`, which are
-    per thread, so it can run on `net.worker()`."""
-    b = len(clips)
-    k = max(patches.shape[1] if vis is None else vis.shape[1], 1)
-    most = min(max(1, FROZEN_TOKENS // k), b if max_clips is None else max_clips)
-    calls = max(1, min(-(-b // most), b // -(-MIN_ROWS // k)))
-    bounds = [b * i // calls for i in range(calls + 1)]
-    out = None
-    with _quiet(), ad.no_grad():
-        for start, end in zip(bounds[:-1], bounds[1:]):
-            part = clips[start:end]
-            if vis is None:
-                z = encode_tokens(encoder, patches[part], pe)
-            else:
-                z = encode_tokens(encoder, patches[part[:, None], vis[start:end]],
-                                  pe[vis[start:end]])
-            rows = summary(z)
-            if out is None:
-                out = np.empty((b, *rows.shape[1:]))
-            out[start:end] = rows
-    return out
-
-
-def frozen_features(encoder: net.EncoderParams, data: StageData, batch_size: int,
-                    summary=lambda z: z.data) -> np.ndarray:
-    """Encode every full grid once with a frozen encoder, in natural
-    order, through `encode_frozen` with at most `batch_size` clips per
-    call. By default the result holds n_samples x n_patches x dim float64
-    values."""
-    return encode_frozen(encoder, data.patches, net.posenc_for(encoder, data.n_f, data.n_t),
-                         np.arange(data.n_samples), max_clips=batch_size, summary=summary)
 
 
 # -- stage steps --------------------------------------------------------------
@@ -442,7 +385,7 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
                       seed: int = 0, head: net.Affine | None = None) -> FinetuneResult:
     """Supervised multi-label fine-tune: linear head on the clip feature.
     With a frozen encoder the clip features never change, so they are
-    computed once and each step runs only the head."""
+    computed once, on both threads, and each step runs only the head."""
     if cfg.stage_id != "1.1":
         raise InvalidInput(f"stage1_1_finetune called with stage {cfg.stage_id!r}")
     if data.labels is None or data.n_samples == 0:
@@ -462,8 +405,9 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
     opt = AdamW(params, lr=cfg.base_lr)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     if cfg.freeze_audio_encoder:
-        clips = frozen_features(state.online, data, cfg.batch_size,
-                                lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
+        clips = net.encode_frozen(
+            state.online, data.patches, pe, pool=net.worker(),
+            summary=lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n_samples)
@@ -519,8 +463,8 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
 
     Stages 2 and 2.1 hand each step its batch's encoded audio. A stage
     that masks nothing (stage 2.1) encodes every clip once, before the
-    first epoch, into a copy of `data`; the caller's `data` is left as it
-    was. That holds n_samples x n_patches x dim float64 values for the
+    first epoch, on both threads, into a copy of `data`; the caller's
+    `data` is left as it was. That holds n_samples x n_patches x dim float64 values for the
     whole run. A masked stage 2 submits each batch's visible-patch encode
     to `net.worker()` one step ahead: batch k+1's encode runs while step
     k trains the text side, and never more than one is queued ahead. The
@@ -534,8 +478,9 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
         raise InvalidInput("empty dataset")
     masked = cfg.stage_id == "2" and cfg.mask_ratio > 0.0
     if cfg.stage_id in ("2", "2.1") and not masked and cfg.epochs > 0:
+        pe = net.posenc_for(state.online, data.n_f, data.n_t)
         data = replace(data, patches=None,
-                       features=frozen_features(state.online, data, cfg.batch_size))
+                       features=net.encode_frozen(state.online, data.patches, pe, pool=net.worker()))
 
     if out_dir is not None:
         ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -556,7 +501,7 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     def step_batch(idx: np.ndarray, vis: np.ndarray | None) -> StageData:
         if not masked:
             return data.take(idx)
-        encoded = net.worker().submit(encode_frozen, state.online, data.patches, pe, idx, vis)
+        encoded = net.worker().submit(net.encode_frozen, state.online, data.patches, pe, idx, vis)
         return replace(text.take(idx), features=encoded)
 
     def train(epoch: int, batch: StageData) -> None:

@@ -278,8 +278,8 @@ def test_criterion_10_zero_shot(rng):
 
     import json
     import os
-    fixtures = json.load(open(os.path.join(os.path.dirname(__file__),
-                                           "data", "caption_fixtures.json")))
+    with open(os.path.join(os.path.dirname(__file__), "data", "caption_fixtures.json")) as fh:
+        fixtures = json.load(fh)
     for row in fixtures:
         label = row.get("labels", row.get("label"))
         assert caption_from_label(row["task"], label) == row["caption"]

@@ -37,7 +37,7 @@ stage = trainer.stage_config_from("1", dict(batch_size=4))
 opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
 trainer.stage1_step(state, data, stage, rng, opt)
 nodes = tracer.counts["autodiff.graph_nodes"]
-mels = [MelSpectrogram(rng.standard_normal((80, 70)))]
+mels = [MelSpectrogram(rng.standard_normal((80, 128)))]
 ev.clip_features(state, mels)
 ev.semantic_features(state, mels)
 assert tracer.counts["autodiff.graph_nodes"] == nodes, "feature extraction built a graph"
@@ -62,10 +62,10 @@ for name in ("masking.sample_partition", "network.encode_tokens.online",
              "evaluation.clip_features", "evaluation.semantic_features",
              "frontend.compute_logmel"):
     assert name in names, f"traced run never reached {name}"
-# online and target in the step, then the 3 windows in 2 chunks per feature kind
+# online and target in the step, then the 4 windows, 2 on each thread, per feature kind
 assert before["network.encode_tokens.calls"] == 6, before
-# stage 2.1 encodes each of its 6 clips of 10 patches once, in batches of 4,
-# and the step timer and tracer still see each of its 2 x 2 steps
+# stage 2.1 encodes each of its 6 clips of 10 patches once, 3 on each
+# thread, and the step timer and tracer still see each of its 2 x 2 steps
 assert refined["network.encode_tokens.tokens"] - before["network.encode_tokens.tokens"] == 60
 assert refined["network.encode_tokens.calls"] - before["network.encode_tokens.calls"] == 2
 assert len(rows) == 4

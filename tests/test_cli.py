@@ -2,6 +2,7 @@
 codes, determinism, and override snapshots."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +75,21 @@ class TestExitCodes:
         code = main(["extract-features", "--manifest", str(missing),
                      "--init", str(tmp_path / "x.ckpt"), "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("duration", ['"abc"', "null", "NaN"])
+    def test_mistyped_manifest_field_is_exit_1(self, corpus, tmp_path, capsys, duration):
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps(record).replace(json.dumps(record["duration_s"]), duration, 1)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["pretrain-stage1", "--manifest", str(manifest),
+                     "--cache", str(corpus / "embeddings.cache"), "--out", str(tmp_path / "out"),
+                     *TINY_MODEL])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2: duration_s must be"), err
+        assert not os.path.exists(tmp_path / "out" / "checkpoints")
 
     @pytest.mark.parametrize("taken", ["out", "config"])
     def test_unusable_path_is_exit_1(self, tmp_path, capsys, taken):
@@ -159,6 +175,21 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not os.path.exists(tmp_path / "checkpoints")
+
+    @pytest.mark.parametrize("setting, message", [
+        ("model.heads=0", "model.heads must be positive, got 0"),
+        ("model.dim=-8", "model.dim must be positive, got -8"),
+        ("model.depth=-1", "model.depth must be nonnegative, got -1"),
+        ("model.text_vocab=-3", "model.text_vocab must be nonnegative, got -3"),
+        ("model.mlp_ratio=0", "model.mlp_ratio must give the MLP at least one hidden unit, got 0.0"),
+        ("model.mlp_ratio=nan", "model.mlp_ratio must give the MLP at least one hidden unit, got nan"),
+    ])
+    def test_bad_model_size_is_exit_1(self, corpus, tmp_path, capsys, setting, message):
+        code = _stage1(corpus, tmp_path, ["--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
         assert not os.path.exists(tmp_path / "checkpoints")
 
     @pytest.mark.parametrize("setting, message", [

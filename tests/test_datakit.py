@@ -52,6 +52,38 @@ class TestManifest:
         with pytest.raises(ParseError):
             dk.load_manifest(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"duration_s": "abc", "caption": "c"', "duration_s must be a positive number, got 'abc'"),
+        ('"duration_s": null, "caption": "c"', "duration_s must be a positive number, got None"),
+        ('"duration_s": "2.0", "caption": "c"', "duration_s must be a positive number, got '2.0'"),
+        ('"duration_s": NaN, "caption": "c"', "duration_s must be a positive number, got nan"),
+        ('"duration_s": Infinity, "caption": "c"', "duration_s must be a positive number, got inf"),
+        ('"duration_s": 1e999, "caption": "c"', "duration_s must be a positive number, got inf"),
+        pytest.param('"duration_s": 1' + '0' * 400 + ', "caption": "c"',
+                     "duration_s must be a positive number", id="integer-over-float-range"),
+        ('"duration_s": true, "caption": "c"', "duration_s must be a positive number, got True"),
+        ('"duration_s": -1.5, "caption": "c"', "duration_s must be a positive number, got -1.5"),
+        ('"duration_s": 1.0, "labels": "dog"', "labels must be a list of strings, got 'dog'"),
+        ('"duration_s": 1.0, "labels": ["dog", 3]', "labels must be a list of strings"),
+        ('"duration_s": 1.0, "labels": null', "labels must be a list of strings, got None"),
+        ('"duration_s": 1.0, "caption": 5', "caption must be a string, got 5"),
+        ('"duration_s": 1.0, "caption": ["c"], "labels": ["dog"]', "caption must be a string"),
+    ])
+    def test_mistyped_field_reports_line_number(self, tmp_path, fields, message):
+        path = tmp_path / "m.jsonl"
+        good = '{"id": "a", "source": "a.wav", "duration_s": 2, "caption": "c"}\n'
+        path.write_text(good + '{"id": "x", "source": "s", ' + fields + '}\n')
+        with pytest.raises(ParseError) as caught:
+            dk.load_manifest(path)
+        assert str(caught.value).startswith(f"line 2: {message}"), caught.value
+        assert caught.value.line == 2
+
+    def test_integer_duration_read_as_float(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"id": "x", "source": "s", "duration_s": 2, "caption": "c"}\n')
+        duration = dk.load_manifest(path)[0].duration_s
+        assert type(duration) is float and duration == 2.0
+
     def test_missing_caption_and_labels_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "x", "source": "s", "duration_s": 1.0}\n')

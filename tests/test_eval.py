@@ -406,12 +406,14 @@ class TestChunkedFeatures:
         assert feats.shape == (1, 5 * 8)
         assert np.isfinite(feats).all()
 
-    def test_one_call_matches_per_clip_calls(self, rng):
+    def test_one_call_matches_per_clip_calls(self, rng, monkeypatch):
         cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
         state = net.init_model_state(cfg, seed=6)
-        # one window, several windows, and more than one chunk of windows in all
+        # one window, several windows, and more than one encoder call per
+        # thread: 6 windows of 10 patches a call
+        monkeypatch.setattr(net, "FROZEN_TOKENS", 60)
         frames = (20, 32, 100, 33, 40 * 32 + 5)
-        assert sum(-(-t // 32) for t in frames) > ev.WINDOW_CHUNK
+        assert sum(-(-t // 32) for t in frames) > 2 * 6
         mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
         for features in (ev.clip_features, ev.semantic_features):
             together = features(state, mels)
@@ -426,8 +428,8 @@ class TestChunkedFeatures:
 
 
 def _serial_features(state, mels, kind):
-    """Oracle: the same chunks as `encode_windows`, encoded one after another
-    on this thread, then a masked mean per clip."""
+    """Oracle: every window encoded in one call on this thread, then a
+    masked mean per clip."""
     width = state.config.input_frames
     windows, owner = [], []
     for clip, mel in enumerate(mels):
@@ -435,26 +437,23 @@ def _serial_features(state, mels, kind):
             window = MelSpectrogram(mel.values[:, start:start + width])
             windows.append(patchify(pad_or_crop_to_grid(window, width)).patches)
             owner.append(clip)
-    size = min(ev.WINDOW_CHUNK, -(-len(windows) // 2))
-    rows = []
     with ad.no_grad():
-        for first in range(0, len(windows), size):
-            z = net.encode_tokens(state.online, np.stack(windows[first:first + size]),
-                                  state.online.posenc.table)
-            if kind == "clip":
-                rows.append(summarize_features(z, N_FREQ_PATCHES, state.config.n_time_patches)[1].data)
-            else:
-                rows.append(net.project_audio(state.projector, z).data)
-    rows, owner = np.concatenate(rows), np.array(owner)
+        z = net.encode_tokens(state.online, np.stack(windows), state.online.posenc.table)
+    if kind == "clip":
+        rows = summarize_features(z, N_FREQ_PATCHES, state.config.n_time_patches)[1].data
+    else:
+        rows = net.project_audio(state.projector, z).data
+    owner = np.array(owner)
     return np.stack([rows[owner == clip].mean(axis=0) for clip in range(len(mels))])
 
 
 class TestTwoThreadExtraction:
     CFG = ModelConfig(dim=8, depth=1, heads=2, input_frames=32)
 
-    # 1, 2 and 3 windows in all, and more than two full chunks
+    # 1, 2 and 3 windows in all, too few to split between the threads at
+    # 10 patches a window, and 44 windows, 22 on each thread
     @pytest.mark.parametrize("frames, n_windows", [
-        ((20,), 1), ((32, 5), 2), ((20, 64), 3), ((20, 40 * 32 + 5, 33), 2 * ev.WINDOW_CHUNK + 12)])
+        ((20,), 1), ((32, 5), 2), ((20, 64), 3), ((20, 40 * 32 + 5, 33), 44)])
     def test_matches_serial_oracle(self, rng, frames, n_windows):
         assert sum(-(-t // 32) for t in frames) == n_windows
         state = net.init_model_state(self.CFG, seed=6)
@@ -467,20 +466,21 @@ class TestTwoThreadExtraction:
     def test_worker_error_reaches_caller_after_its_own_chunk(self, rng):
         state = net.init_model_state(self.CFG, seed=6)
         caller = threading.get_ident()
-        error = RuntimeError("worker chunk failed")
+        error = RuntimeError("worker half failed")
         finished = []
 
         def summary(z):
             if threading.get_ident() != caller:
                 raise error
-            time.sleep(0.2)  # the worker's chunk fails long before this one ends
+            time.sleep(0.2)  # the worker's half fails long before this one ends
             finished.append(len(z.data))
             return z.data
 
+        # 4 windows: 2 on each thread, the fewest that split
         with pytest.raises(RuntimeError) as caught:
-            ev.encode_windows(state, [MelSpectrogram(rng.standard_normal((80, 64)))], summary)
+            ev.encode_windows(state, [MelSpectrogram(rng.standard_normal((80, 128)))], summary)
         assert caught.value is error
-        assert finished == [1]
+        assert finished == [2]
 
     def test_caller_error_waits_for_worker_chunks(self, rng):
         state = net.init_model_state(self.CFG, seed=6)
@@ -489,13 +489,13 @@ class TestTwoThreadExtraction:
 
         def summary(z):
             if threading.get_ident() == caller:
-                raise RuntimeError("caller chunk failed")
+                raise RuntimeError("caller half failed")
             time.sleep(0.1)
             finished.append(len(z.data))
             return z.data
 
-        # 4 windows: 2 chunks of 2, one on each thread
-        with pytest.raises(RuntimeError, match="caller chunk failed"):
+        # 4 windows: 2 on each thread
+        with pytest.raises(RuntimeError, match="caller half failed"):
             ev.encode_windows(state, [MelSpectrogram(rng.standard_normal((80, 128)))], summary)
         assert finished == [2]
 

@@ -4,6 +4,8 @@ every block type, and checkpoint round trips."""
 
 import os
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +262,128 @@ class TestStandardizeTargets:
     def test_single_entry_rejected(self):
         with pytest.raises(InvalidInput):
             net.standardize_targets(np.ones((1, 1)))
+
+
+def _frozen_inputs(rng, b, n=10, visible=None):
+    """b clips chosen from 20 of n patches, each row's sorted visible
+    patches (None: all n), and an [n, 8] position table."""
+    patches = rng.standard_normal((20, n, 256))
+    clips = rng.permutation(20)[:b]
+    vis = None
+    if visible is not None:
+        vis = np.stack([np.sort(rng.permutation(n)[:visible]) for _ in range(b)])
+    return patches, clips, vis, rng.standard_normal((n, TINY.dim))
+
+
+def _one_call(params, patches, clips, vis, pe):
+    with ad.no_grad():
+        if vis is None:
+            return net.encode_tokens(params, patches[clips], pe).data
+        return net.encode_tokens(params, patches[clips[:, None], vis], pe[vis]).data
+
+
+class TestEncodeFrozen:
+    """Graph-free encodes of whole clips within a token budget, split
+    with a second thread when given one, byte-identical to one call."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        calls = []  # (thread, token rows) of each encoder call
+        encode = net.encode_tokens
+
+        def encode_tokens(params, patches, pe):
+            calls.append((threading.get_ident(), patches.shape[0] * patches.shape[1]))
+            return encode(params, patches, pe)
+
+        monkeypatch.setattr(net, "encode_tokens", encode_tokens)
+        return calls
+
+    @pytest.mark.parametrize("pool", [False, True])
+    @pytest.mark.parametrize("b, n, visible", [
+        (1, 10, None), (3, 10, None), (11, 10, None), (4, 10, 3), (15, 10, 3),
+        (5, 40, None), (6, 40, 5)])
+    def test_calls_stay_within_budget(self, state, rng, monkeypatch, pool, b, n, visible):
+        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
+        patches, clips, vis, pe = _frozen_inputs(rng, b, n, visible)
+        calls = self._record(monkeypatch)
+        net.encode_frozen(state.online, patches, pe, clips, vis,
+                          pool=net.worker() if pool else None)
+        k = n if visible is None else visible
+        tokens = [t for _, t in calls]
+        assert sum(tokens) == b * k
+        # a clip of more rows than the budget is a call of its own
+        assert all(min(net.MIN_ROWS, b * k) <= t <= max(30, k) for t in tokens), tokens
+
+    @pytest.mark.parametrize("budget, b, visible, want", [
+        (30, 5, 7, [35]),  # 14 + 21 rows would put a call under MIN_ROWS
+        (10, 11, None, [20, 20, 20, 20, 30]),  # a lone clip has under MIN_ROWS rows
+    ])
+    def test_min_rows_takes_precedence_over_the_budget(self, state, rng, monkeypatch, budget,
+                                                       b, visible, want):
+        monkeypatch.setattr(net, "FROZEN_TOKENS", budget)
+        patches, clips, vis, pe = _frozen_inputs(rng, b, visible=visible)
+        calls = self._record(monkeypatch)
+        got = net.encode_frozen(state.online, patches, pe, clips, vis)
+        assert [t for _, t in calls] == want
+        assert got.tobytes() == _one_call(state.online, patches, clips, vis, pe).tobytes()
+
+    # 10 rows a clip: one clip a half is under MIN_ROWS
+    @pytest.mark.parametrize("b, split", [(1, False), (3, False), (4, True), (11, True)])
+    def test_pool_encodes_the_second_half(self, state, rng, monkeypatch, b, split):
+        patches, clips, _, pe = _frozen_inputs(rng, b)
+        calls = self._record(monkeypatch)
+        net.encode_frozen(state.online, patches, pe, clips, pool=net.worker())
+        caller, worker = threading.get_ident(), net.worker().submit(threading.get_ident).result()
+        by_thread = {}
+        for thread, tokens in calls:
+            by_thread[thread] = by_thread.get(thread, 0) + tokens
+        want = {caller: (b + 1) // 2 * 10, worker: b // 2 * 10} if split else {caller: b * 10}
+        assert by_thread == want
+
+    @pytest.mark.parametrize("visible", [None, 4])
+    @pytest.mark.parametrize("budget", [30, 512])
+    def test_pool_and_no_pool_match_one_call(self, state, rng, monkeypatch, visible, budget):
+        monkeypatch.setattr(net, "FROZEN_TOKENS", budget)
+        patches, clips, vis, pe = _frozen_inputs(rng, 13, visible=visible)
+        want = _one_call(state.online, patches, clips, vis, pe)
+        for pool in (None, net.worker()):
+            got = net.encode_frozen(state.online, patches, pe, clips, vis, pool=pool)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # each call's summary rows land in the clips' places
+            means = net.encode_frozen(state.online, patches, pe, clips, vis,
+                                      lambda z: z.data.mean(axis=1), pool)
+            assert means.tobytes() == want.mean(axis=1).tobytes()
+        # every clip, in order, when no clips are named
+        got = net.encode_frozen(state.online, patches[clips], pe, vis=vis, pool=net.worker())
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_error_arrives_as_same_object_after_both_halves(self, state, rng, failing):
+        patches, clips, _, pe = _frozen_inputs(rng, 5)  # 3 clips on this thread, 2 on the worker
+        caller = threading.get_ident()
+        error = RuntimeError(f"{failing} half failed")
+        finished = []
+
+        def summary(z):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise error
+            time.sleep(0.2)  # the other half fails long before this one ends
+            finished.append(len(z.data))
+            return z.data
+
+        with pytest.raises(RuntimeError) as caught:
+            net.encode_frozen(state.online, patches, pe, clips, summary=summary,
+                              pool=net.worker())
+        assert caught.value is error
+        assert finished == [2 if failing == "caller" else 3]
+
+    def test_builds_no_graph(self, state, rng):
+        patches, clips, _, pe = _frozen_inputs(rng, 4)
+        seen = []
+        net.encode_frozen(state.online, patches, pe, clips,
+                          summary=lambda z: seen.append(z.requires_grad) or z.data,
+                          pool=net.worker())
+        assert seen == [False, False]
 
 
 class TestProjectAudio:

@@ -524,10 +524,11 @@ def test_stage1_and_extraction_share_one_thread():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    # a short clip's log-mel and stages 1.1 and 2.1 start none; masked
-    # stage 2 starts the one shared worker, and a long clip's log-mel,
-    # extraction and stage 1 reuse it
-    assert counts == [counts[0]] * 5 + [counts[0] + 1] * 4, counts
+    # a short clip's log-mel and a stage 1.1 that trains the encoder start
+    # none; a frozen stage 1.1 starts the one shared worker for its encode,
+    # and stages 2.1 and 2, a long clip's log-mel, extraction and stage 1
+    # reuse it
+    assert counts == [counts[0]] * 3 + [counts[0] + 1] * 6, counts
 
 
 def _encoded(state, data, cfg, rng):
@@ -536,7 +537,7 @@ def _encoded(state, data, cfg, rng):
     b, n = data.n_samples, data.n_f * data.n_t
     vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    features = trainer.encode_frozen(state.online, data.patches, pe, np.arange(b), vis)
+    features = net.encode_frozen(state.online, data.patches, pe, np.arange(b), vis)
     return dataclasses.replace(data, patches=None, features=features)
 
 
@@ -617,7 +618,8 @@ class TestStage2Step:
     def test_precomputed_features_rejected_when_masking(self, rng):
         state = _state()
         data = _stage2_data(rng, n=4)
-        data.features = trainer.frozen_features(state.online, data, 4)
+        data.features = net.encode_frozen(state.online, data.patches,
+                                          net.posenc_for(state.online, data.n_f, data.n_t))
         cfg = stage_config_from("2", dict(batch_size=4, epochs=1))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
         with pytest.raises(InvalidInput, match="keeps 7 of 10 patches per clip; the features have 10"):
@@ -749,14 +751,20 @@ class TestEncodeOnce:
         with ad.no_grad():
             want = [net.encode_tokens(state.online, data.patches[start:start + 4], pe).data
                     for start in range(0, 11, 4)]
-        monkeypatch.setattr(trainer, "FROZEN_TOKENS", 30)
+        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
         tokens = _instrument_encoder(monkeypatch)["tokens"]
-        got = trainer.frozen_features(state.online, data, 4)
-        assert sum(tokens) == 11 * 10
-        assert all(trainer.MIN_ROWS <= t <= 30 for t in tokens), tokens
+        got = net.encode_frozen(state.online, data.patches, pe)
+        assert tokens == [20, 30, 30, 30]  # 11 clips of 10 patches: 2, 3, 3 and 3 a call
         assert got.tobytes() == np.concatenate(want).tobytes()
         tokens.clear()
-        trainer.frozen_features(state.online, data, 2)  # the batch size bounds it too,
+        # as stage 2.1 calls it: 6 clips on this thread in calls of 3 and 3,
+        # 5 on the worker in calls of 2 and 3
+        got = net.encode_frozen(state.online, data.patches, pe, pool=net.worker())
+        assert sorted(tokens) == [20, 30, 30, 30]
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        tokens.clear()
+        monkeypatch.setattr(net, "FROZEN_TOKENS", 10)  # one clip a call,
+        net.encode_frozen(state.online, data.patches, pe)
         assert tokens == [20, 20, 20, 20, 30]  # except where a lone clip has under 16 rows
 
     def test_frozen_stage1_1_matches_per_batch_encode(self, rng):
@@ -871,9 +879,9 @@ class TestMaskedPrefetch:
             rows, pe = patches[clips[:, None], vis], table[vis]
         with ad.no_grad():
             want = net.encode_tokens(state.online, rows, pe).data
-        monkeypatch.setattr(trainer, "FROZEN_TOKENS", 30)
+        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
         calls = _instrument_encoder(monkeypatch)
-        got = trainer.encode_frozen(state.online, patches, table, clips, vis)
+        got = net.encode_frozen(state.online, patches, table, clips, vis)
         # 11 x 10 rows in calls of 2, 3, 3 and 3 clips; 15 x 3 rows in calls
         # of 7 and 8 clips, so that no call has fewer than 16 rows
         assert calls["tokens"] == ([20, 30, 30, 30] if visible is None else [21, 24])
