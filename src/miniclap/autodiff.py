@@ -19,7 +19,7 @@ with a hand-written VJP that keeps only what its backward needs:
 `backward(pool)` splits the work: the calling thread walks the
 input-gradient chain while the pool computes the gradients that feed
 only a leaf parameter (weights, biases, norm gains) and GELU's slopes.
-Stage 1 passes `threads.worker()`, one of the worker's four users;
+Stage 1 passes `threads.worker()`, one of the worker's five users;
 every other caller runs those tasks inline, with the same bytes.
 """
 

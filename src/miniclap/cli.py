@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--wav-dir")
         p.add_argument("--init", help="checkpoint from the previous stage")
-        p.add_argument("--vocab", help="tokenizer vocabulary (stage 2.1)")
         p.set_defaults(func=cmd_pretrain_stage2, stage_id="2" if verb == "pretrain-stage2" else "2.1")
 
     p = common(sub.add_parser("extract-features"))
@@ -170,8 +169,26 @@ def _prepare_grids(entries, wav_dir, input_frames: int, rng) -> tuple[np.ndarray
 
 
 def _load_state(args, cfg: dict, what: str) -> net.ModelState:
-    path = _require_file(getattr(args, "init", None), what)
-    return net.load_checkpoint(path, C.model_config_from(cfg), seed=args.seed)
+    """The `--init` checkpoint, built from its own model config. A
+    ``model.*`` setting must agree with that config."""
+    path = _require_file(args.init, what)
+    state = net.load_checkpoint(path, seed=args.seed)
+    wanted = C.model_config_from(cfg, base=state.config)
+    for key in C.section(cfg, "model"):
+        if getattr(wanted, key) != getattr(state.config, key):
+            raise InvalidConfig(f"model.{key}={getattr(wanted, key)} disagrees with the "
+                                f"checkpoint's {getattr(state.config, key)}")
+    return state
+
+
+def _load_caption_scorer(args, cfg: dict) -> net.ModelState:
+    """The checkpoint of a verb that scores captions through stage 1's
+    `llm_map`, which stages 2 and 2.1 never train."""
+    state = _load_state(args, cfg, "checkpoint")
+    if state.textpath.encoder is not None:
+        raise Unsupported(f"{args.verb} scores captions through stage 1's llm_map, which "
+                          "stages 2 and 2.1 do not train: pass a stage-1 checkpoint")
+    return state
 
 
 # -- commands ------------------------------------------------------------------
@@ -241,25 +258,21 @@ def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
 
 def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
     stage_id = args.stage_id
-    previous = "stage-1 checkpoint" if stage_id == "2" else "stage-2 checkpoint"
-    ckpt = _require_file(args.init, previous)
     stage_cfg = trainer.stage_config_from(stage_id, _stage_section(cfg, stage_id))
     entries = dk.load_manifest(args.manifest)
+    state = _load_state(args, cfg, "stage-1 checkpoint" if stage_id == "2" else "stage-2 checkpoint")
 
     if stage_id == "2":
         tokenizer = dk.Tokenizer.fit([e.caption for e in entries])
-        tokenizer.save(os.path.join(out, "vocab.txt"))
-        base_cfg = C.model_config_from(cfg)
-        text_cfg = dataclasses.replace(base_cfg, text_vocab=tokenizer.size)
-        stage1_state = net.load_checkpoint(ckpt, base_cfg, seed=args.seed)
-        state = net.init_model_state(text_cfg, args.seed)
+        stage1_state = state
+        state = net.init_model_state(
+            dataclasses.replace(stage1_state.config, text_vocab=tokenizer.size), args.seed)
+        state.vocab = tokenizer.vocab
         transfer_shared(stage1_state, state)
+    elif not state.vocab:
+        raise InvalidInput(f"{args.init} has no tokenizer vocabulary: pass a stage-2 checkpoint")
     else:
-        vocab_path = args.vocab or os.path.join(os.path.dirname(os.path.dirname(ckpt)), "vocab.txt")
-        tokenizer = dk.Tokenizer.load(_require_file(vocab_path, "tokenizer vocabulary"))
-        text_cfg = dataclasses.replace(C.model_config_from(cfg), text_vocab=tokenizer.size)
-        state = net.load_checkpoint(ckpt, text_cfg, seed=args.seed)
-        tokenizer.save(os.path.join(out, "vocab.txt"))
+        tokenizer = dk.Tokenizer(state.vocab)
 
     rng = np.random.default_rng([args.seed, 0])
     patches, n_f, n_t = _prepare_grids(entries, args.wav_dir, state.config.input_frames, rng)
@@ -297,6 +310,9 @@ def cmd_extract_features(args, out: str, cfg: dict) -> int:
 
 
 def _split_indices(n: int, val_frac: float, test_frac: float, seed: int):
+    for flag, frac in (("--val-frac", val_frac), ("--test-frac", test_frac)):
+        if not 0 <= frac < 1:
+            raise InvalidInput(f"{flag} must be at least 0 and below 1, got {frac}")
     order = np.random.default_rng([seed, 1]).permutation(n)
     n_test = max(1, int(round(n * test_frac)))
     n_val = max(1, int(round(n * val_frac)))
@@ -333,7 +349,7 @@ def cmd_eval_linear(args, out: str, cfg: dict) -> int:
 
 
 def cmd_eval_zeroshot(args, out: str, cfg: dict) -> int:
-    state = _load_state(args, cfg, "checkpoint")
+    state = _load_caption_scorer(args, cfg)
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
 
@@ -356,7 +372,7 @@ def cmd_eval_zeroshot(args, out: str, cfg: dict) -> int:
 
 
 def cmd_eval_retrieval(args, out: str, cfg: dict) -> int:
-    state = _load_state(args, cfg, "checkpoint")
+    state = _load_caption_scorer(args, cfg)
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
 

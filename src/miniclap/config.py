@@ -7,10 +7,9 @@ CLI ``--set KEY=VALUE`` overrides are applied after parsing, last wins.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidConfig, ParseError
 
@@ -92,9 +91,6 @@ class ModelConfig:
     def canonical(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
-
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical().encode("utf-8")).digest()
 
 
 # config field type -> (accepted values, stored as, how a message names it)
@@ -197,10 +193,16 @@ def render_config(cfg: dict) -> str:
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
-def model_config_from(cfg: dict) -> ModelConfig:
+def model_config_from(cfg: dict, base: ModelConfig | None = None) -> ModelConfig:
+    """`cfg`'s ``model.*`` keys over `base` (default: the defaults)."""
     params = section(cfg, "model")
     known = {f.name for f in fields(ModelConfig)}
     unknown = set(params) - known
     if unknown:
         raise InvalidConfig(f"unknown model config keys: {sorted(unknown)}")
-    return ModelConfig(**params)
+    return replace(base or ModelConfig(), **params)
+
+
+def parse_model_config(text: str) -> ModelConfig:
+    """The inverse of `ModelConfig.canonical`."""
+    return model_config_from({"model." + k: v for k, v in parse_config_text(text).items()})

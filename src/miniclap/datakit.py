@@ -210,15 +210,6 @@ class Tokenizer:
     def encode(self, text: str) -> list[int]:
         return [self._ids.get(w, OOV_ID) for w in self.words(text)] + [END_ID]
 
-    def save(self, path) -> None:
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(word + "\n" for word in self.vocab)
-
-    @classmethod
-    def load(cls, path) -> "Tokenizer":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
-
 
 # -- WAV I/O ---------------------------------------------------------------------
 
@@ -303,6 +294,8 @@ def synth_corpus(n_classes: int, per_class: int, duration_s: float,
     """
     if n_classes < 2:
         raise InvalidInput("need at least two classes")
+    if not 0 < duration_s <= sys.float_info.max:  # NaN fails the comparison
+        raise InvalidInput(f"duration must be a positive number of seconds, got {duration_s}")
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((4096, n_classes))
     q, _ = np.linalg.qr(gauss)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import struct
 import threading
 from concurrent import futures
@@ -35,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import masking
 from .autodiff import Tensor
-from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE
+from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE, parse_model_config
 from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc
@@ -207,6 +208,7 @@ class ModelState:
     textpath: TextPathParams
     tau: Tensor
     config: ModelConfig
+    vocab: list[str] = dataclasses.field(default_factory=list)  # the tokenizer's, from stage 2 on
 
 
 def _init_encoder(rng, cfg: ModelConfig, trainable: bool) -> EncoderParams:
@@ -313,7 +315,7 @@ def _walk(obj, prefix, out):
             _walk(item, f"{prefix}.{i}", out)
     elif isinstance(obj, ModelState):
         for f in dataclasses.fields(obj):
-            if f.name == "config":
+            if f.name in ("config", "vocab"):
                 continue
             _walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, out)
     elif isinstance(obj, PositionalEncoding):
@@ -519,17 +521,21 @@ def encode_text_batch(tp: TextPathParams, token_rows: list[list[int]]) -> Tensor
 # -- checkpoints ------------------------------------------------------------
 
 CKPT_MAGIC = b"MCKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def save_checkpoint(path, state: ModelState) -> None:
     """Write the checkpoint atomically: `path` holds either the previous
     file or the whole new one."""
     params = named_params(state)
+    header = b"".join(struct.pack("<I", len(text)) + text for text in (
+        state.config.canonical().encode("utf-8"),
+        "".join(word + "\n" for word in state.vocab).encode("utf-8")))
     with atomic_open(path) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(state.config.digest())
+        fh.write(header)
+        fh.write(hashlib.sha256(header).digest())
         fh.write(struct.pack("<I", len(params)))
         for name, tensor in params.items():
             encoded = name.encode("utf-8")
@@ -548,18 +554,38 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def load_checkpoint(path, cfg: ModelConfig, seed: int = 0) -> ModelState:
-    """Rebuild a ModelState for `cfg` and fill it from the file."""
-    state = init_model_state(cfg, seed)
-    params = named_params(state)
+def _read_section(fh, size: int) -> bytes:
+    """A <I length and that many bytes, returned together; the length is
+    checked against the `size`-byte file before it sizes a read."""
+    length = _read_exact(fh, 4)
+    (n,) = struct.unpack("<I", length)
+    if n > size - fh.tell():
+        raise FormatError("truncated checkpoint file")
+    return length + _read_exact(fh, n)
+
+
+def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> ModelState:
+    """The ModelState the file describes; a `cfg` that is given must equal its config."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != CKPT_MAGIC:
             raise FormatError("bad checkpoint magic")
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        if _read_exact(fh, 32) != cfg.digest():
+        sections = [_read_section(fh, size) for _ in range(2)]
+        if _read_exact(fh, 32) != hashlib.sha256(b"".join(sections)).digest():
+            raise FormatError("checkpoint header does not match its digest")
+        try:
+            config_text, vocab_text = (section[4:].decode("utf-8") for section in sections)
+            file_cfg = parse_model_config(config_text)
+        except ValueError as exc:
+            raise FormatError(f"bad checkpoint header: {exc}") from exc
+        if cfg is not None and cfg != file_cfg:
             raise FormatError("checkpoint was written with a different model config")
+        state = init_model_state(file_cfg, seed)
+        state.vocab = vocab_text.splitlines()
+        params = named_params(state)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != len(params):
             raise FormatError(f"expected {len(params)} tensors, file has {count}")

@@ -4,6 +4,8 @@ codes, determinism, and override snapshots."""
 import argparse
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import miniclap
-from miniclap import config as C, datakit as dk
+from miniclap import config as C, datakit as dk, network as net
 from miniclap.cli import _build_parser, main
 from miniclap.evaluation import write_features
 
@@ -238,6 +240,64 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and entries[2].id in err[0], err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--duration", "nan", "duration must be a positive number of seconds, got nan"),
+        ("--duration", "inf", "duration must be a positive number of seconds, got inf"),
+        ("--duration", "-1", "duration must be a positive number of seconds, got -1.0"),
+        ("--duration", "0", "duration must be a positive number of seconds, got 0.0"),
+        ("--val-frac", "nan", "--val-frac must be at least 0 and below 1, got nan"),
+        ("--val-frac", "inf", "--val-frac must be at least 0 and below 1, got inf"),
+        ("--val-frac", "-0.5", "--val-frac must be at least 0 and below 1, got -0.5"),
+        ("--test-frac", "nan", "--test-frac must be at least 0 and below 1, got nan"),
+    ])
+    def test_bad_numeric_flag_is_exit_1(self, corpus, tmp_path, capsys, flag, value, message):
+        if flag == "--duration":
+            argv = ["synth-data", "--classes", "2", "--per-class", "1"]
+        else:
+            entries = dk.load_manifest(corpus / "manifest.jsonl")
+            write_features(str(tmp_path / "clip.feat"), [e.id for e in entries],
+                           np.ones((len(entries), 4)))
+            argv = ["eval-linear", "--features", str(tmp_path / "clip.feat"),
+                    "--manifest", str(corpus / "manifest.jsonl")]
+        code = main([*argv, f"{flag}={value}", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert os.listdir(tmp_path / "out") == ["config.txt"]
+
+    @pytest.mark.parametrize("verb", ["extract-features", "pretrain-stage2", "finetune-stage1.1"])
+    @pytest.mark.parametrize("setting, message", [
+        ("model.dim=16", "model.dim=16 disagrees with the checkpoint's 8"),
+        ("model.colour=3", "unknown model config keys: ['colour']"),
+    ])
+    def test_model_setting_must_agree_with_checkpoint(self, corpus, stage1, tmp_path, capsys,
+                                                      verb, setting, message):
+        code = main([verb, "--manifest", str(corpus / "manifest.jsonl"),
+                     "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path), *TINY_MODEL, "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert os.listdir(tmp_path) == ["config.txt"]
+
+    def test_stage2_1_needs_stage2_checkpoint(self, corpus, stage1, tmp_path, capsys):
+        ckpt = stage1 / "checkpoints" / "final.ckpt"
+        code = main(["refine-stage2.1", "--manifest", str(corpus / "manifest.jsonl"),
+                     "--init", str(ckpt), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt} has no tokenizer vocabulary: pass a stage-2 checkpoint"]
+        assert not os.path.exists(tmp_path / "checkpoints")
+
+    @pytest.mark.parametrize("verb", ["eval-zeroshot", "eval-retrieval"])
+    def test_caption_scoring_refuses_text_encoder(self, corpus, stage2, tmp_path, capsys, verb):
+        code = main([verb, "--manifest", str(corpus / "manifest.jsonl"),
+                     "--cache", str(corpus / "embeddings.cache"),
+                     "--init", str(stage2 / "checkpoints" / "final.ckpt"), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {verb} scores captions through stage 1's llm_map, which stages 2 and 2.1 "
+            "do not train: pass a stage-1 checkpoint"]
+        assert not os.path.exists(tmp_path / "metrics.csv")
+
 
 def test_failed_config_snapshot_keeps_previous_file(tmp_path, monkeypatch):
     (tmp_path / "config.txt").write_text("previous = snapshot\n")
@@ -378,20 +438,69 @@ class TestPipeline:
         assert (tmp_path / "head.npz").read_bytes() == b"previous head"
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
-    def test_stage2_artifacts(self, stage2):
-        assert (stage2 / "vocab.txt").exists()
-        assert (stage2 / "checkpoints" / "final.ckpt").exists()
+    def test_stage2_artifacts(self, corpus, stage2):
+        assert sorted(os.listdir(stage2)) == ["checkpoints", "config.txt", "losses.csv"]
+        captions = [e.caption for e in dk.load_manifest(corpus / "manifest.jsonl")]
+        state = net.load_checkpoint(stage2 / "checkpoints" / "final.ckpt")
+        assert state.vocab == dk.Tokenizer.fit(captions).vocab
+        assert state.config.text_vocab == dk.Tokenizer.fit(captions).size
 
     def test_refine_stage2_1(self, corpus, stage2, tmp_path_factory):
         out = tmp_path_factory.mktemp("stage21")
         code = main(["refine-stage2.1", "--manifest", str(corpus / "manifest.jsonl"),
                      "--init", str(stage2 / "checkpoints" / "final.ckpt"),
-                     "--vocab", str(stage2 / "vocab.txt"),
                      "--out", str(out), *TINY_MODEL,
                      "--set", "stage2_1.epochs=1", "--set", "stage2_1.warmup_epochs=0",
                      "--set", "stage2_1.batch_size=3", "--set", "stage2_1.base_lr=1e-3"])
         assert code == 0
         assert (out / "checkpoints" / "final.ckpt").exists()
+
+
+def _after_stage1(corpus, stage1, out, model):
+    """Stages 2 and 2.1, extraction, attention export and stage 1.1 from
+    `stage1`'s checkpoint, each verb given the `model` settings; every
+    output file but the config snapshots, by path."""
+    ckpt1 = str(stage1 / "checkpoints" / "final.ckpt")
+    ckpt21 = str(out / "stage21" / "checkpoints" / "final.ckpt")
+    verbs = {
+        "stage2": ["pretrain-stage2", "--init", ckpt1, "--set", "stage2.epochs=2",
+                   "--set", "stage2.warmup_epochs=1", "--set", "stage2.batch_size=3",
+                   "--set", "stage2.base_lr=1e-3"],
+        "stage21": ["refine-stage2.1", "--init", str(out / "stage2" / "checkpoints" / "final.ckpt"),
+                    "--set", "stage2_1.epochs=2", "--set", "stage2_1.warmup_epochs=0",
+                    "--set", "stage2_1.batch_size=3", "--set", "stage2_1.base_lr=1e-3"],
+        "features": ["extract-features", "--init", ckpt21, "--kind", "semantic"],
+        "attention": ["export-attention", "--init", ckpt21, "--entry", "synth-01-0002"],
+        "stage11": ["finetune-stage1.1", "--init", ckpt1, "--set", "stage1_1.epochs=2",
+                    "--set", "stage1_1.batch_size=3"],
+    }
+    for name, argv in verbs.items():
+        assert main([*argv, "--manifest", str(corpus / "manifest.jsonl"),
+                     "--out", str(out / name), "--seed", "4", *model]) == 0
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "config.txt"}
+
+
+def test_checkpoints_carry_the_model(corpus, stage1, tmp_path):
+    bare = _after_stage1(corpus, stage1, tmp_path / "bare", [])
+    tiny = _after_stage1(corpus, stage1, tmp_path / "tiny", TINY_MODEL)
+    for name in ("stage2/losses.csv", "stage21/losses.csv", "features/semantic.feat",
+                "attention/attention-synth-01-0002.pgm", "stage11/finetuned.ckpt"):
+        assert name in bare
+    assert bare == tiny
+
+
+def test_readme_walkthrough_parses():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough")[1].split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("miniclap ")]
+    assert len(commands) == 10
+    parser = _build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])  # a stale flag exits with a usage error
+        if args.verb != "pretrain-stage1":
+            assert not [s for s in args.set if s.startswith("model.")], argv
 
 
 class TestOutDirEnv:

@@ -223,21 +223,6 @@ class TestTokenizer:
         assert len(a.vocab) == 10
         assert a.vocab[0] == "common"
 
-    def test_save_load(self, tmp_path):
-        tok = dk.Tokenizer.fit(["alpha beta gamma"])
-        tok.save(tmp_path / "vocab.txt")
-        loaded = dk.Tokenizer.load(tmp_path / "vocab.txt")
-        assert loaded.vocab == tok.vocab
-        assert loaded.encode("beta") == tok.encode("beta")
-
-    def test_failed_save_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "vocab.txt"
-        dk.Tokenizer.fit(["alpha beta gamma"]).save(path)
-        before = path.read_bytes()
-        with pytest.raises(TypeError):  # "delta" is written, then None is refused
-            dk.Tokenizer(["delta", None]).save(path)
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["vocab.txt"]
 
 
 class TestWav:

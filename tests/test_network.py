@@ -7,11 +7,15 @@ import struct
 import threading
 import time
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miniclap import autodiff as ad, masking, network as net
 from miniclap.autodiff import Tensor
+from miniclap import config as C
 from miniclap.config import ModelConfig
 from miniclap.errors import FormatError, InvalidInput
 from miniclap.frontend import build_posenc
@@ -577,6 +581,58 @@ class TestGradients:
             assert tensor.grad is None
 
 
+def _first_tensor_header(data: bytes) -> int:
+    """Offset of the first tensor's header: past the magic, the version,
+    the length-prefixed config and vocabulary sections, the 32-byte digest
+    and the tensor count."""
+    at = 8
+    for _ in range(2):
+        (length,) = struct.unpack_from("<I", data, at)
+        at += 4 + length
+    return at + 32 + 4
+
+
+def _payload_spans(data: bytes) -> list[range]:
+    """Byte ranges of the tensor values; every other byte is header."""
+    spans, at = [], _first_tensor_header(data)
+    while at < len(data):
+        (name_len,) = struct.unpack_from("<H", data, at)
+        at += 2 + name_len
+        ndim = data[at]
+        shape = struct.unpack_from(f"<{ndim}I", data, at + 1)
+        at += 1 + 4 * ndim
+        spans.append(range(at, at + 4 * int(np.prod(shape))))
+        at = spans[-1].stop
+    return spans
+
+
+def _with_header(texts: list[bytes], data: bytes) -> bytes:
+    """`data` with its config and vocabulary sections replaced by `texts`
+    and a digest that matches them."""
+    sections = b"".join(struct.pack("<I", len(text)) + text for text in texts)
+    return data[:8] + sections + hashlib.sha256(sections).digest() + \
+        data[_first_tensor_header(data) - 4:]
+
+
+VOCAB = [f"w{i}" for i in range(TINY.text_vocab - 3)]
+
+
+@pytest.fixture(scope="module")
+def ckpt_bytes(tmp_path_factory):
+    """A checkpoint with a vocabulary, so every header section is non-empty."""
+    state = net.init_model_state(TINY, seed=5)
+    state.vocab = VOCAB
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    net.save_checkpoint(path, state)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def header_offsets(ckpt_bytes):
+    payload = {i for span in _payload_spans(ckpt_bytes) for i in span}
+    return [i for i in range(len(ckpt_bytes)) if i not in payload]
+
+
 class TestCheckpoint:
     def test_round_trip_byte_exact(self, state, tmp_path):
         p1 = tmp_path / "a.ckpt"
@@ -625,14 +681,15 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         net.save_checkpoint(path, state)
         data = bytearray(path.read_bytes())
-        # magic, version, config digest and tensor count take 44 bytes
-        (name_len,) = struct.unpack_from("<H", data, 44)
-        ndim_at = 44 + 2 + name_len
-        assert data[ndim_at] == 2  # online.patch_embed.weight
+        first = _first_tensor_header(data)
+        (name_len,) = struct.unpack_from("<H", data, first)
+        ndim_at = first + 2 + name_len
+        assert data[first + 2:ndim_at] == b"online.patch_embed.weight"
+        assert data[ndim_at] == 2
         if field == "shape":  # 2**64 - 2**33 + 1 entries: overflows an int64 product
             data[ndim_at + 1:ndim_at + 9] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
         else:  # not UTF-8
-            data[46:46 + name_len] = b"\xff" * name_len
+            data[first + 2:ndim_at] = b"\xff" * name_len
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             net.load_checkpoint(path, TINY)
@@ -662,3 +719,80 @@ class TestCheckpoint:
                    for t in net.named_params(loaded.target).values())
         assert all(t.requires_grad
                    for t in net.named_params(loaded.online).values())
+
+    def test_file_describes_its_model(self, ckpt_bytes, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes)
+        loaded = net.load_checkpoint(path)
+        assert loaded.config == TINY
+        assert loaded.vocab == VOCAB
+        assert "vocab" not in " ".join(net.named_params(loaded))
+        net.save_checkpoint(tmp_path / "again.ckpt", loaded)
+        assert (tmp_path / "again.ckpt").read_bytes() == ckpt_bytes
+
+    def test_stage1_file_has_empty_vocabulary(self, state, tmp_path):
+        path = tmp_path / "m.ckpt"
+        net.save_checkpoint(path, state)
+        data = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        assert data[12:12 + config_len].decode("utf-8") == TINY.canonical()
+        assert struct.unpack_from("<I", data, 12 + config_len) == (0,)
+        assert net.load_checkpoint(path).vocab == []
+
+    def test_version_1_rejected(self, ckpt_bytes, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:4] + struct.pack("<I", 1) + ckpt_bytes[8:])
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("config, message", [
+        (b"dim = 8\ncolour = 3\n", "unknown model config keys: \\['colour'\\]"),
+        (b"dim\n", "expected 'key = value'"),
+        (b"dim = 7\n", "dim must be divisible by heads"),
+        (b"\xff\n", "can't decode"),
+    ])
+    def test_malformed_config_text_rejected(self, ckpt_bytes, tmp_path, config, message):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_with_header([config, b""], ckpt_bytes))
+        with pytest.raises(FormatError, match=message):
+            net.load_checkpoint(path)
+
+    def test_section_longer_than_file_never_sizes_a_read(self, ckpt_bytes, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:8] + struct.pack("<I", 2**32 - 1) + ckpt_bytes[12:])
+        sizes, read_exact = [], net._read_exact
+        monkeypatch.setattr(net, "_read_exact", lambda fh, n: sizes.append(n) or read_exact(fh, n))
+        with pytest.raises(FormatError, match="truncated"):
+            net.load_checkpoint(path)
+        assert sizes == [4, 4, 4]  # magic, version, the section's length
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncation_rejected(self, ckpt_bytes, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:data.draw(st.integers(0, len(ckpt_bytes) - 1))])
+        with pytest.raises(FormatError):
+            net.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_header_byte_change_rejected(self, ckpt_bytes, header_offsets, tmp_path, data):
+        at = data.draw(st.sampled_from(header_offsets))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != ckpt_bytes[at]))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:at] + bytes([byte]) + ckpt_bytes[at + 1:])
+        with pytest.raises(FormatError):
+            net.load_checkpoint(path, TINY)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_payload_byte_change_loads(self, ckpt_bytes, tmp_path, data):
+        span = data.draw(st.sampled_from(_payload_spans(ckpt_bytes)))
+        at = data.draw(st.sampled_from(span))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:at] + bytes([ckpt_bytes[at] ^ 0x01]) + ckpt_bytes[at + 1:])
+        assert net.load_checkpoint(path, TINY).vocab == VOCAB
