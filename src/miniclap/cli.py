@@ -24,6 +24,7 @@ from .config import N_FREQ_PATCHES
 from .errors import FormatError, InvalidConfig, InvalidInput, ParseError, Unsupported
 from .frontend import MelSpectrogram, Waveform, compute_logmel, pad_or_crop_to_grid, patchify, standardize
 from .losses import similarity_matrix
+from .network import transfer_shared  # by name: the benchmark calls `cli.transfer_shared`
 from .trainer import StageData
 
 OUT_ENV = "M2DC_OUT"
@@ -136,9 +137,8 @@ def _require_file(path, what: str):
     return path
 
 
-def _stage_section(cfg: dict, stage_id: str) -> dict:
-    name = "stage" + stage_id.replace(".", "_")
-    return C.section(cfg, name)
+def _stage_config(cfg: dict, stage_id: str) -> trainer.StageConfig:
+    return trainer.stage_config_from(stage_id, C.section(cfg, trainer.config_section(stage_id)))
 
 
 def _prepare_mels(entries, wav_dir) -> list[MelSpectrogram]:
@@ -166,6 +166,15 @@ def _prepare_grids(entries, wav_dir, input_frames: int, rng) -> tuple[np.ndarray
         stacks.append(grid.patches)
         n_f, n_t = grid.n_f, grid.n_t
     return np.stack(stacks), n_f, n_t
+
+
+def _multi_hot(label_lists: list[list[str]], classes: list[str]) -> np.ndarray:
+    """[n, len(classes)] with a 1 where row i has that class among its labels."""
+    index = {label: i for i, label in enumerate(classes)}
+    out = np.zeros((len(label_lists), len(classes)))
+    for row, labels in enumerate(label_lists):
+        out[row, [index[label] for label in labels]] = 1.0
+    return out
 
 
 def _load_state(args, cfg: dict, what: str) -> net.ModelState:
@@ -210,7 +219,7 @@ def cmd_synth_data(args, out: str, cfg: dict) -> int:
 
 
 def cmd_pretrain_stage1(args, out: str, cfg: dict) -> int:
-    stage_cfg = trainer.stage_config_from("1", _stage_section(cfg, "1"))
+    stage_cfg = _stage_config(cfg, "1")
     model_cfg = C.model_config_from(cfg)
     entries = dk.load_manifest(args.manifest)
     cache = dk.cache_read(args.cache)
@@ -229,18 +238,14 @@ def cmd_pretrain_stage1(args, out: str, cfg: dict) -> int:
 
 
 def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
-    stage_cfg = trainer.stage_config_from("1.1", _stage_section(cfg, "1.1"))
+    stage_cfg = _stage_config(cfg, "1.1")
     entries = dk.load_manifest(args.manifest)
     state = _load_state(args, cfg, "stage-1 checkpoint")
 
     classes = sorted({label for e in entries for label in e.labels})
     if not classes:
         raise InvalidInput("manifest has no labels to fine-tune on")
-    index = {label: i for i, label in enumerate(classes)}
-    labels = np.zeros((len(entries), len(classes)))
-    for row, entry in enumerate(entries):
-        for label in entry.labels:
-            labels[row, index[label]] = 1.0
+    labels = _multi_hot([e.labels for e in entries], classes)
 
     rng = np.random.default_rng([args.seed, 0])
     patches, n_f, n_t = _prepare_grids(entries, args.wav_dir, state.config.input_frames, rng)
@@ -258,7 +263,7 @@ def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
 
 def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
     stage_id = args.stage_id
-    stage_cfg = trainer.stage_config_from(stage_id, _stage_section(cfg, stage_id))
+    stage_cfg = _stage_config(cfg, stage_id)
     entries = dk.load_manifest(args.manifest)
     state = _load_state(args, cfg, "stage-1 checkpoint" if stage_id == "2" else "stage-2 checkpoint")
 
@@ -284,15 +289,6 @@ def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
         print(f"stage {stage_id} done: {len(rows)} steps, final loss {rows[-1]['loss_clap']}")
     print(f"checkpoint: {os.path.join(out, 'checkpoints', 'final.ckpt')}")
     return 0
-
-
-def transfer_shared(src: net.ModelState, dst: net.ModelState) -> None:
-    """Copy parameters shared by two model states (matched name+shape)."""
-    src_params = net.named_params(src)
-    dst_params = net.named_params(dst)
-    for name, tensor in dst_params.items():
-        if name in src_params and src_params[name].data.shape == tensor.data.shape:
-            tensor.data = src_params[name].data.copy()
 
 
 def cmd_extract_features(args, out: str, cfg: dict) -> int:
@@ -331,8 +327,12 @@ def cmd_eval_linear(args, out: str, cfg: dict) -> int:
     if unlabeled:
         raise InvalidInput(f"manifest entry {unlabeled[0]!r} has no label")
     classes = sorted({label for e in entries.values() for label in e.labels})
-    index = {label: i for i, label in enumerate(classes)}
-    labels = np.array([index[entries[i].labels[0]] for i in ids])
+    # a manifest with a multi-label clip is scored as multi-label, by mAP
+    if any(len(e.labels) > 1 for e in entries.values()):
+        metric, labels = "mAP", _multi_hot([entries[i].labels for i in ids], classes)
+    else:
+        index = {label: i for i, label in enumerate(classes)}
+        metric, labels = "accuracy", np.array([index[entries[i].labels[0]] for i in ids])
 
     tr, va, te = _split_indices(len(ids), args.val_frac, args.test_frac, args.seed)
     result = ev.linear_probe(
@@ -341,7 +341,7 @@ def cmd_eval_linear(args, out: str, cfg: dict) -> int:
         ev.LabeledFeatureSet(feats[te], labels[te], "test"),
         seed=args.seed,
     )
-    rows = [{"metric": "accuracy", "value": f"{result.test_metric:.4f}",
+    rows = [{"metric": metric, "value": f"{result.test_metric:.4f}",
              "best_epoch": result.best_epoch, "epochs_run": result.epochs_run}]
     ev.write_metrics_csv(os.path.join(out, "metrics.csv"), rows)
     print(ev.format_table(rows), end="")

@@ -40,7 +40,7 @@ class ModelConfig:
     """Dimensions of every parametric component.
 
     The desk-scale defaults keep tests in the minutes range; the
-    full-scale preset restores full-size dimensions.
+    full-size encoder is dim=768, depth=12, heads=12, predictor_heads=12.
     """
 
     dim: int = 64
@@ -84,10 +84,6 @@ class ModelConfig:
     def n_time_patches(self) -> int:
         return self.input_frames // PATCH_SIZE
 
-    @property
-    def n_patches(self) -> int:
-        return N_FREQ_PATCHES * self.n_time_patches
-
     def canonical(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
@@ -121,14 +117,6 @@ def check_field_types(obj, prefix: str) -> None:
         value = getattr(obj, f.name)
         if kind in _KINDS and not (rest == "None" and value is None):
             setattr(obj, f.name, check_type(prefix + f.name, value, kind))
-
-
-def full_scale_config(**overrides) -> ModelConfig:
-    """Full-scale preset: 768-d, 12-block encoder, 608-frame input."""
-    base = dict(dim=768, depth=12, heads=12, input_frames=608,
-                predictor_depth=2, predictor_heads=12)
-    base.update(overrides)
-    return ModelConfig(**base)
 
 
 def _coerce(value: str):

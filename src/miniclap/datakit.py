@@ -214,13 +214,13 @@ class Tokenizer:
 # -- WAV I/O ---------------------------------------------------------------------
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
+def write_wav(path, samples: np.ndarray) -> None:
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
     with atomic_open(path) as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(pcm.tobytes())
 
 
@@ -245,29 +245,36 @@ def read_wav(path) -> np.ndarray:
 # -- synthetic corpus --------------------------------------------------------------
 
 
+# A synthesized clip is built whole in memory, with a few float64
+# temporaries of its length: 600 s is 9.6 M samples, 77 MB an array, far
+# above the 2 s training clips and the 10 s of an AudioSet clip.
+MAX_SYNTH_SECONDS = 600.0
+SYNTH_EMBED_DIM = 4096  # the class embeddings are orthonormal rows: at most this many classes
+
+
 @dataclass
 class SynthSpec:
     class_id: int
-    carrier: str  # sine | noise | chirp
+    carrier: str  # sine, the only carrier
     f0: float
     seed: int
 
 
 def synth_waveform(spec: SynthSpec, duration_s: float) -> np.ndarray:
-    """Deterministic clip: carrier at f0 plus a small seeded noise floor."""
+    """Deterministic clip: a sine at f0 plus a small seeded noise floor,
+    from one sample to MAX_SYNTH_SECONDS long."""
+    if spec.carrier != "sine":
+        raise InvalidInput(f"unknown carrier {spec.carrier!r}")
+    if not 0 < duration_s <= sys.float_info.max:  # NaN fails the comparison
+        raise InvalidInput(f"duration must be a positive number of seconds, got {duration_s}")
+    n = round(duration_s * SAMPLE_RATE)
+    if not 1 <= n <= MAX_SYNTH_SECONDS * SAMPLE_RATE:
+        raise InvalidInput(f"a synthesized clip lasts from one sample to {MAX_SYNTH_SECONDS:g} s, "
+                           f"got {duration_s} s")
     rng = np.random.default_rng(spec.seed)
-    n = int(round(duration_s * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    if spec.carrier == "sine":
-        tone = np.sin(2.0 * np.pi * spec.f0 * t + phase)
-    elif spec.carrier == "chirp":
-        sweep = spec.f0 * (1.0 + t / max(duration_s, 1e-9))
-        tone = np.sin(2.0 * np.pi * sweep * t + phase)
-    elif spec.carrier == "noise":
-        tone = rng.standard_normal(n) * 0.3
-    else:
-        raise InvalidInput(f"unknown carrier {spec.carrier!r}")
+    tone = np.sin(2.0 * np.pi * spec.f0 * t + phase)
     return 0.5 * tone + 0.01 * rng.standard_normal(n)
 
 
@@ -291,13 +298,15 @@ def synth_corpus(n_classes: int, per_class: int, duration_s: float,
 
     Class c is a sine at 200*(c+1) Hz; the 4096-d class embeddings are
     orthonormal by construction, so contrastive targets are separable.
+    `synth_waveform` checks the duration.
     """
-    if n_classes < 2:
-        raise InvalidInput("need at least two classes")
-    if not 0 < duration_s <= sys.float_info.max:  # NaN fails the comparison
-        raise InvalidInput(f"duration must be a positive number of seconds, got {duration_s}")
+    if not 2 <= n_classes <= SYNTH_EMBED_DIM:
+        raise InvalidInput(f"need 2 to {SYNTH_EMBED_DIM} classes (one orthonormal "
+                           f"{SYNTH_EMBED_DIM}-d embedding each), got {n_classes}")
+    if per_class < 1:
+        raise InvalidInput(f"need at least one clip per class, got {per_class}")
     rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((4096, n_classes))
+    gauss = rng.standard_normal((SYNTH_EMBED_DIM, n_classes))
     q, _ = np.linalg.qr(gauss)
     embeddings = q.T.copy()  # [n_classes, 4096], orthonormal rows
 

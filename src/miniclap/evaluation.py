@@ -182,12 +182,9 @@ class RetrievalResult:
 
 
 def _relevant_sets(ground_truth, n_queries: int, n_gallery: int) -> list[set[int]]:
-    if isinstance(ground_truth, dict):
-        items = [ground_truth.get(q) for q in range(n_queries)]
-    else:
-        items = list(ground_truth)
-        if len(items) != n_queries:
-            raise InvalidInput("ground truth must cover every query")
+    items = list(ground_truth)
+    if len(items) != n_queries:
+        raise InvalidInput("ground truth must cover every query")
     sets: list[set[int]] = []
     for q, rel in enumerate(items):
         if rel is None:
@@ -203,7 +200,8 @@ def _relevant_sets(ground_truth, n_queries: int, n_gallery: int) -> list[set[int
 
 def retrieval_metrics(similarity: np.ndarray, ground_truth,
                       direction: str = "text-to-audio") -> RetrievalResult:
-    """R@{1,5,10} and mAP@10 under descending-score ranking.
+    """R@{1,5,10} and mAP@10 under descending-score ranking;
+    `ground_truth` holds each query's gallery index or list of indices.
 
     Ties are broken by ascending gallery index. mAP@10 is average
     precision truncated at rank 10, normalized by min(#relevant, 10);

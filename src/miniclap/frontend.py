@@ -82,14 +82,12 @@ def _mel_to_hz(m):
     return hz
 
 
-def mel_filterbank(n_mels: int = C.N_MELS, n_fft: int = C.N_FFT,
-                   sample_rate: int = C.SAMPLE_RATE,
-                   fmin: float = C.FMIN_HZ, fmax: float = C.FMAX_HZ) -> np.ndarray:
-    """Triangular area-normalized filterbank, [n_mels, n_fft//2 + 1]."""
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    corners = _mel_to_hz(np.linspace(_hz_to_mel(fmin), _hz_to_mel(fmax), n_mels + 2))
-    fb = np.zeros((n_mels, bin_freqs.size))
-    for m in range(n_mels):
+def mel_filterbank() -> np.ndarray:
+    """Triangular area-normalized filterbank, [N_MELS, N_FFT//2 + 1]."""
+    bin_freqs = np.arange(C.N_FFT // 2 + 1) * (C.SAMPLE_RATE / C.N_FFT)
+    corners = _mel_to_hz(np.linspace(_hz_to_mel(C.FMIN_HZ), _hz_to_mel(C.FMAX_HZ), C.N_MELS + 2))
+    fb = np.zeros((C.N_MELS, bin_freqs.size))
+    for m in range(C.N_MELS):
         lo, center, hi = corners[m], corners[m + 1], corners[m + 2]
         up = (bin_freqs - lo) / (center - lo)
         down = (hi - bin_freqs) / (hi - center)
@@ -173,10 +171,8 @@ def compute_logmel(w: Waveform) -> MelSpectrogram:
     return MelSpectrogram(np.log(values, out=values))
 
 
-def standardize(m: MelSpectrogram, mean: float = C.MEL_MEAN, std: float = C.MEL_STD) -> MelSpectrogram:
-    if std <= 0:
-        raise InvalidInput("std must be positive")
-    return MelSpectrogram((m.values - mean) / std)
+def standardize(m: MelSpectrogram) -> MelSpectrogram:
+    return MelSpectrogram((m.values - C.MEL_MEAN) / C.MEL_STD)
 
 
 def pad_or_crop_to_grid(m: MelSpectrogram, target_frames: int, crop_offset: int = 0) -> MelSpectrogram:
@@ -207,13 +203,6 @@ def patchify(m: MelSpectrogram) -> PatchGrid:
     blocks = m.values.reshape(n_f, C.PATCH_SIZE, n_t, C.PATCH_SIZE)
     patches = blocks.transpose(0, 2, 1, 3).reshape(n_f * n_t, C.PATCH_SIZE * C.PATCH_SIZE)
     return PatchGrid(patches, n_f, n_t)
-
-
-def unpatchify(grid: PatchGrid) -> np.ndarray:
-    """Exact inverse of patchify, as a raw 2-D array."""
-    blocks = grid.patches.reshape(grid.n_f, grid.n_t, C.PATCH_SIZE, C.PATCH_SIZE)
-    return blocks.transpose(0, 2, 1, 3).reshape(
-        grid.n_f * C.PATCH_SIZE, grid.n_t * C.PATCH_SIZE)
 
 
 def summarize_features(z, n_f: int, n_t: int):

@@ -46,8 +46,9 @@ LN_EPS = 1e-6
 _NEG_BIAS = -1e9
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) truncated to +/-2 std by resampling."""
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) truncated to +/-2 std by resampling."""
+    std = 0.02
     x = rng.standard_normal(shape) * std
     while True:
         bad = np.abs(x) > 2.0 * std
@@ -285,19 +286,16 @@ def init_model_state(cfg: ModelConfig, seed: int) -> ModelState:
         config=cfg,
     )
     # the target starts as an exact copy of the online encoder
-    copy_params(state.online, state.target)
+    transfer_shared(state.online, state.target)
     return state
 
 
-def copy_params(src, dst) -> None:
-    src_named = named_params(src)
-    dst_named = named_params(dst)
-    if src_named.keys() != dst_named.keys():
-        raise InvalidInput("parameter trees do not match")
-    for name, tensor in src_named.items():
-        if dst_named[name].data.shape != tensor.data.shape:
-            raise InvalidInput(f"shape mismatch for {name}")
-        dst_named[name].data = tensor.data.copy()
+def transfer_shared(src, dst) -> None:
+    """Copy into `dst` every parameter of `src` with the same name and shape."""
+    src_params = named_params(src)
+    for name, tensor in named_params(dst).items():
+        if name in src_params and src_params[name].data.shape == tensor.data.shape:
+            tensor.data = src_params[name].data.copy()
 
 
 def named_params(obj, prefix: str = "") -> dict[str, Tensor]:
@@ -323,15 +321,6 @@ def _walk(obj, prefix, out):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             _walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, out)
-
-
-def param_digest(obj) -> str:
-    """sha256 hex over the raw bytes of all parameters, in name order."""
-    h = hashlib.sha256()
-    for name, tensor in named_params(obj).items():
-        h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(tensor.data).tobytes())
-    return h.hexdigest()
 
 
 # -- forward passes ---------------------------------------------------------
@@ -446,7 +435,7 @@ def predict_masked(pp: PredictorParams, z_v, pe: np.ndarray, vis: np.ndarray,
     return predictor_forward(pp, seq, msk)
 
 
-def standardize_targets(z_m, eps: float = 1e-6) -> Tensor:
+def standardize_targets(z_m) -> Tensor:
     """Zero-mean unit-variance over all entries (per sample when batched)."""
     z = Tensor.wrap(z_m)
     count = z.shape[-1] * z.shape[-2]
@@ -455,7 +444,7 @@ def standardize_targets(z_m, eps: float = 1e-6) -> Tensor:
     mu = z.mean(axis=(-2, -1), keepdims=True)
     centered = z - mu
     var = (centered * centered).mean(axis=(-2, -1), keepdims=True)
-    return centered / (var + eps).sqrt()
+    return centered / (var + 1e-6).sqrt()
 
 
 def project_audio(ap: AudioProjectorParams, z) -> Tensor:

@@ -71,7 +71,7 @@ class StageConfig:
 
     def __post_init__(self):
         _stage(self.stage_id)  # rejects an unknown id
-        prefix = _key_prefix(self.stage_id)
+        prefix = config_section(self.stage_id) + "."
         check_field_types(self, prefix)
         if self.stage_id == "1":  # optional elsewhere, read here
             for key in ("ema_start", "ema_end"):
@@ -83,8 +83,10 @@ class StageConfig:
                                 "batch_size positive")
 
 
-def _key_prefix(stage_id: str) -> str:
-    return "stage" + stage_id.replace(".", "_") + "."  # as in config files
+def config_section(stage_id: str) -> str:
+    """The config-file section that holds a stage's keys: stage1, stage1_1,
+    stage2 or stage2_1."""
+    return "stage" + stage_id.replace(".", "_")
 
 
 def stage_config_from(stage_id: str, params: dict) -> StageConfig:
@@ -98,7 +100,7 @@ def stage_config_from(stage_id: str, params: dict) -> StageConfig:
     values = {**defaults, **params}
     if "lambda_m2d" in values:
         values["weights"] = LossWeights(
-            *(check_type(_key_prefix(stage_id) + key, values.pop(key), "float")
+            *(check_type(f"{config_section(stage_id)}.{key}", values.pop(key), "float")
               for key in ("lambda_m2d", "lambda_clap")))
     return StageConfig(stage_id, **values)
 

@@ -1,14 +1,27 @@
 """Shared test utilities: finite-difference gradient checking, a
 straight-line (loop-based) transformer forward oracle that is
-independent of the autodiff engine, and a disk that fills up mid-write."""
+independent of the autodiff engine, a parameter digest, and a disk that
+fills up mid-write."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from miniclap import datakit as dk
 from miniclap.autodiff import Tensor
+from miniclap.network import named_params
+
+
+def param_digest(obj) -> str:
+    """sha256 hex over the names and raw bytes of all parameters, in name order."""
+    h = hashlib.sha256()
+    for name, tensor in named_params(obj).items():
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(tensor.data).tobytes())
+    return h.hexdigest()
 
 
 def numerical_grad(fn, param: Tensor, h: float = 1e-4) -> np.ndarray:

@@ -1,12 +1,18 @@
 """Configuration levers used by the analysis protocols: projector
-depth, MLP projector, text projector, and the full-scale preset."""
+depth, MLP projector, text projector, and the README's full-size
+encoder settings."""
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from miniclap import network as net, trainer
-from miniclap.config import ModelConfig, full_scale_config
+from miniclap import config as C, network as net, trainer
+from miniclap.config import ModelConfig
 from miniclap.trainer import AdamW, StageData, stage1_step, stage_config_from
+
+from conftest import param_digest
 
 
 def _stage1_data(rng, n=4, emb_dim=12):
@@ -35,11 +41,11 @@ class TestProjectorLevers:
         cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32,
                           projector_kind="mlp", emb_dim=12)
         before = net.init_model_state(cfg, seed=0)
-        digest = net.param_digest(before.projector)
+        digest = param_digest(before.projector)
         state, stats = _one_step(cfg, rng)
         assert state.projector.cls_token is None
         assert np.isfinite(stats["loss_clap"])
-        assert net.param_digest(state.projector) != digest
+        assert param_digest(state.projector) != digest
 
     def test_unknown_projector_kind_rejected(self):
         with pytest.raises(Exception):
@@ -53,9 +59,9 @@ class TestTextProjectorLever:
                           text_projector=True, emb_dim=12)
         before = net.init_model_state(cfg, seed=0)
         assert before.textpath.projector_in is not None
-        digest = net.param_digest(before.textpath.projector_in)
+        digest = param_digest(before.textpath.projector_in)
         state, _ = _one_step(cfg, rng)
-        assert net.param_digest(state.textpath.projector_in) != digest
+        assert param_digest(state.textpath.projector_in) != digest
 
     def test_text_projector_changes_mapped_embeddings(self, rng):
         base_cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, emb_dim=12)
@@ -69,17 +75,27 @@ class TestTextProjectorLever:
         assert not np.allclose(plain, projected)
 
 
+def _readme_full_size(*extra: str) -> ModelConfig:
+    """The model of the `--set model.*` pairs the README's Configuration
+    section gives for the full-size encoder, then `extra` pairs."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration")[1].split("\n## ")[0]
+    pairs = re.findall(r"--set\s+(model\.\w+=\w+)", section)
+    assert pairs, "the README's Configuration section gives no full-size settings"
+    return C.model_config_from(C.apply_overrides({}, [*pairs, *extra]))
+
+
 class TestFullScalePreset:
     def test_dimensions(self):
-        cfg = full_scale_config()
-        assert (cfg.dim, cfg.depth, cfg.heads) == (768, 12, 12)
+        cfg = _readme_full_size()
+        assert (cfg.dim, cfg.depth, cfg.heads, cfg.predictor_heads) == (768, 12, 12, 12)
         assert cfg.input_frames == 608
-        assert cfg.n_patches == 190
+        assert C.N_FREQ_PATCHES * cfg.n_time_patches == 190
         assert cfg.emb_dim == 4096
 
     def test_projector_matches_contract(self):
         # one block, one head, feed-forward latent equal to the model dim
-        cfg = full_scale_config()
+        cfg = _readme_full_size()
         state = net.init_model_state(ModelConfig(
             dim=16, depth=1, heads=2, input_frames=32,
             projector_blocks=cfg.projector_blocks,
@@ -89,5 +105,5 @@ class TestFullScalePreset:
         assert state.projector.blocks[0].mlp_in.weight.shape == (16, 16)
 
     def test_overrides_accepted(self):
-        cfg = full_scale_config(text_vocab=128)
+        cfg = _readme_full_size("model.text_vocab=128")
         assert cfg.text_vocab == 128 and cfg.dim == 768

@@ -20,7 +20,7 @@ from miniclap.frontend import Waveform, compute_logmel, pad_or_crop_to_grid, pat
 from miniclap.masking import sample_partition
 from miniclap.trainer import AdamW, StageData, ema_decay_at, lr_at, stage1_step, stage_config_from
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, param_digest
 from test_eval import oracle_retrieval
 from test_losses import oracle_ntxent
 
@@ -204,10 +204,10 @@ def test_criterion_06_freeze_contracts(rng):
     tokens = [[3 + int(i % 7), 4, 0] for i in range(8)]
     data = StageData(rng.standard_normal((8, 10, 256)) * 0.3, 5, 2, token_rows=tokens)
     cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=100, warmup_epochs=0))
-    digest = net.param_digest(state.online)
+    digest = param_digest(state.online)
     state, rows = trainer.run_stage(cfg, data, state, seed=0)
     assert len(rows) == 100
-    assert net.param_digest(state.online) == digest
+    assert param_digest(state.online) == digest
 
     # stage 1: the EMA target receives no gradient
     state = net.init_model_state(TINY, seed=3)

@@ -2,6 +2,7 @@
 codes, determinism, and override snapshots."""
 
 import argparse
+import csv
 import json
 import os
 import pathlib
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import miniclap
-from miniclap import config as C, datakit as dk, network as net
-from miniclap.cli import _build_parser, main
+from miniclap import config as C, datakit as dk, evaluation as ev, network as net
+from miniclap.cli import _build_parser, _split_indices, main
 from miniclap.evaluation import write_features
 
 TINY_MODEL = [
@@ -245,13 +246,20 @@ class TestExitCodes:
         ("--duration", "inf", "duration must be a positive number of seconds, got inf"),
         ("--duration", "-1", "duration must be a positive number of seconds, got -1.0"),
         ("--duration", "0", "duration must be a positive number of seconds, got 0.0"),
+        # each fails before an array is made: no test asks numpy for gigabytes
+        ("--duration", "1e-9", "a synthesized clip lasts from one sample to 600 s, got 1e-09 s"),
+        ("--duration", "1e300", "a synthesized clip lasts from one sample to 600 s, got 1e+300 s"),
+        ("--per-class", "0", "need at least one clip per class, got 0"),
+        ("--per-class", "-3", "need at least one clip per class, got -3"),
+        ("--classes", "4097",
+         "need 2 to 4096 classes (one orthonormal 4096-d embedding each), got 4097"),
         ("--val-frac", "nan", "--val-frac must be at least 0 and below 1, got nan"),
         ("--val-frac", "inf", "--val-frac must be at least 0 and below 1, got inf"),
         ("--val-frac", "-0.5", "--val-frac must be at least 0 and below 1, got -0.5"),
         ("--test-frac", "nan", "--test-frac must be at least 0 and below 1, got nan"),
     ])
     def test_bad_numeric_flag_is_exit_1(self, corpus, tmp_path, capsys, flag, value, message):
-        if flag == "--duration":
+        if flag in ("--duration", "--per-class", "--classes"):
             argv = ["synth-data", "--classes", "2", "--per-class", "1"]
         else:
             entries = dk.load_manifest(corpus / "manifest.jsonl")
@@ -262,6 +270,19 @@ class TestExitCodes:
         code = main([*argv, f"{flag}={value}", "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert os.listdir(tmp_path / "out") == ["config.txt"]
+
+    def test_synth_source_too_long_is_exit_1(self, corpus, stage1, tmp_path, capsys):
+        entries = dk.load_manifest(corpus / "manifest.jsonl")
+        entries[1].duration_s = 1e300
+        manifest = tmp_path / "manifest.jsonl"
+        dk.save_manifest(manifest, entries)
+        code = main(["extract-features", "--manifest", str(manifest),
+                     "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a synthesized clip lasts from one sample to 600 s, got 1e+300 s"]
         assert os.listdir(tmp_path / "out") == ["config.txt"]
 
     @pytest.mark.parametrize("verb", ["extract-features", "pretrain-stage2", "finetune-stage1.1"])
@@ -454,6 +475,33 @@ class TestPipeline:
                      "--set", "stage2_1.batch_size=3", "--set", "stage2_1.base_lr=1e-3"])
         assert code == 0
         assert (out / "checkpoints" / "final.ckpt").exists()
+
+
+def test_eval_linear_scores_multi_label_manifest_by_map(tmp_path):
+    # one clip with two labels makes the whole manifest multi-label
+    entries = [dk.ManifestEntry(f"c{i:02d}", "a tone", 1.0, f"c{i:02d}.wav",
+                                [f"class-{i % 3}"] + (["loud"] if i % 2 else []))
+               for i in range(24)]
+    dk.save_manifest(tmp_path / "manifest.jsonl", entries)
+    classes = ["class-0", "class-1", "class-2", "loud"]
+    labels = np.array([[float(c in e.labels) for c in classes] for e in entries])
+    noise = np.random.default_rng(0).standard_normal((24, 6))
+    write_features(str(tmp_path / "clip.feat"), [e.id for e in entries],
+                   np.hstack([labels, np.zeros((24, 2))]) + noise)
+    code = main(["eval-linear", "--features", str(tmp_path / "clip.feat"),
+                 "--manifest", str(tmp_path / "manifest.jsonl"), "--val-frac", "0.25",
+                 "--test-frac", "0.25", "--seed", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    _, feats = ev.read_features(str(tmp_path / "clip.feat"))
+    tr, va, te = _split_indices(24, 0.25, 0.25, 2)
+    result = ev.linear_probe(ev.LabeledFeatureSet(feats[tr], labels[tr], "train"),
+                             ev.LabeledFeatureSet(feats[va], labels[va], "val"),
+                             ev.LabeledFeatureSet(feats[te], labels[te], "test"), seed=2)
+    assert rows == [{"metric": "mAP", "value": f"{result.test_metric:.4f}",
+                     "best_epoch": str(result.best_epoch), "epochs_run": str(result.epochs_run)}]
 
 
 def _after_stage1(corpus, stage1, out, model):

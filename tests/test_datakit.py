@@ -311,14 +311,14 @@ class TestSynthCorpus:
             dk.synth_corpus(1, 5, 1.0, seed=0)
 
     def test_synth_waveform_carriers(self):
-        for carrier in ("sine", "noise", "chirp"):
-            spec = dk.SynthSpec(0, carrier, 300.0, seed=5)
-            a = dk.synth_waveform(spec, 0.5)
-            b = dk.synth_waveform(spec, 0.5)
-            assert a.shape == (8000,)
-            np.testing.assert_array_equal(a, b)
-        with pytest.raises(InvalidInput):
-            dk.synth_waveform(dk.SynthSpec(0, "square", 300.0, seed=5), 0.5)
+        spec = dk.SynthSpec(0, "sine", 300.0, seed=5)
+        a = dk.synth_waveform(spec, 0.5)
+        b = dk.synth_waveform(spec, 0.5)
+        assert a.shape == (8000,)
+        np.testing.assert_array_equal(a, b)
+        for carrier in ("noise", "chirp", "square"):
+            with pytest.raises(InvalidInput, match=f"unknown carrier '{carrier}'"):
+                dk.synth_waveform(dk.SynthSpec(0, carrier, 300.0, seed=5), 0.5)
 
     def test_load_entry_audio_synth_and_file(self, tmp_path, rng):
         _, entries, _ = dk.synth_corpus(2, 1, 0.5, seed=1)

@@ -176,18 +176,13 @@ class TestFilterbank:
 class TestStandardize:
     def test_mean_maps_to_zero(self):
         mel = fe.MelSpectrogram(np.full((80, 4), -7.26))
-        out = fe.standardize(mel, -7.26, 4.35)
+        out = fe.standardize(mel)
         np.testing.assert_allclose(out.values, 0.0)
 
     def test_mean_plus_std_maps_to_one(self):
         mel = fe.MelSpectrogram(np.full((80, 4), -2.91))
-        out = fe.standardize(mel, -7.26, 4.35)
+        out = fe.standardize(mel)
         np.testing.assert_allclose(out.values, 1.0)
-
-    def test_zero_std_rejected(self):
-        mel = fe.MelSpectrogram(np.zeros((80, 4)))
-        with pytest.raises(InvalidInput):
-            fe.standardize(mel, 0.0, 0.0)
 
 
 class TestPadOrCrop:
@@ -223,6 +218,17 @@ class TestPadOrCrop:
             fe.pad_or_crop_to_grid(mel, 608, crop_offset=100)
 
 
+def _unpatchify(grid: fe.PatchGrid) -> np.ndarray:
+    """The spectrogram a grid was cut from, patch by patch: patch
+    i * n_t + j is the 16x16 block of frequency band i and time column j."""
+    out = np.empty((grid.n_f * 16, grid.n_t * 16))
+    for i in range(grid.n_f):
+        for j in range(grid.n_t):
+            block = grid.patches[i * grid.n_t + j].reshape(16, 16)
+            out[16 * i:16 * (i + 1), 16 * j:16 * (j + 1)] = block
+    return out
+
+
 class TestPatchify:
     def test_reference_grid_dimensions(self, rng):
         grid = fe.patchify(fe.MelSpectrogram(rng.standard_normal((80, 608))))
@@ -239,13 +245,12 @@ class TestPatchify:
 
     def test_round_trip_bit_identical(self, rng):
         mel = fe.MelSpectrogram(rng.standard_normal((80, 96)))
-        back = fe.unpatchify(fe.patchify(mel))
-        assert np.array_equal(back, mel.values)
+        assert np.array_equal(_unpatchify(fe.patchify(mel)), mel.values)
 
     @pytest.mark.parametrize("shape", [(80, 16), (80, 48), (80, 608)])
     def test_round_trip_other_shapes(self, shape, rng):
         mel = fe.MelSpectrogram(rng.standard_normal(shape))
-        assert np.array_equal(fe.unpatchify(fe.patchify(mel)), mel.values)
+        assert np.array_equal(_unpatchify(fe.patchify(mel)), mel.values)
 
     def test_grid_order_frequency_major(self, rng):
         mel = fe.MelSpectrogram(rng.standard_normal((80, 32)))

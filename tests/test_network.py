@@ -2,6 +2,7 @@
 identity-block contracts, stop-gradient guarantees, gradient checks for
 every block type, and checkpoint round trips."""
 
+import dataclasses
 import os
 import struct
 import threading
@@ -20,7 +21,8 @@ from miniclap.config import ModelConfig
 from miniclap.errors import FormatError, InvalidInput
 from miniclap.frontend import build_posenc
 
-from conftest import assert_grads_match, oracle_block, oracle_encoder, oracle_predictor_input
+from conftest import (assert_grads_match, oracle_block, oracle_encoder, oracle_predictor_input,
+                      param_digest)
 
 TINY = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
                    predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
@@ -89,7 +91,7 @@ class TestEncode:
     def test_init_deterministic_under_seed(self):
         a = net.init_model_state(TINY, seed=9)
         b = net.init_model_state(TINY, seed=9)
-        assert net.param_digest(a) == net.param_digest(b)
+        assert param_digest(a) == param_digest(b)
 
     def test_wider_grid_rejected(self, state):
         # every grid is padded or cropped to input_frames first, so a
@@ -102,7 +104,25 @@ class TestEncode:
             net.posenc_for(state.online, 4, 2)
 
     def test_target_starts_as_online_copy(self, state):
-        assert net.param_digest(state.online) == net.param_digest(state.target)
+        assert param_digest(state.online) == param_digest(state.target)
+
+
+class TestTransferShared:
+    def test_stage2_init_copies_stage1_and_keeps_text_encoder(self):
+        # as pretrain-stage2: a seeded text-encoder state takes every stage-1 tensor
+        stage1 = net.init_model_state(dataclasses.replace(TINY, text_vocab=0), seed=1)
+        state = net.init_model_state(TINY, seed=2)
+        seeded = net.init_model_state(TINY, seed=2)
+        net.transfer_shared(stage1, state)
+        got = net.named_params(state)
+        for name, tensor in net.named_params(stage1).items():
+            assert got[name].data.shape == tensor.data.shape, name
+            assert got[name].data.tobytes() == tensor.data.tobytes(), name
+            assert not np.shares_memory(got[name].data, tensor.data), name
+        fresh = set(got) - set(net.named_params(stage1))
+        assert fresh and all(name.startswith("textpath.encoder.") for name in fresh)
+        assert param_digest(state.textpath.encoder) == param_digest(seeded.textpath.encoder)
+        assert param_digest(state.online) != param_digest(seeded.online)
 
 
 def _oracle_predict(pp, z_v, pe, vis, msk):

@@ -22,6 +22,8 @@ from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
                               run_stage, stage1_1_finetune, stage1_step, stage2_step,
                               stage_config_from)
 
+from conftest import param_digest
+
 TINY = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
                    predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
                    text_maxlen=8, emb_dim=12)
@@ -97,16 +99,16 @@ class TestSchedules:
 class TestEmaUpdate:
     def test_alpha_one_keeps_target(self):
         state = _state()
-        before = net.param_digest(state.target)
+        before = param_digest(state.target)
         state.online.patch_embed.weight.data += 1.0
         ema_update(state.target, state.online, 1.0)
-        assert net.param_digest(state.target) == before
+        assert param_digest(state.target) == before
 
     def test_alpha_zero_copies_online(self):
         state = _state()
         state.online.patch_embed.weight.data += 1.0
         ema_update(state.target, state.online, 0.0)
-        assert net.param_digest(state.target) == net.param_digest(state.online)
+        assert param_digest(state.target) == param_digest(state.online)
 
     def test_arithmetic(self):
         state = _state()
@@ -311,18 +313,18 @@ class TestStage1Step:
                                 np.random.default_rng(0), opt)
             assert stats["loss_clap"] == 0.0
             assert stats["loss_total"] == stats["loss_m2d"]
-        assert net.param_digest(state_a.online) == net.param_digest(state_b.online)
-        assert net.param_digest(state_a.predictor) == net.param_digest(state_b.predictor)
+        assert param_digest(state_a.online) == param_digest(state_b.online)
+        assert param_digest(state_a.predictor) == param_digest(state_b.predictor)
 
     def test_zero_clap_weight_leaves_clap_branch_untouched(self, rng):
         state = _state()
         data = _stage1_data(rng)
-        before_proj = net.param_digest(state.projector)
+        before_proj = param_digest(state.projector)
         before_tau = float(state.tau.data)
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         stage1_step(state, data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0),
                     np.random.default_rng(0), opt)
-        assert net.param_digest(state.projector) == before_proj
+        assert param_digest(state.projector) == before_proj
         assert float(state.tau.data) == before_tau
 
     def test_temperature_stays_clipped(self, rng):
@@ -340,10 +342,10 @@ class TestStage1Step:
         data = _stage1_data(rng).take(np.arange(4))
         data.patches[1] = np.nan
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_m2d"):
             stage1_step(state, data, _stage1_cfg(), np.random.default_rng(0), opt)
-        assert net.param_digest(state) == digest
+        assert param_digest(state) == digest
         assert opt.step_count == 0
 
     def test_wrong_stage_rejected(self, rng):
@@ -411,21 +413,21 @@ class TestTargetOverlap:
                              gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
                      for i in range(3)]
             moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
-            runs.append((stats, net.param_digest(state.online), net.param_digest(state.target),
-                         net.param_digest(state), moments))
+            runs.append((stats, param_digest(state.online), param_digest(state.target),
+                         param_digest(state), moments))
         assert runs[0] == runs[1]
 
     def test_target_error_propagates_before_any_update(self, rng, monkeypatch):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         error = TargetFailed("target branch failed")
         _fail_for_target(monkeypatch, error)
         with pytest.raises(TargetFailed) as caught:
             stage1_step(state, _stage1_data(rng, n=4), _stage1_cfg(),
                         np.random.default_rng(0), opt)
         assert caught.value is error
-        assert net.param_digest(state) == digest
+        assert param_digest(state) == digest
         assert opt.step_count == 0
 
     def test_online_error_waits_for_target_branch(self, rng, monkeypatch):
@@ -459,7 +461,7 @@ class TestSplitBackward:
         for i in range(3):
             stats = stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
                                 gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
-            record.append((stats, net.param_digest(state),
+            record.append((stats, param_digest(state),
                            [(name, p.grad.tobytes()) for name, p in opt.params.items()]))
         moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
         return record, moments
@@ -547,22 +549,22 @@ class TestStage2Step:
         data = _stage2_data(rng, n=8)
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
-        digest = net.param_digest(state.online)
+        digest = param_digest(state.online)
         gen = np.random.default_rng(0)
         for _ in range(100):
             stage2_step(state, _encoded(state, data, cfg, gen), cfg, opt)
-        assert net.param_digest(state.online) == digest
+        assert param_digest(state.online) == digest
 
     def test_projector_and_text_encoder_do_update(self, rng):
         state = _state()
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
         data = _encoded(state, _stage2_data(rng, n=8), cfg, np.random.default_rng(0))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
-        proj = net.param_digest(state.projector)
-        text = net.param_digest(state.textpath.encoder)
+        proj = param_digest(state.projector)
+        text = param_digest(state.textpath.encoder)
         stage2_step(state, data, cfg, opt)
-        assert net.param_digest(state.projector) != proj
-        assert net.param_digest(state.textpath.encoder) != text
+        assert param_digest(state.projector) != proj
+        assert param_digest(state.textpath.encoder) != text
 
     def test_loss_matches_external_recomputation(self, rng):
         state = _state()
@@ -587,10 +589,10 @@ class TestStage2Step:
         cfg = stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
         data = _encoded(state, data, cfg, np.random.default_rng(0))
         opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_clap"):
             stage2_step(state, data, cfg, opt)
-        assert net.param_digest(state) == digest
+        assert param_digest(state) == digest
         assert opt.step_count == 0
 
     def test_unfrozen_encoder_rejected(self):
@@ -692,7 +694,7 @@ def _assert_matches_oracle(cfg, data, tmp_path):
     oracle = tmp_path / "oracle.csv"
     trainer.write_loss_log(oracle, _oracle_run_stage2(cfg, data, oracle_state, 5), header=True)
     assert (tmp_path / "losses.csv").read_bytes() == oracle.read_bytes()
-    assert net.param_digest(state) == net.param_digest(oracle_state)
+    assert param_digest(state) == param_digest(oracle_state)
 
 
 class TestEncodeOnce:
@@ -792,7 +794,7 @@ class TestEncodeOnce:
                 opt.step()
                 want.append(loss.item())
         assert result.losses == want
-        assert net.param_digest(result.head) == net.param_digest(head)
+        assert param_digest(result.head) == param_digest(head)
 
     @pytest.mark.parametrize("epochs", [1, 4])
     def test_frozen_stage1_1_encodes_each_clip_once(self, rng, monkeypatch, epochs):
@@ -899,26 +901,26 @@ class TestStage11Finetune:
 
     def test_zero_epochs_leaves_state_unchanged(self, rng):
         state = _state()
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         cfg = stage_config_from("1.1", dict(epochs=0))
         result = stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
         assert result.losses == []
-        assert net.param_digest(state) == digest
+        assert param_digest(state) == digest
 
     def test_head_only_mode_freezes_encoder(self, rng):
         state = _state()
-        digest = net.param_digest(state.online)
+        digest = param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=5, batch_size=8,
                                             freeze_audio_encoder=True))
         stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
-        assert net.param_digest(state.online) == digest
+        assert param_digest(state.online) == digest
 
     def test_full_mode_updates_encoder(self, rng):
         state = _state()
-        digest = net.param_digest(state.online)
+        digest = param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=2, batch_size=8))
         stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
-        assert net.param_digest(state.online) != digest
+        assert param_digest(state.online) != digest
 
     def test_empty_dataset_rejected(self, rng):
         state = _state()
@@ -931,24 +933,24 @@ class TestStage11Finetune:
         state = _state()
         data = _labeled_data(rng)
         data.patches[3] = np.nan
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         head = net.init_affine(np.random.default_rng(0), data.n_f * TINY.dim, 3)
-        head_digest = net.param_digest(head)
+        head_digest = param_digest(head)
         cfg = stage_config_from("1.1", dict(epochs=1, batch_size=8))
         with pytest.raises(InvalidInput, match="non-finite loss_bce"):
             stage1_1_finetune(state, data, cfg, seed=0, head=head)
-        assert net.param_digest(state) == digest
-        assert net.param_digest(head) == head_digest
+        assert param_digest(state) == digest
+        assert param_digest(head) == head_digest
 
 
 class TestRunStage:
     def test_zero_epochs_no_log_no_change(self, rng):
         state = _state()
-        digest = net.param_digest(state)
+        digest = param_digest(state)
         cfg = _stage1_cfg(epochs=0)
         state, rows = run_stage(cfg, _stage1_data(rng), state, seed=0)
         assert rows == []
-        assert net.param_digest(state) == digest
+        assert param_digest(state) == digest
 
     def test_fixed_seed_reproduces_loss_log(self, rng):
         data = _stage1_data(rng)
