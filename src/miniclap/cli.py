@@ -282,6 +282,12 @@ def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
     rng = np.random.default_rng([args.seed, 0])
     patches, n_f, n_t = _prepare_grids(entries, args.wav_dir, state.config.input_frames, rng)
     tokens = [tokenizer.encode(e.caption) for e in entries]
+    limit = state.config.text_maxlen
+    for entry, row in zip(entries, tokens):
+        if len(row) > limit:  # the row ends in the end token
+            raise InvalidInput(f"caption of {entry.id} has {len(row) - 1} words; the text encoder "
+                               f"takes at most {limit - 1} (model.text_maxlen={limit}, less one "
+                               "for the end token)")
     data = StageData(patches, n_f, n_t, token_rows=tokens)
 
     state, rows = trainer.run_stage(stage_cfg, data, state, seed=args.seed, out_dir=out)

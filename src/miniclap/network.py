@@ -14,15 +14,17 @@ configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's; it
-runs forwards (the second half of `encode_frozen`'s clips and masked
-stage 2's one-ahead encodes among them), stage 1's weight-gradient
-tasks and front-end halves. `encode_frozen` is the one graph-free
-frozen-encode path: extraction, stages 2 and 2.1 and a frozen stage 1.1
-all encode through it.
+runs forwards (the second half of `encode_frozen`'s clips and the front
+of each `SharedEncode`'s calls among them), stage 1's weight-gradient
+tasks and front-end halves. `encode_frozen` and `SharedEncode` are the
+graph-free frozen-encode paths, with one plan of calls, `frozen_calls`:
+extraction, stage 2.1, an unmasked stage 2 and a frozen stage 1.1
+encode through the first, a masked stage 2 through the second.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import os
@@ -350,6 +352,58 @@ FROZEN_TOKENS = 512
 # whose bytes differ from those of a larger product (see
 # `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
 MIN_ROWS = 16
+# Token rows per call of a `SharedEncode`. The two threads split a batch
+# only at call boundaries, so the calls must be small enough for the
+# split to balance: FROZEN_TOKENS gives text-stages' 32-clip batches of
+# 46 visible patches three calls, so one thread could wait up to a third
+# of the encode on the other. With one BLAS thread on 2 vCPU, alternating
+# masked stage-2 runs at that size in one process (12 each) gave a step
+# p50/p90 of 34.2/41.8 ms at 184 rows (4 clips a call), 33.0/40.4 at 288
+# (6), 32.6/40.7 at 368 (8) and 36.9/45.3 at 512 (11). 288 is as fast as
+# 368 and holds fewer rows at once.
+SHARED_TOKENS = 288
+
+
+def frozen_calls(lo: int, hi: int, k: int, budget: int) -> list[tuple[int, int]]:
+    """The (start, end) calls of a frozen encode of clips lo..hi of k token
+    rows each: whole clips per call, at most `budget` rows, or one clip
+    when a clip alone is larger, but never fewer than MIN_ROWS rows unless
+    the clips have fewer; the clips are spread evenly over the calls."""
+    n = hi - lo
+    calls = max(1, min(-(-n // max(1, budget // k)), n // -(-MIN_ROWS // k)))
+    bounds = [lo + n * i // calls for i in range(calls + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _FrozenCalls:
+    """The encoder calls of one frozen encode (see `encode_frozen` for the
+    arguments). Any thread may run any call; each writes its clips' rows
+    into one array, so the bytes do not depend on which thread ran it."""
+
+    def __init__(self, params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
+                 clips: np.ndarray | None, vis: np.ndarray | None, summary):
+        self.params, self.patches, self.pe = params, patches, pe
+        self.vis, self.summary = vis, summary
+        self.clips = np.arange(len(patches)) if clips is None else clips
+        self.k = max(patches.shape[1] if vis is None else vis.shape[1], 1)  # token rows a clip
+        self.out = None
+        self._made = threading.Lock()
+
+    def run(self, start: int, end: int) -> None:
+        """Encode clips start..end, gathered just before the call, in this
+        thread's own `no_grad` and error state, which are per thread."""
+        part = self.clips[start:end]
+        with np.errstate(all="ignore"), ad.no_grad():
+            if self.vis is None:
+                z = encode_tokens(self.params, self.patches[part], self.pe)
+            else:
+                z = encode_tokens(self.params, self.patches[part[:, None], self.vis[start:end]],
+                                  self.pe[self.vis[start:end]])
+            rows = self.summary(z)
+        with self._made:
+            if self.out is None:
+                self.out = np.empty((len(self.clips), *rows.shape[1:]))
+        self.out[start:end] = rows
 
 
 def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
@@ -363,41 +417,19 @@ def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
     array, byte-identical to one call over all the clips.
 
     Given a `pool` (an executor other than the one this runs on), the
-    clips are split into two halves when each keeps at least MIN_ROWS
-    rows: this thread encodes the first, the pool the second. Each half
-    runs in calls of whole clips, gathered just before the call: at most
-    FROZEN_TOKENS token rows, or one clip when a clip alone is larger,
-    but never fewer than MIN_ROWS rows unless the half has fewer; its
-    clips are spread evenly over its calls. The call returns only when
-    both halves are done, and an error from either reaches the caller as
-    the same object. Each half enters its own `no_grad` and error state,
-    which are per thread."""
-    clips = np.arange(len(patches)) if clips is None else clips
-    b = len(clips)
-    k = max(patches.shape[1] if vis is None else vis.shape[1], 1)
-    out = None
-    made = threading.Lock()
+    clips are split into two fixed halves when each keeps at least
+    MIN_ROWS rows: this thread encodes the first, the pool the second.
+    Each half runs as the `frozen_calls` of FROZEN_TOKENS rows. The call
+    returns only when both halves are done, and an error from either
+    reaches the caller as the same object."""
+    job = _FrozenCalls(params, patches, pe, clips, vis, summary)
+    b = len(job.clips)
 
     def encode(lo: int, hi: int) -> None:
-        nonlocal out
-        n = hi - lo
-        calls = max(1, min(-(-n // max(1, FROZEN_TOKENS // k)), n // -(-MIN_ROWS // k)))
-        bounds = [lo + n * i // calls for i in range(calls + 1)]
-        with np.errstate(all="ignore"), ad.no_grad():
-            for start, end in zip(bounds[:-1], bounds[1:]):
-                part = clips[start:end]
-                if vis is None:
-                    z = encode_tokens(params, patches[part], pe)
-                else:
-                    z = encode_tokens(params, patches[part[:, None], vis[start:end]],
-                                      pe[vis[start:end]])
-                rows = summary(z)
-                with made:
-                    if out is None:
-                        out = np.empty((b, *rows.shape[1:]))
-                out[start:end] = rows
+        for call in frozen_calls(lo, hi, job.k, FROZEN_TOKENS):
+            job.run(*call)
 
-    if pool is None or b // 2 * k < MIN_ROWS:
+    if pool is None or b // 2 * job.k < MIN_ROWS:
         encode(0, b)
     else:
         mid = (b + 1) // 2
@@ -407,7 +439,55 @@ def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
         finally:
             futures.wait((pending,))
         pending.result()
-    return out
+    return job.out
+
+
+class SharedEncode:
+    """One batch's frozen encode of the patches `vis` of `patches[clips]`
+    (as `encode_frozen`), shared between `pool` and the thread that asks
+    for the result. Its calls are fixed when it is made, as the
+    `frozen_calls` of SHARED_TOKENS rows, so the plan depends only on the
+    batch, never on timing. Making it submits a task that runs calls from
+    the front of the list on `pool`; `result` runs on the calling thread
+    every call not yet started, from the back, and then waits for the
+    pool's call in flight. However the calls fall between the threads,
+    the rows equal one call over the whole batch, byte for byte.
+
+    A failed call empties the list, so neither thread starts another.
+    `result` returns or raises only once the pool's task is done, and it
+    raises the calling thread's error, else the pool's, as the same
+    object. The task never waits on the pool it runs on."""
+
+    def __init__(self, params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
+                 clips: np.ndarray, vis: np.ndarray, pool: futures.Executor):
+        self._job = _FrozenCalls(params, patches, pe, clips, vis, lambda z: z.data)
+        self._calls = collections.deque(frozen_calls(0, len(clips), self._job.k, SHARED_TOKENS))
+        self._task = pool.submit(self._drain, self._calls.popleft)
+
+    def _drain(self, take) -> None:
+        """Run calls, each taken with `take` (deque pops are atomic), until none is left."""
+        while True:
+            try:
+                call = take()
+            except IndexError:
+                return
+            try:
+                self._job.run(*call)
+            except BaseException:
+                self._calls.clear()
+                raise
+
+    def result(self) -> np.ndarray:
+        try:
+            self._drain(self._calls.pop)
+        finally:
+            self.wait()
+        self._task.result()
+        return self._job.out
+
+    def wait(self) -> None:
+        """Return once the pool's task has finished, without raising its error."""
+        futures.wait((self._task,))
 
 
 def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,

@@ -63,13 +63,17 @@ def one_blas_thread() -> BlasThreads:
 @functools.cache
 def worker() -> futures.ThreadPoolExecutor:
     """The process's one worker thread, created on first use, after
-    `one_blas_thread`. It has five users: stage 1 runs its EMA-target
-    branch on it, stage 1's backward its weight gradients and GELU
-    slopes, `network.encode_frozen` the second half of the clips of
-    extraction, stage 2.1 and a frozen stage 1.1, `frontend.compute_logmel`
-    the second half of a long clip's frames, and a masked stage 2's
-    `run_stage` the next batch's frozen encode (which passes
-    `encode_frozen` no pool). None is ever called from the worker, so a
-    task never waits on another task queued behind it."""
+    `one_blas_thread`. It has five users:
+    - stage 1 runs its EMA-target branch on it;
+    - stage 1's backward runs its weight gradients and GELU slopes on it;
+    - `network.encode_frozen` runs on it the second half of the clips of
+      extraction, stage 2.1, an unmasked stage 2 and a frozen stage 1.1;
+    - a masked stage 2's `network.SharedEncode` runs on it the next
+      batch's encoder calls from the front, while the step that needs
+      them runs the rest from the back;
+    - `frontend.compute_logmel` runs on it the second half of a long
+      clip's frames.
+    None is ever called from the worker, so a task never waits on
+    another task queued behind it."""
     one_blas_thread()
     return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")

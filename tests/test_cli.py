@@ -180,6 +180,47 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
         assert not os.path.exists(tmp_path / "checkpoints")
 
+    # the tiny model's grid has 5 x 2 = 10 patches; 0.99 of them rounds to all 10
+    @pytest.mark.parametrize("verb, setting, message", [
+        ("pretrain-stage2", "stage2.mask_ratio=1.0",
+         "stage 2 needs a visible patch, but mask_ratio=1.0 masks 10 of the 10"),
+        ("pretrain-stage2", "stage2.mask_ratio=0.99",
+         "stage 2 needs a visible patch, but mask_ratio=0.99 masks 10 of the 10"),
+        ("pretrain-stage1", "stage1.mask_ratio=0.0",
+         "stage 1 needs both visible and masked patches, but mask_ratio=0.0 masks 0 of the 10"),
+        ("pretrain-stage1", "stage1.mask_ratio=1.0",
+         "stage 1 needs both visible and masked patches, but mask_ratio=1.0 masks 10 of the 10"),
+    ])
+    def test_mask_ratio_leaving_no_patch_is_exit_1(self, corpus, stage1, tmp_path, capsys, verb,
+                                                   setting, message):
+        inputs = {"pretrain-stage1": ["--cache", str(corpus / "embeddings.cache")]}.get(
+            verb, ["--init", str(stage1 / "checkpoints" / "final.ckpt")])
+        code = main([verb, "--manifest", str(corpus / "manifest.jsonl"), *inputs,
+                     "--out", str(tmp_path), *TINY_MODEL, "--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert sorted(os.listdir(tmp_path)) == ["config.txt"]  # no loss log, no checkpoints
+
+    @pytest.mark.parametrize("verb", ["pretrain-stage2", "refine-stage2.1"])
+    def test_over_long_caption_is_exit_1_before_training(self, corpus, stage1, stage2, tmp_path,
+                                                         capsys, verb):
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[4])
+        record["caption"] = " ".join(["tone"] * 32)  # and the end token: 33 tokens of at most 32
+        lines[4] = json.dumps(record)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        init = {"pretrain-stage2": stage1, "refine-stage2.1": stage2}[verb]
+        code = main([verb, "--manifest", str(manifest),
+                     "--init", str(init / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path / "out"), *TINY_MODEL])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: caption of {record['id']} has 32 words; the text encoder takes "
+                       "at most 31 (model.text_maxlen=32, less one for the end token)"]
+        assert sorted(os.listdir(tmp_path / "out")) == ["config.txt"]
+
     @pytest.mark.parametrize("setting, message", [
         ("model.heads=0", "model.heads must be positive, got 0"),
         ("model.dim=-8", "model.dim must be positive, got -8"),

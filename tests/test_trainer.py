@@ -7,7 +7,9 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -631,24 +633,44 @@ class TestStage2Step:
 
 def _instrument_encoder(monkeypatch, slow_at=None, fail_at=None, error=None):
     """Count the encoder calls started and finished, by name and through
-    `encode_selected` alike, and record each one's tokens; call `slow_at`
-    sleeps 0.2 s first, and call `fail_at` raises `error`."""
+    `encode_selected` alike, and record each one's tokens. The frozen
+    encodes are numbered in the order they are made, which for a masked
+    stage 2 is batch order, whichever thread runs them: a call of encode
+    `slow_at` sleeps 0.2 s first, and one of encode `fail_at` raises
+    `error`."""
     calls = {"started": 0, "finished": 0, "tokens": []}
-    encode = net.encode_tokens
+    encode, make, run = net.encode_tokens, net._FrozenCalls.__init__, net._FrozenCalls.run
+    counting, made, running = threading.Lock(), [], threading.local()
+
+    def numbered_make(job, *args):  # on the thread that plans the batches
+        make(job, *args)
+        job.number = len(made)
+        made.append(job.number)
+
+    def numbered_run(job, start, end):
+        running.number = job.number
+        try:
+            run(job, start, end)
+        finally:
+            running.number = None
 
     def encode_tokens(params, patches, pe):
-        call = calls["started"]
-        calls["started"] += 1
+        number = getattr(running, "number", None)
+        with counting:  # the caller and the worker both make encoder calls
+            calls["started"] += 1
         try:
-            if call == slow_at:
+            if number is not None and number == slow_at:
                 time.sleep(0.2)
-            if call == fail_at:
+            if number is not None and number == fail_at:
                 raise error
             calls["tokens"].append(patches.shape[0] * patches.shape[1])
             return encode(params, patches, pe)
         finally:
-            calls["finished"] += 1
+            with counting:
+                calls["finished"] += 1
 
+    monkeypatch.setattr(net._FrozenCalls, "__init__", numbered_make)
+    monkeypatch.setattr(net._FrozenCalls, "run", numbered_run)
     monkeypatch.setattr(net, "encode_tokens", encode_tokens)
     monkeypatch.setattr(trainer, "encode_tokens", encode_tokens)
     return calls
@@ -824,9 +846,10 @@ class EncodeFailed(Exception):
 
 
 class TestMaskedPrefetch:
-    """A masked stage 2 encodes the next batch's visible patches on the
-    worker while the step trains the text side; the results are those of
-    encoding every batch inline."""
+    """A masked stage 2 starts the next batch's visible-patch encode on the
+    worker while the step trains the text side, and the step runs the
+    calls the worker has not started; the results are those of encoding
+    every batch inline."""
 
     # 10 clips in batches of 4: 3 steps an epoch, the last one partial;
     # each batch's 7 visible patches a clip go through one encoder call
@@ -866,6 +889,130 @@ class TestMaskedPrefetch:
             run_stage(stage_config_from("2", self.CFG), _stage2_data(rng, n=10), _state())
         assert len(updates) == k
         assert calls["started"] == calls["finished"] == k + 2
+
+    # 20 clips in batches of 10, 7 visible patches a clip: SHARED_TOKENS =
+    # 21 plans each batch's encode as three calls, of 3, 3 and 4 clips
+    SHARED = dict(epochs=2, warmup_epochs=1, batch_size=10, base_lr=1e-3)
+
+    @staticmethod
+    def _share(monkeypatch, slow, fail=None, error=None):
+        """Three encoder calls a batch; record, call by call, whether the
+        worker ran it. `slow="worker"` makes each of the worker's calls
+        sleep 0.2 s and the caller 0.05 s before each step, so the worker
+        has started one call of each batch when the caller takes the other
+        two; `slow="caller"` makes the caller sleep 0.3 s before each step,
+        so the worker takes every call. `fail` = (thread, i) makes that
+        thread's i-th call raise `error`."""
+        monkeypatch.setattr(net, "SHARED_TOKENS", 21)
+        on_worker, calls = [], {"started": 0, "finished": 0}
+        encode = net.encode_tokens
+        counting = threading.Lock()
+
+        def encode_tokens(params, patches, pe):
+            thread = "worker" if threading.current_thread().name.startswith(
+                "miniclap-worker") else "caller"
+            with counting:
+                calls["started"] += 1
+            try:
+                if thread == slow == "worker":
+                    time.sleep(0.2)
+                if fail == (thread, on_worker.count(thread == "worker")):
+                    raise error
+                on_worker.append(thread == "worker")
+                return encode(params, patches, pe)
+            finally:
+                with counting:
+                    calls["finished"] += 1
+
+        monkeypatch.setattr(net, "encode_tokens", encode_tokens)
+        step, pause = trainer.stage2_step, {"worker": 0.05, "caller": 0.3}[slow]
+        monkeypatch.setattr(trainer, "stage2_step",
+                            lambda *args, **kwargs: (time.sleep(pause), step(*args, **kwargs))[1])
+        return on_worker, calls
+
+    @pytest.mark.parametrize("slow", ["worker", "caller"])
+    def test_bytes_do_not_depend_on_which_thread_runs_a_call(self, rng, monkeypatch, tmp_path,
+                                                             slow):
+        on_worker, _ = self._share(monkeypatch, slow)
+        _assert_matches_oracle(stage_config_from("2", self.SHARED), _stage2_data(rng, n=20),
+                               tmp_path)
+        ran = on_worker[:12]  # the run's 4 batches of 3 calls; the oracle's calls follow
+        assert ran.count(True) == {"worker": 4, "caller": 12}[slow]
+
+    # the failing call is batch 1's: the worker's second (its one call of
+    # batch 1) or the caller's third (its first of batch 1) when the worker
+    # is slow, the worker's fourth when the caller is
+    @pytest.mark.parametrize("slow, fail", [("worker", ("worker", 1)), ("worker", ("caller", 2)),
+                                            ("caller", ("worker", 3))])
+    def test_error_in_either_thread_reaches_its_step_before_the_update(self, rng, monkeypatch,
+                                                                      slow, fail):
+        error = EncodeFailed(f"{fail[0]} call failed")
+        _, calls = self._share(monkeypatch, slow, fail, error)
+        updates = _count_updates(monkeypatch)
+        with pytest.raises(EncodeFailed) as caught:
+            run_stage(stage_config_from("2", self.SHARED), _stage2_data(rng, n=20), _state())
+        assert caught.value is error
+        assert len(updates) == 1
+        assert calls["started"] == calls["finished"]  # no call was running when it left
+
+    def test_shared_encode_raises_only_once_the_worker_is_idle(self, rng, monkeypatch):
+        state = _state()
+        patches = rng.standard_normal((9, 10, 256))
+        vis = np.tile(np.arange(7), (9, 1))
+        monkeypatch.setattr(net, "SHARED_TOKENS", 21)  # three calls of 3 clips
+        error, finished = EncodeFailed("caller call failed"), []
+
+        def run(job, start, end):
+            if threading.current_thread().name.startswith("miniclap-worker"):
+                time.sleep(0.2)
+                finished.append(start)
+            else:
+                raise error
+
+        monkeypatch.setattr(net._FrozenCalls, "run", run)
+        shared = net.SharedEncode(state.online, patches, state.online.posenc.table,
+                                  np.arange(9), vis, net.worker())
+        time.sleep(0.05)  # the worker has started the first call
+        with pytest.raises(EncodeFailed) as caught:
+            shared.result()
+        assert caught.value is error
+        assert finished == [0]  # the worker's call ended first; no other call started
+
+    def test_shared_encode_runs_each_call_once_under_contention(self, rng, monkeypatch):
+        state = _state()
+        patches = rng.standard_normal((24, 10, 256))
+        table = state.online.posenc.table
+        clips = rng.permutation(24)
+        vis = np.stack([np.sort(rng.permutation(10)[:8]) for _ in range(24)])
+        with ad.no_grad():
+            want = net.encode_tokens(state.online, patches[clips[:, None], vis], table[vis]).data
+        monkeypatch.setattr(net, "SHARED_TOKENS", 16)  # 12 calls of 2 clips
+        ran = []
+        run = net._FrozenCalls.run
+        monkeypatch.setattr(net._FrozenCalls, "run",
+                            lambda job, *call: (ran.append(call), run(job, *call)))
+        results = []
+
+        def caller():  # four callers, each with its own one-thread pool: 8 threads on 2 cores
+            with futures.ThreadPoolExecutor(1) as pool:
+                for _ in range(5):
+                    results.append(net.SharedEncode(state.online, patches, table, clips, vis,
+                                                    pool).result())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 20
+        assert all(r.tobytes() == want.tobytes() for r in results)
+        assert sorted(ran) == sorted(net.frozen_calls(0, 24, 8, 16) * 20)
 
     @pytest.mark.parametrize("visible", [None, 3])
     def test_chunks_match_one_whole_batch_encode(self, rng, monkeypatch, visible):
