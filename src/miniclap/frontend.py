@@ -2,8 +2,8 @@
 
 `compute_logmel` frames the padded signal as strided views, with the
 Hann window and mel filterbank built once at import. A long clip's
-frames are split between the calling thread and `threads.worker()`,
-byte-identical to computing them on one thread.
+frame blocks are shared between the calling thread and
+`threads.worker()`, byte-identical to computing them on one thread.
 
 Also hosts the fixed 2-D sinusoidal positional encoding and the
 patch-feature summarization used to produce frame- and clip-level
@@ -12,7 +12,7 @@ features from encoder outputs.
 
 from __future__ import annotations
 
-from concurrent import futures
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config as C
 from .errors import InvalidInput
-from .threads import worker
+from .threads import SharedCalls, worker
 
 
 @dataclass
@@ -101,33 +101,29 @@ _WINDOW = np.hanning(C.WIN_LENGTH)
 _FILTERBANK = mel_filterbank()
 _WINDOW.flags.writeable = _FILTERBANK.flags.writeable = False
 
-# A clip is split between the caller and the worker only when each half
-# keeps at least this many frames. On an idle 2-vCPU machine a split
-# wins from about 22 frames a half, but when the second core is busy
-# the log-mels of 64 two-second clips took 123-160 ms split into
-# 100-frame halves against 96 ms on one thread, while 200-frame halves
-# still won (0.6x). So clips under 2.56 s, such as the 2 s training
-# clips, stay on the calling thread.
-MIN_PART_FRAMES = 128
-# Each thread computes its frames in blocks of this many (the last block
-# takes the remainder). A block's temporaries stay under 0.6 MB, which
-# malloc reuses from call to call; a 9 s clip's whole halves are mapped
-# and faulted in afresh on every call (1,994 against 672 minor faults a
-# call). OpenBLAS computes a product of fewer than 16 rows with another
-# kernel, whose bytes differ from the whole product's, so both constants
-# must stay at 16 or more.
+# A clip's frames are computed in blocks of this many (the last block
+# takes the remainder, up to 2*BLOCK_FRAMES-1). A block's temporaries stay
+# under 0.6 MB, which malloc reuses from call to call; a 9 s clip's whole
+# halves were mapped and faulted in afresh on every call (1,994 against
+# 672 minor faults a call). OpenBLAS computes a product of fewer than 16
+# rows with another kernel, whose bytes differ from the whole product's,
+# so a block must keep 16 rows or more.
 BLOCK_FRAMES = 64
+# A clip's blocks are shared with the worker only from this many (256
+# frames, 2.56 s). On an idle 2-vCPU machine a split wins from about 44
+# frames, but when the second core is busy the log-mels of 64 two-second
+# clips took 123-160 ms split into 100-frame halves against 96 ms on one
+# thread, while 200-frame halves still won (0.6x). So clips under 2.56 s,
+# such as the 2 s training clips, stay on the calling thread.
+MIN_SHARED_BLOCKS = 4
 
 
 def _mel_power(frames: np.ndarray, out: np.ndarray) -> None:
     """Window, rfft, power and mel projection of `frames` [t, win] into
-    `out` [t, n_mels], in blocks of BLOCK_FRAMES to 2*BLOCK_FRAMES-1
-    frames (a single block when t is under 2*BLOCK_FRAMES)."""
-    starts = range(0, max(1, len(frames) // BLOCK_FRAMES) * BLOCK_FRAMES, BLOCK_FRAMES)
-    for start, end in zip(starts, [*starts[1:], len(frames)]):
-        spectrum = np.fft.rfft(frames[start:end] * _WINDOW, n=C.N_FFT, axis=1)
-        power = spectrum.real ** 2 + spectrum.imag ** 2
-        np.matmul(power, _FILTERBANK.T, out=out[start:end])
+    `out` [t, n_mels]."""
+    spectrum = np.fft.rfft(frames * _WINDOW, n=C.N_FFT, axis=1)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    np.matmul(power, _FILTERBANK.T, out=out)
 
 
 def compute_logmel(w: Waveform) -> MelSpectrogram:
@@ -136,13 +132,12 @@ def compute_logmel(w: Waveform) -> MelSpectrogram:
     Frame t is centered at sample t*hop; the signal is padded by
     win//2 on both sides (reflect when the signal is long enough,
     zeros otherwise, since reflection needs pad < length). Frames are
-    strided views of the padded signal. When each half of the frames
-    holds at least `MIN_PART_FRAMES`, this thread computes the first
-    half's mel power and `threads.worker()` the second; the call waits
-    for the worker's half even when its own fails, and an error from the
-    worker reaches the caller unchanged. The result is byte-identical to
-    computing every frame on one thread. Never call this from the worker,
-    which would then wait on its own queue.
+    strided views of the padded signal, whose mel power is computed in
+    blocks of BLOCK_FRAMES, as a `threads.SharedCalls` shared with
+    `threads.worker()` from MIN_SHARED_BLOCKS blocks. The result is
+    byte-identical to computing every frame in one block on one thread.
+    Never call this from the worker, which would then wait on its own
+    queue.
     """
     samples = np.asarray(w.samples, dtype=np.float64).reshape(-1)
     if samples.size < 1:
@@ -157,16 +152,12 @@ def compute_logmel(w: Waveform) -> MelSpectrogram:
     n_frames = -(-samples.size // C.HOP_LENGTH)  # ceil
     frames = sliding_window_view(padded, C.WIN_LENGTH)[:n_frames * C.HOP_LENGTH:C.HOP_LENGTH]
     mel_power = np.empty((n_frames, C.N_MELS))
-    split = n_frames // 2
-    if split < MIN_PART_FRAMES:
-        _mel_power(frames, mel_power)
-    else:
-        pending = worker().submit(_mel_power, frames[split:], mel_power[split:])
-        try:
-            _mel_power(frames[:split], mel_power[:split])
-        finally:
-            futures.wait([pending])
-        pending.result()
+    starts = range(0, max(1, n_frames // BLOCK_FRAMES) * BLOCK_FRAMES, BLOCK_FRAMES)
+    blocks = SharedCalls(functools.partial(_mel_power, frames[start:end], mel_power[start:end])
+                         for start, end in zip(starts, [*starts[1:], n_frames]))
+    if len(starts) >= MIN_SHARED_BLOCKS:
+        blocks.share(worker())
+    blocks.result()
     values = mel_power.T + C.LOG_FLOOR
     return MelSpectrogram(np.log(values, out=values))
 

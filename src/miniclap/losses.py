@@ -8,6 +8,7 @@ all use it. Zero-norm rows are rejected by `autodiff.l2_normalize`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,10 @@ class LossWeights:
     lambda_clap: float = 0.01
 
     def __post_init__(self):
-        if self.lambda_m2d < 0 or self.lambda_clap < 0:
-            raise InvalidInput("loss weights must be nonnegative")
+        for key in ("lambda_m2d", "lambda_clap"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInput(f"loss weight {key} must be finite and nonnegative, got {value}")
         if self.lambda_m2d == 0 and self.lambda_clap == 0:
             raise InvalidInput("at least one loss weight must be positive")
 

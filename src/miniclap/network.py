@@ -13,24 +13,21 @@ A single sample is a batch of one, and every grid has the encoder's
 configured shape.
 Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
-`worker` is `threads.worker`, the one thread besides the caller's; it
-runs forwards (the second half of `encode_frozen`'s clips and the front
-of each `SharedEncode`'s calls among them), stage 1's weight-gradient
-tasks and front-end halves. `encode_frozen` and `SharedEncode` are the
-graph-free frozen-encode paths, with one plan of calls, `frozen_calls`:
-extraction, stage 2.1, an unmasked stage 2 and a frozen stage 1.1
-encode through the first, a masked stage 2 through the second.
+`worker` is `threads.worker`, the one thread besides the caller's.
+`SharedEncode` is the one graph-free frozen encode, a `threads.SharedCalls`
+of the calls `frozen_calls` plans: extraction, stage 2.1, an unmasked
+stage 2 and a frozen stage 1.1 run one at once through `encode_frozen`,
+and a masked stage 2 starts each batch's one step ahead on the worker.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import functools
 import hashlib
 import os
 import struct
 import threading
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +39,7 @@ from .config import ModelConfig, N_FREQ_PATCHES, PATCH_SIZE, parse_model_config
 from .datakit import PAD_ID, atomic_open
 from .errors import FormatError, InvalidInput
 from .frontend import PositionalEncoding, build_posenc
-from .threads import worker  # re-exported: stage 1 and the frozen encodes call `net.worker()`
+from .threads import SharedCalls, worker  # `worker` re-exported: callers use `net.worker()`
 
 LN_EPS = 1e-6
 _NEG_BIAS = -1e9
@@ -343,51 +340,63 @@ def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     return layer_norm(params.final_norm, x)
 
 
-# Token rows per frozen encoder call (see `encode_frozen`). Larger calls
-# hold more memory at once but make fewer calls: against 512, a budget of
-# 256 took extract-eval's step p50 15% and text-stages' 7% higher, for
-# 3-5% less peak memory (README, Performance).
-FROZEN_TOKENS = 512
 # OpenBLAS computes a product of fewer than 16 rows with another kernel,
 # whose bytes differ from those of a larger product (see
 # `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
 MIN_ROWS = 16
-# Token rows per call of a `SharedEncode`. The two threads split a batch
+# Token rows per frozen encoder call. The two threads split an encode
 # only at call boundaries, so the calls must be small enough for the
-# split to balance: FROZEN_TOKENS gives text-stages' 32-clip batches of
-# 46 visible patches three calls, so one thread could wait up to a third
-# of the encode on the other. With one BLAS thread on 2 vCPU, alternating
+# split to balance: 512 rows gives text-stages' 32-clip batches of 46
+# visible patches three calls, so one thread could wait up to a third of
+# the encode on the other. With one BLAS thread on 2 vCPU, alternating
 # masked stage-2 runs at that size in one process (12 each) gave a step
 # p50/p90 of 34.2/41.8 ms at 184 rows (4 clips a call), 33.0/40.4 at 288
 # (6), 32.6/40.7 at 368 (8) and 36.9/45.3 at 512 (11). 288 is as fast as
-# 368 and holds fewer rows at once.
+# 368 and holds fewer rows at once. For extraction and the once-per-run
+# encodes it measured level with fixed halves of 512-row calls (README,
+# Performance).
 SHARED_TOKENS = 288
 
 
-def frozen_calls(lo: int, hi: int, k: int, budget: int) -> list[tuple[int, int]]:
-    """The (start, end) calls of a frozen encode of clips lo..hi of k token
-    rows each: whole clips per call, at most `budget` rows, or one clip
-    when a clip alone is larger, but never fewer than MIN_ROWS rows unless
-    the clips have fewer; the clips are spread evenly over the calls."""
-    n = hi - lo
-    calls = max(1, min(-(-n // max(1, budget // k)), n // -(-MIN_ROWS // k)))
-    bounds = [lo + n * i // calls for i in range(calls + 1)]
+def frozen_calls(n: int, k: int) -> list[tuple[int, int]]:
+    """The (start, end) calls of a frozen encode of n clips of k token rows
+    each: whole clips per call, at most SHARED_TOKENS rows (or one clip,
+    when a clip alone is larger) and at least two calls, but never fewer
+    than MIN_ROWS rows a call unless the clips have fewer; the clips are
+    spread evenly over the calls."""
+    calls = max(1, min(max(2, -(-n // max(1, SHARED_TOKENS // k))), n // -(-MIN_ROWS // k)))
+    bounds = [n * i // calls for i in range(calls + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-class _FrozenCalls:
-    """The encoder calls of one frozen encode (see `encode_frozen` for the
-    arguments). Any thread may run any call; each writes its clips' rows
-    into one array, so the bytes do not depend on which thread ran it."""
+class SharedEncode(SharedCalls):
+    """A frozen encode, without a graph, of each row's patches `vis`
+    [b, V] (all n when None) of the clips `patches[clips]` (every clip, in
+    order, when None); `patches` is [n_samples, n, 256] and `pe` the
+    [n, dim] position table. Its calls are the `frozen_calls` of the
+    clips; each maps its [c, V, dim] output through `summary` and writes
+    the rows kept into one array, which `result` returns.
+
+    Any thread may run any call, and the token rows, or a summary computed
+    from each clip's rows alone, are byte-identical to one call over all
+    the clips. A summary whose products mix a call's clips is not: the
+    projector's class-token products have one row per clip, fewer than
+    MIN_ROWS, so their last bits depend on which clips share a call."""
 
     def __init__(self, params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
-                 clips: np.ndarray | None, vis: np.ndarray | None, summary):
+                 clips: np.ndarray | None = None, vis: np.ndarray | None = None,
+                 summary=lambda z: z.data):
         self.params, self.patches, self.pe = params, patches, pe
         self.vis, self.summary = vis, summary
         self.clips = np.arange(len(patches)) if clips is None else clips
-        self.k = max(patches.shape[1] if vis is None else vis.shape[1], 1)  # token rows a clip
+        k = max(patches.shape[1] if vis is None else vis.shape[1], 1)  # token rows a clip
+        self.plan = frozen_calls(len(self.clips), k)
         self.out = None
         self._made = threading.Lock()
+        super().__init__(functools.partial(self.run, *call) for call in self.plan)
+
+    def __len__(self) -> int:
+        return len(self.clips)
 
     def run(self, start: int, end: int) -> None:
         """Encode clips start..end, gathered just before the call, in this
@@ -405,89 +414,20 @@ class _FrozenCalls:
                 self.out = np.empty((len(self.clips), *rows.shape[1:]))
         self.out[start:end] = rows
 
+    def result(self) -> np.ndarray:
+        super().result()
+        return self.out
+
 
 def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
                   clips: np.ndarray | None = None, vis: np.ndarray | None = None,
                   summary=lambda z: z.data, pool=None) -> np.ndarray:
-    """Encode through a frozen encoder, without a graph, each row's
-    patches `vis` [b, V] (all n when None) of the clips `patches[clips]`
-    (every clip, in order, when None); `patches` is [n_samples, n, 256]
-    and `pe` the [n, dim] position table. `summary` maps each call's
-    [c, V, dim] output to the rows kept, which are written into one
-    array, byte-identical to one call over all the clips.
-
-    Given a `pool` (an executor other than the one this runs on), the
-    clips are split into two fixed halves when each keeps at least
-    MIN_ROWS rows: this thread encodes the first, the pool the second.
-    Each half runs as the `frozen_calls` of FROZEN_TOKENS rows. The call
-    returns only when both halves are done, and an error from either
-    reaches the caller as the same object."""
-    job = _FrozenCalls(params, patches, pe, clips, vis, summary)
-    b = len(job.clips)
-
-    def encode(lo: int, hi: int) -> None:
-        for call in frozen_calls(lo, hi, job.k, FROZEN_TOKENS):
-            job.run(*call)
-
-    if pool is None or b // 2 * job.k < MIN_ROWS:
-        encode(0, b)
-    else:
-        mid = (b + 1) // 2
-        pending = pool.submit(encode, mid, b)
-        try:
-            encode(0, mid)
-        finally:
-            futures.wait((pending,))
-        pending.result()
-    return job.out
-
-
-class SharedEncode:
-    """One batch's frozen encode of the patches `vis` of `patches[clips]`
-    (as `encode_frozen`), shared between `pool` and the thread that asks
-    for the result. Its calls are fixed when it is made, as the
-    `frozen_calls` of SHARED_TOKENS rows, so the plan depends only on the
-    batch, never on timing. Making it submits a task that runs calls from
-    the front of the list on `pool`; `result` runs on the calling thread
-    every call not yet started, from the back, and then waits for the
-    pool's call in flight. However the calls fall between the threads,
-    the rows equal one call over the whole batch, byte for byte.
-
-    A failed call empties the list, so neither thread starts another.
-    `result` returns or raises only once the pool's task is done, and it
-    raises the calling thread's error, else the pool's, as the same
-    object. The task never waits on the pool it runs on."""
-
-    def __init__(self, params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
-                 clips: np.ndarray, vis: np.ndarray, pool: futures.Executor):
-        self._job = _FrozenCalls(params, patches, pe, clips, vis, lambda z: z.data)
-        self._calls = collections.deque(frozen_calls(0, len(clips), self._job.k, SHARED_TOKENS))
-        self._task = pool.submit(self._drain, self._calls.popleft)
-
-    def _drain(self, take) -> None:
-        """Run calls, each taken with `take` (deque pops are atomic), until none is left."""
-        while True:
-            try:
-                call = take()
-            except IndexError:
-                return
-            try:
-                self._job.run(*call)
-            except BaseException:
-                self._calls.clear()
-                raise
-
-    def result(self) -> np.ndarray:
-        try:
-            self._drain(self._calls.pop)
-        finally:
-            self.wait()
-        self._task.result()
-        return self._job.out
-
-    def wait(self) -> None:
-        """Return once the pool's task has finished, without raising its error."""
-        futures.wait((self._task,))
+    """The result of a `SharedEncode` of these arguments, run now and
+    shared with `pool` when it plans two calls or more."""
+    encode = SharedEncode(params, patches, pe, clips, vis, summary)
+    if pool is not None and len(encode.plan) > 1:
+        encode.share(pool)
+    return encode.result()
 
 
 def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,

@@ -1,4 +1,5 @@
-"""The process's one worker thread, and the BLAS thread budget it needs.
+"""The process's one worker thread, the BLAS thread budget it needs, and
+`SharedCalls`, the one way to split independent work with it.
 
 The worker runs beside the calling thread on the second core. numpy and
 OpenBLAS release the interpreter lock inside their loops, so the two
@@ -10,6 +11,7 @@ to one thread, for the whole process.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import glob
@@ -63,17 +65,65 @@ def one_blas_thread() -> BlasThreads:
 @functools.cache
 def worker() -> futures.ThreadPoolExecutor:
     """The process's one worker thread, created on first use, after
-    `one_blas_thread`. It has five users:
+    `one_blas_thread`. It has three kinds of user:
     - stage 1 runs its EMA-target branch on it;
     - stage 1's backward runs its weight gradients and GELU slopes on it;
-    - `network.encode_frozen` runs on it the second half of the clips of
-      extraction, stage 2.1, an unmasked stage 2 and a frozen stage 1.1;
-    - a masked stage 2's `network.SharedEncode` runs on it the next
-      batch's encoder calls from the front, while the step that needs
-      them runs the rest from the back;
-    - `frontend.compute_logmel` runs on it the second half of a long
-      clip's frames.
+    - a `SharedCalls` runs on it calls from the front of its list: the
+      frozen encodes of extraction, stages 2 and 2.1 and a frozen stage
+      1.1 (`network.SharedEncode`), and a long clip's log-mel blocks.
     None is ever called from the worker, so a task never waits on
     another task queued behind it."""
     one_blas_thread()
     return futures.ThreadPoolExecutor(1, thread_name_prefix="miniclap-worker")
+
+
+class SharedCalls:
+    """A fixed list of independent calls, run by the thread that asks for
+    their end and, once `share` is called, by a pool as well: the pool
+    takes calls from the front of the list, the asking thread (in
+    `result`) from the back, until none is left. The list is fixed when
+    this is made, so which calls exist never depends on timing; which
+    thread runs each one does, so each call must give the same bytes on
+    any thread.
+
+    A failed call empties the list, so neither thread starts another.
+    `result` returns or raises only once the pool's task is done, and it
+    raises the asking thread's error, else the pool's, as the same
+    object. The pool's task never waits on the pool it runs on."""
+
+    def __init__(self, calls):
+        self._calls = collections.deque(calls)
+        self._task = None
+
+    def share(self, pool: futures.Executor) -> "SharedCalls":
+        """Start `pool` on the calls from the front; returns self."""
+        self._task = pool.submit(self._drain, self._calls.popleft)
+        return self
+
+    def _drain(self, take) -> None:
+        """Run calls, each taken with `take` (deque pops are atomic), until none is left."""
+        while True:
+            try:
+                call = take()
+            except IndexError:
+                return
+            try:
+                call()
+            except BaseException:
+                self._calls.clear()
+                raise
+
+    def result(self) -> None:
+        """Run every call not yet started, from the back (in order when not
+        shared), then wait for the pool's."""
+        try:
+            self._drain(self._calls.popleft if self._task is None else self._calls.pop)
+        finally:
+            self.wait()
+        if self._task is not None:
+            self._task.result()
+
+    def wait(self) -> None:
+        """Return once the pool's task has finished, without raising its error."""
+        if self._task is not None:
+            futures.wait((self._task,))

@@ -81,6 +81,12 @@ class StageConfig:
         if self.epochs < 0 or self.warmup_epochs < 0 or self.batch_size < 1:
             raise InvalidConfig(f"stage {self.stage_id}: epochs/warmup must be nonnegative, "
                                 "batch_size positive")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise InvalidConfig(f"{prefix}base_lr must be positive and finite, got {self.base_lr}")
+        for key in ("ema_start", "ema_end"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise InvalidConfig(f"{prefix}{key} must lie in [0, 1], got {value}")
 
 
 def config_section(stage_id: str) -> str:
@@ -221,7 +227,7 @@ class StageData:
     stage-2/2.1 step reads of the audio. A caller leaves it unset:
     `run_stage` fills it in for each step's batch, which then carries no
     patches. In stage 2.1 (and an unmasked stage 2) it is the batch's
-    rows of a once-per-run `net.encode_frozen` of every full grid, split
+    rows of a once-per-run `net.encode_frozen` of every full grid, shared
     between the caller and `net.worker()`; in a masked stage 2 it is the
     batch's visible-patch encode as a `net.SharedEncode`, which
     `net.worker()` starts one step ahead and whose unstarted calls
@@ -239,7 +245,7 @@ class StageData:
 
     @property
     def n_samples(self) -> int:
-        return (self.patches if self.features is None else self.features).shape[0]
+        return len(self.patches if self.features is None else self.features)
 
     def take(self, idx: np.ndarray) -> "StageData":
         return StageData(
@@ -478,12 +484,13 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
     """Train one stage to completion; returns the state and the loss log.
 
-    A mask ratio that leaves the stage no patch to encode is rejected
-    before anything is written. Stages 2 and 2.1 hand each step its
-    batch's encoded audio. A stage that masks nothing (stage 2.1)
-    encodes every clip once, before the first epoch, on both threads,
-    into a copy of `data`; the caller's `data` is left as it was. That
-    holds n_samples x n_patches x dim float64 values for the whole run.
+    A mask ratio that leaves the stage no patch to encode, and a warm-up
+    longer than the run, are rejected before anything is written. Stages
+    2 and 2.1 hand each step its batch's encoded audio. A stage that
+    masks nothing (stage 2.1) encodes every clip once, before the first
+    epoch, on both threads, into a copy of `data`; the caller's `data`
+    is left as it was. That holds n_samples x n_patches x dim float64
+    values for the whole run.
 
     A masked stage 2 makes each batch's visible-patch encode a
     `net.SharedEncode` one step ahead: the worker starts batch k+1's
@@ -499,6 +506,9 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
     _check_partition(cfg, data.n_f * data.n_t)
+    if cfg.epochs and cfg.warmup_epochs > cfg.epochs:
+        raise InvalidConfig(f"{config_section(cfg.stage_id)}.warmup_epochs={cfg.warmup_epochs} "
+                            f"exceeds epochs={cfg.epochs}")
     masked = cfg.stage_id == "2" and cfg.mask_ratio > 0.0
     if cfg.stage_id in ("2", "2.1") and not masked and cfg.epochs > 0:
         pe = net.posenc_for(state.online, data.n_f, data.n_t)
@@ -524,7 +534,7 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     def step_batch(idx: np.ndarray, vis: np.ndarray | None) -> StageData:
         if not masked:
             return data.take(idx)
-        encoded = net.SharedEncode(state.online, data.patches, pe, idx, vis, net.worker())
+        encoded = net.SharedEncode(state.online, data.patches, pe, idx, vis).share(net.worker())
         return replace(text.take(idx), features=encoded)
 
     def train(epoch: int, batch: StageData) -> None:

@@ -52,7 +52,7 @@ refined = dict(tracer.counts)
 steps = sum(span[0] == "trainer.stage2_step" for span in tracer.spans)
 masked = trainer.stage_config_from("2", dict(epochs=2, warmup_epochs=0, batch_size=4))
 _, masked_rows = trainer.run_stage(masked, data, net.init_model_state(text_cfg, 0), seed=0)
-fe.compute_logmel(fe.Waveform(rng.standard_normal(2 * fe.MIN_PART_FRAMES * 160)))
+fe.compute_logmel(fe.Waveform(rng.standard_normal(fe.MIN_SHARED_BLOCKS * fe.BLOCK_FRAMES * 160)))
 tracer.uninstall()
 assert net.encode_tokens is original
 names = {span[0] for span in tracer.spans}

@@ -202,6 +202,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
         assert sorted(os.listdir(tmp_path)) == ["config.txt"]  # no loss log, no checkpoints
 
+    # _stage1 runs 2 epochs with 1 of warm-up
+    @pytest.mark.parametrize("setting, message", [
+        ("stage1.lambda_clap=nan", "loss weight lambda_clap must be finite and nonnegative, got nan"),
+        ("stage1.base_lr=-1", "stage1.base_lr must be positive and finite, got -1.0"),
+        ("stage1.base_lr=nan", "stage1.base_lr must be positive and finite, got nan"),
+        ("stage1.ema_start=2", "stage1.ema_start must lie in [0, 1], got 2.0"),
+        ("stage1.warmup_epochs=3", "stage1.warmup_epochs=3 exceeds epochs=2"),
+    ])
+    def test_out_of_range_stage_setting_is_exit_1_before_training(self, corpus, tmp_path, capsys,
+                                                                  setting, message):
+        code = _stage1(corpus, tmp_path, ["--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert sorted(os.listdir(tmp_path)) == ["config.txt"]  # no loss log, no checkpoints
+
     @pytest.mark.parametrize("verb", ["pretrain-stage2", "refine-stage2.1"])
     def test_over_long_caption_is_exit_1_before_training(self, corpus, stage1, stage2, tmp_path,
                                                          capsys, verb):

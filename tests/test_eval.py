@@ -411,7 +411,7 @@ class TestChunkedFeatures:
         state = net.init_model_state(cfg, seed=6)
         # one window, several windows, and more than one encoder call per
         # thread: 6 windows of 10 patches a call
-        monkeypatch.setattr(net, "FROZEN_TOKENS", 60)
+        monkeypatch.setattr(net, "SHARED_TOKENS", 60)
         frames = (20, 32, 100, 33, 40 * 32 + 5)
         assert sum(-(-t // 32) for t in frames) > 2 * 6
         mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
@@ -419,6 +419,17 @@ class TestChunkedFeatures:
             together = features(state, mels)
             for i, mel in enumerate(mels):
                 np.testing.assert_allclose(together[i], features(state, [mel])[0], atol=1e-10)
+
+    def test_clip_features_equal_one_clip_extractions_byte_for_byte(self, rng):
+        # 20 patches a window, so even a one-window call keeps MIN_ROWS rows;
+        # together, 27 windows make two calls of 13 and 14
+        cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=64)
+        state = net.init_model_state(cfg, seed=6)
+        frames = (50, 64, 100, 300, 900, 140)
+        mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
+        together = ev.clip_features(state, mels)
+        for i, mel in enumerate(mels):
+            assert together[i].tobytes() == ev.clip_features(state, [mel])[0].tobytes(), frames[i]
 
     def test_empty_clip_list_rejected(self):
         state = net.init_model_state(ModelConfig(dim=8, depth=1, heads=2, input_frames=32), seed=6)
@@ -485,11 +496,13 @@ class TestTwoThreadExtraction:
     def test_caller_error_waits_for_worker_chunks(self, rng):
         state = net.init_model_state(self.CFG, seed=6)
         caller = threading.get_ident()
-        finished = []
+        finished, worker_started = [], threading.Event()
 
         def summary(z):
             if threading.get_ident() == caller:
+                assert worker_started.wait(5), "the worker took no call"
                 raise RuntimeError("caller half failed")
+            worker_started.set()
             time.sleep(0.1)
             finished.append(len(z.data))
             return z.data

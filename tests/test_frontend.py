@@ -88,72 +88,81 @@ def gather_logmel(samples: np.ndarray) -> np.ndarray:
     return np.log((power @ fe.mel_filterbank().T).T + C.LOG_FLOOR)
 
 
-MIN = fe.MIN_PART_FRAMES
 BLOCK = fe.BLOCK_FRAMES
 HOP = C.HOP_LENGTH
-# a long clip: each half holds at least MIN frames
-LONG = 2 * MIN * HOP
+# the fewest frames whose blocks are shared with the worker
+SHARED = fe.MIN_SHARED_BLOCKS * BLOCK
+LONG = SHARED * HOP
+
+
+def _on_caller() -> bool:
+    return threading.current_thread() is threading.main_thread()
 
 
 class TestTwoThreadLogmel:
     @pytest.mark.parametrize("n_samples", [
         1, 160, 161, 199, 200,
-        2 * MIN * HOP,  # halves of exactly MIN frames
-        2 * MIN * HOP - HOP + 1,  # the same frame count, the last frame short
-        (2 * MIN - 1) * HOP,  # one frame under: no split
-        (2 * MIN + 1) * HOP - 37,  # an odd frame count: the worker's half is longer
+        SHARED * HOP,  # exactly MIN_SHARED_BLOCKS blocks: shared
+        SHARED * HOP - HOP + 1,  # the same frame count, the last frame short
+        (SHARED - 1) * HOP,  # one frame under: on one thread
+        (SHARED + 1) * HOP - 37,  # one frame over: the last block is one frame longer
         (2 * BLOCK - 1) * HOP,  # one block, on one thread
         2 * BLOCK * HOP,  # two blocks, on one thread
-        (4 * BLOCK - 2) * HOP + 1,  # one thread's blocks: two of BLOCK, one of 2 * BLOCK - 1
+        (4 * BLOCK - 2) * HOP + 1,  # three blocks: two of BLOCK, one of 2 * BLOCK - 1
         9 * C.SAMPLE_RATE,
     ])
     def test_byte_identical_to_gather(self, n_samples):
         samples = np.random.default_rng(n_samples).standard_normal(n_samples)
         assert np.array_equal(fe.compute_logmel(_wave(samples)).values, gather_logmel(samples))
 
-    def _record_parts(self, monkeypatch):
-        parts, original = [], fe._mel_power
+    def test_split_only_when_each_half_keeps_the_minimum(self, monkeypatch):
+        """Blocks are shared from MIN_SHARED_BLOCKS, 256 frames: the
+        threshold at which each half of a clip's frames keeps 128."""
+        parts, shared, original, share = [], [], fe._mel_power, fe.SharedCalls.share
 
         def record(frames, out):
-            parts.append((threading.current_thread() is threading.main_thread(), len(frames)))
+            parts.append(len(frames))
             original(frames, out)
 
         monkeypatch.setattr(fe, "_mel_power", record)
-        return parts
-
-    def test_split_only_when_each_half_keeps_the_minimum(self, monkeypatch):
-        parts = self._record_parts(monkeypatch)
-        fe.compute_logmel(_wave(np.ones((2 * MIN - 1) * HOP)))
-        assert parts == [(True, 2 * MIN - 1)]
+        monkeypatch.setattr(fe.SharedCalls, "share",
+                            lambda calls, pool: (shared.append(pool), share(calls, pool))[1])
+        fe.compute_logmel(_wave(np.ones((SHARED - 1) * HOP)))
+        assert sorted(parts) == [BLOCK, BLOCK, 2 * BLOCK - 1] and shared == []
         parts.clear()
-        fe.compute_logmel(_wave(np.ones((2 * MIN + 1) * HOP)))
-        # the caller takes the first half, the worker the longer second one
-        assert sorted(parts) == [(False, MIN + 1), (True, MIN)]
+        fe.compute_logmel(_wave(np.ones((SHARED + 1) * HOP)))
+        assert sorted(parts) == [BLOCK, BLOCK, BLOCK, BLOCK + 1]
+        assert shared == [fe.worker()]
+
+    @staticmethod
+    def _fail_on(monkeypatch, failing, error, done):
+        """Make `failing`'s ("caller" or "worker") blocks raise `error` once
+        the other thread is inside a block, which sleeps 0.2 s and then
+        sets `done`."""
+        other_started = threading.Event()
+
+        def mel_power(frames, out):
+            if _on_caller() == (failing == "caller"):
+                assert other_started.wait(5), "the other thread took no block"
+                raise error
+            other_started.set()
+            time.sleep(0.2)
+            done.set()
+
+        monkeypatch.setattr(fe, "_mel_power", mel_power)
 
     def test_worker_error_reaches_caller_as_same_object(self, monkeypatch):
-        error, original = RuntimeError("worker half failed"), fe._mel_power
-
-        def fail_on_worker(frames, out):
-            if threading.current_thread() is not threading.main_thread():
-                raise error
-            original(frames, out)
-
-        monkeypatch.setattr(fe, "_mel_power", fail_on_worker)
+        error = RuntimeError("worker block failed")
+        self._fail_on(monkeypatch, "worker", error, threading.Event())
         with pytest.raises(RuntimeError) as info:
             fe.compute_logmel(_wave(np.ones(LONG)))
         assert info.value is error
 
     def test_caller_error_returns_after_worker_half(self, monkeypatch):
+        """The worker's share of the blocks ends before the caller's error leaves."""
         finished = threading.Event()
-
-        def fail_on_caller(frames, out):
-            if threading.current_thread() is threading.main_thread():
-                raise ValueError("caller half failed")
-            time.sleep(0.2)
-            finished.set()
-
-        monkeypatch.setattr(fe, "_mel_power", fail_on_caller)
-        with pytest.raises(ValueError, match="caller half failed"):
+        self._fail_on(monkeypatch, "caller", ValueError("caller block failed"), finished)
+        with pytest.raises(ValueError, match="caller block failed"):
             fe.compute_logmel(_wave(np.ones(LONG)))
         assert finished.is_set()
 

@@ -299,6 +299,10 @@ def _frozen_inputs(rng, b, n=10, visible=None):
     return patches, clips, vis, rng.standard_normal((n, TINY.dim))
 
 
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith("miniclap-worker")
+
+
 def _one_call(params, patches, clips, vis, pe):
     with ad.no_grad():
         if vis is None:
@@ -307,7 +311,7 @@ def _one_call(params, patches, clips, vis, pe):
 
 
 class TestEncodeFrozen:
-    """Graph-free encodes of whole clips within a token budget, split
+    """Graph-free encodes of whole clips within a token budget, shared
     with a second thread when given one, byte-identical to one call."""
 
     @staticmethod
@@ -327,7 +331,7 @@ class TestEncodeFrozen:
         (1, 10, None), (3, 10, None), (11, 10, None), (4, 10, 3), (15, 10, 3),
         (5, 40, None), (6, 40, 5)])
     def test_calls_stay_within_budget(self, state, rng, monkeypatch, pool, b, n, visible):
-        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
+        monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         patches, clips, vis, pe = _frozen_inputs(rng, b, n, visible)
         calls = self._record(monkeypatch)
         net.encode_frozen(state.online, patches, pe, clips, vis,
@@ -344,30 +348,30 @@ class TestEncodeFrozen:
     ])
     def test_min_rows_takes_precedence_over_the_budget(self, state, rng, monkeypatch, budget,
                                                        b, visible, want):
-        monkeypatch.setattr(net, "FROZEN_TOKENS", budget)
+        monkeypatch.setattr(net, "SHARED_TOKENS", budget)
         patches, clips, vis, pe = _frozen_inputs(rng, b, visible=visible)
         calls = self._record(monkeypatch)
         got = net.encode_frozen(state.online, patches, pe, clips, vis)
         assert [t for _, t in calls] == want
         assert got.tobytes() == _one_call(state.online, patches, clips, vis, pe).tobytes()
 
-    # 10 rows a clip: one clip a half is under MIN_ROWS
+    # 10 rows a clip: one clip a call is under MIN_ROWS, so 1 or 3 clips make one call
     @pytest.mark.parametrize("b, split", [(1, False), (3, False), (4, True), (11, True)])
-    def test_pool_encodes_the_second_half(self, state, rng, monkeypatch, b, split):
+    def test_pool_shares_only_from_two_calls(self, state, rng, monkeypatch, b, split):
         patches, clips, _, pe = _frozen_inputs(rng, b)
         calls = self._record(monkeypatch)
+        shared, share = [], net.SharedEncode.share
+        monkeypatch.setattr(net.SharedEncode, "share",
+                            lambda job, pool: (shared.append(pool), share(job, pool))[1])
         net.encode_frozen(state.online, patches, pe, clips, pool=net.worker())
-        caller, worker = threading.get_ident(), net.worker().submit(threading.get_ident).result()
-        by_thread = {}
-        for thread, tokens in calls:
-            by_thread[thread] = by_thread.get(thread, 0) + tokens
-        want = {caller: (b + 1) // 2 * 10, worker: b // 2 * 10} if split else {caller: b * 10}
-        assert by_thread == want
+        assert shared == ([net.worker()] if split else [])
+        assert len(calls) == (2 if split else 1)
+        assert sum(tokens for _, tokens in calls) == b * 10
 
     @pytest.mark.parametrize("visible", [None, 4])
     @pytest.mark.parametrize("budget", [30, 512])
     def test_pool_and_no_pool_match_one_call(self, state, rng, monkeypatch, visible, budget):
-        monkeypatch.setattr(net, "FROZEN_TOKENS", budget)
+        monkeypatch.setattr(net, "SHARED_TOKENS", budget)
         patches, clips, vis, pe = _frozen_inputs(rng, 13, visible=visible)
         want = _one_call(state.online, patches, clips, vis, pe)
         for pool in (None, net.worker()):
@@ -383,14 +387,17 @@ class TestEncodeFrozen:
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_error_arrives_as_same_object_after_both_halves(self, state, rng, failing):
-        patches, clips, _, pe = _frozen_inputs(rng, 5)  # 3 clips on this thread, 2 on the worker
-        caller = threading.get_ident()
+        """4 clips of 10 rows are two calls of 2 clips, the worker's from the
+        front and the caller's from the back; one fails while the other runs."""
+        patches, clips, _, pe = _frozen_inputs(rng, 4)
         error = RuntimeError(f"{failing} half failed")
-        finished = []
+        other_started, finished = threading.Event(), []
 
         def summary(z):
-            if (threading.get_ident() == caller) == (failing == "caller"):
+            if _on_worker() == (failing == "worker"):
+                assert other_started.wait(5), "the other thread took no call"
                 raise error
+            other_started.set()
             time.sleep(0.2)  # the other half fails long before this one ends
             finished.append(len(z.data))
             return z.data
@@ -399,7 +406,7 @@ class TestEncodeFrozen:
             net.encode_frozen(state.online, patches, pe, clips, summary=summary,
                               pool=net.worker())
         assert caught.value is error
-        assert finished == [2 if failing == "caller" else 3]
+        assert finished == [2]
 
     def test_builds_no_graph(self, state, rng):
         patches, clips, _, pe = _frozen_inputs(rng, 4)

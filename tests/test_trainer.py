@@ -494,7 +494,7 @@ cfg = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
 rng = np.random.default_rng(0)
 patches = rng.standard_normal((6, 10, 256))
 counts = [threading.active_count()]
-fe.compute_logmel(fe.Waveform(rng.standard_normal((2 * fe.MIN_PART_FRAMES - 1) * 160)))
+fe.compute_logmel(fe.Waveform(rng.standard_normal((fe.MIN_SHARED_BLOCKS * fe.BLOCK_FRAMES - 1) * 160)))
 counts.append(threading.active_count())
 labels = np.eye(3)[np.arange(6) % 3]
 for frozen in (False, True):
@@ -509,7 +509,7 @@ for stage in ("2.1", "2"):
                                                             batch_size=4)),
                       text, net.init_model_state(cfg, 0))
     counts.append(threading.active_count())
-fe.compute_logmel(fe.Waveform(rng.standard_normal(2 * fe.MIN_PART_FRAMES * 160)))
+fe.compute_logmel(fe.Waveform(rng.standard_normal(fe.MIN_SHARED_BLOCKS * fe.BLOCK_FRAMES * 160)))
 counts.append(threading.active_count())
 ev.clip_features(net.init_model_state(cfg, 0), [MelSpectrogram(rng.standard_normal((80, 70)))])
 counts.append(threading.active_count())
@@ -639,11 +639,11 @@ def _instrument_encoder(monkeypatch, slow_at=None, fail_at=None, error=None):
     `slow_at` sleeps 0.2 s first, and one of encode `fail_at` raises
     `error`."""
     calls = {"started": 0, "finished": 0, "tokens": []}
-    encode, make, run = net.encode_tokens, net._FrozenCalls.__init__, net._FrozenCalls.run
+    encode, make, run = net.encode_tokens, net.SharedEncode.__init__, net.SharedEncode.run
     counting, made, running = threading.Lock(), [], threading.local()
 
-    def numbered_make(job, *args):  # on the thread that plans the batches
-        make(job, *args)
+    def numbered_make(job, *args, **kwargs):  # on the thread that plans the batches
+        make(job, *args, **kwargs)
         job.number = len(made)
         made.append(job.number)
 
@@ -669,8 +669,8 @@ def _instrument_encoder(monkeypatch, slow_at=None, fail_at=None, error=None):
             with counting:
                 calls["finished"] += 1
 
-    monkeypatch.setattr(net._FrozenCalls, "__init__", numbered_make)
-    monkeypatch.setattr(net._FrozenCalls, "run", numbered_run)
+    monkeypatch.setattr(net.SharedEncode, "__init__", numbered_make)
+    monkeypatch.setattr(net.SharedEncode, "run", numbered_run)
     monkeypatch.setattr(net, "encode_tokens", encode_tokens)
     monkeypatch.setattr(trainer, "encode_tokens", encode_tokens)
     return calls
@@ -775,7 +775,7 @@ class TestEncodeOnce:
         with ad.no_grad():
             want = [net.encode_tokens(state.online, data.patches[start:start + 4], pe).data
                     for start in range(0, 11, 4)]
-        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
+        monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         tokens = _instrument_encoder(monkeypatch)["tokens"]
         got = net.encode_frozen(state.online, data.patches, pe)
         assert tokens == [20, 30, 30, 30]  # 11 clips of 10 patches: 2, 3, 3 and 3 a call
@@ -787,7 +787,7 @@ class TestEncodeOnce:
         assert sorted(tokens) == [20, 30, 30, 30]
         assert got.tobytes() == np.concatenate(want).tobytes()
         tokens.clear()
-        monkeypatch.setattr(net, "FROZEN_TOKENS", 10)  # one clip a call,
+        monkeypatch.setattr(net, "SHARED_TOKENS", 10)  # one clip a call,
         net.encode_frozen(state.online, data.patches, pe)
         assert tokens == [20, 20, 20, 20, 30]  # except where a lone clip has under 16 rows
 
@@ -858,6 +858,18 @@ class TestMaskedPrefetch:
     def test_matches_inline_oracle(self, rng, tmp_path):
         _assert_matches_oracle(stage_config_from("2", self.CFG), _stage2_data(rng, n=10),
                                tmp_path)
+
+    def test_step_batch_counts_its_clips(self, rng, monkeypatch):
+        seen = []
+        step = trainer.stage2_step
+
+        def recording_step(state, batch, *args, **kwargs):
+            seen.append((type(batch.features), batch.n_samples))
+            return step(state, batch, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "stage2_step", recording_step)
+        run_stage(stage_config_from("2", self.CFG), _stage2_data(rng, n=10), _state())
+        assert seen == [(net.SharedEncode, n) for n in (4, 4, 2) * 3]
 
     @pytest.mark.parametrize("k", [0, 3, 8])
     def test_encode_error_reaches_caller_before_its_step_updates(self, rng, monkeypatch, k):
@@ -969,9 +981,9 @@ class TestMaskedPrefetch:
             else:
                 raise error
 
-        monkeypatch.setattr(net._FrozenCalls, "run", run)
+        monkeypatch.setattr(net.SharedEncode, "run", run)
         shared = net.SharedEncode(state.online, patches, state.online.posenc.table,
-                                  np.arange(9), vis, net.worker())
+                                  np.arange(9), vis).share(net.worker())
         time.sleep(0.05)  # the worker has started the first call
         with pytest.raises(EncodeFailed) as caught:
             shared.result()
@@ -988,16 +1000,16 @@ class TestMaskedPrefetch:
             want = net.encode_tokens(state.online, patches[clips[:, None], vis], table[vis]).data
         monkeypatch.setattr(net, "SHARED_TOKENS", 16)  # 12 calls of 2 clips
         ran = []
-        run = net._FrozenCalls.run
-        monkeypatch.setattr(net._FrozenCalls, "run",
+        run = net.SharedEncode.run
+        monkeypatch.setattr(net.SharedEncode, "run",
                             lambda job, *call: (ran.append(call), run(job, *call)))
         results = []
 
         def caller():  # four callers, each with its own one-thread pool: 8 threads on 2 cores
             with futures.ThreadPoolExecutor(1) as pool:
                 for _ in range(5):
-                    results.append(net.SharedEncode(state.online, patches, table, clips, vis,
-                                                    pool).result())
+                    results.append(net.SharedEncode(state.online, patches, table, clips,
+                                                    vis).share(pool).result())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1012,7 +1024,7 @@ class TestMaskedPrefetch:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 20
         assert all(r.tobytes() == want.tobytes() for r in results)
-        assert sorted(ran) == sorted(net.frozen_calls(0, 24, 8, 16) * 20)
+        assert sorted(ran) == sorted(net.frozen_calls(24, 8) * 20)
 
     @pytest.mark.parametrize("visible", [None, 3])
     def test_chunks_match_one_whole_batch_encode(self, rng, monkeypatch, visible):
@@ -1028,7 +1040,7 @@ class TestMaskedPrefetch:
             rows, pe = patches[clips[:, None], vis], table[vis]
         with ad.no_grad():
             want = net.encode_tokens(state.online, rows, pe).data
-        monkeypatch.setattr(net, "FROZEN_TOKENS", 30)
+        monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         calls = _instrument_encoder(monkeypatch)
         got = net.encode_frozen(state.online, patches, table, clips, vis)
         # 11 x 10 rows in calls of 2, 3, 3 and 3 clips; 15 x 3 rows in calls
