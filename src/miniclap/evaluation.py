@@ -362,6 +362,9 @@ def read_features(path) -> tuple[list[str], np.ndarray]:
         ids = [line.rstrip("\n") for line in fh]
     if len(ids) != count:
         raise FormatError("sidecar id count does not match the feature file")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise FormatError(f"feature row {ids[bad.argmax()]!r} has non-finite values")
     return ids, arr
 
 

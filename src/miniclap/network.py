@@ -4,8 +4,8 @@ text path, plus checkpoint serialization.
 All components are dataclasses of `Tensor` leaves; forwards are free
 functions building an autodiff graph from the fused ops `ad.linear`,
 `ad.attention`, `ad.layer_norm_core` and `ad.gelu`. The target
-encoder's tensors are created with `requires_grad=False`, so no
-gradient can ever reach it.
+encoder is a copy of the online encoder with `requires_grad=False`, so
+no gradient can ever reach it.
 
 Forwards are batched: patches are [B, n, 256], encoder and predictor
 features [B, k, dim], and per-row patch selections [B, k] index arrays.
@@ -22,6 +22,7 @@ and a masked stage 2 starts each batch's one step ahead on the worker.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -65,10 +66,10 @@ class Affine:
     bias: Tensor  # [d_out]
 
 
-def init_affine(rng, d_in: int, d_out: int, trainable: bool = True) -> Affine:
+def init_affine(rng, d_in: int, d_out: int) -> Affine:
     return Affine(
-        Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=trainable),
-        Tensor(np.zeros(d_out), requires_grad=trainable),
+        Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True),
+        Tensor(np.zeros(d_out), requires_grad=True),
     )
 
 
@@ -82,10 +83,10 @@ class LayerNorm:
     bias: Tensor
 
 
-def init_layernorm(rng, dim: int, trainable: bool = True) -> LayerNorm:
+def init_layernorm(rng, dim: int) -> LayerNorm:
     return LayerNorm(
-        Tensor(np.ones(dim), requires_grad=trainable),
-        Tensor(np.zeros(dim), requires_grad=trainable),
+        Tensor(np.ones(dim), requires_grad=True),
+        Tensor(np.zeros(dim), requires_grad=True),
     )
 
 
@@ -108,18 +109,18 @@ class Block:
     n_heads: int
 
 
-def init_block(rng, dim: int, n_heads: int, mlp_hidden: int, trainable: bool = True) -> Block:
+def init_block(rng, dim: int, n_heads: int, mlp_hidden: int) -> Block:
     if dim % n_heads != 0:
         raise InvalidInput("dim must be divisible by the head count")
     return Block(
-        norm1=init_layernorm(rng, dim, trainable),
-        attn_q=init_affine(rng, dim, dim, trainable),
-        attn_k=init_affine(rng, dim, dim, trainable),
-        attn_v=init_affine(rng, dim, dim, trainable),
-        attn_out=init_affine(rng, dim, dim, trainable),
-        norm2=init_layernorm(rng, dim, trainable),
-        mlp_in=init_affine(rng, dim, mlp_hidden, trainable),
-        mlp_out=init_affine(rng, mlp_hidden, dim, trainable),
+        norm1=init_layernorm(rng, dim),
+        attn_q=init_affine(rng, dim, dim),
+        attn_k=init_affine(rng, dim, dim),
+        attn_v=init_affine(rng, dim, dim),
+        attn_out=init_affine(rng, dim, dim),
+        norm2=init_layernorm(rng, dim),
+        mlp_in=init_affine(rng, dim, mlp_hidden),
+        mlp_out=init_affine(rng, mlp_hidden, dim),
         n_heads=n_heads,
     )
 
@@ -211,14 +212,13 @@ class ModelState:
     vocab: list[str] = dataclasses.field(default_factory=list)  # the tokenizer's, from stage 2 on
 
 
-def _init_encoder(rng, cfg: ModelConfig, trainable: bool) -> EncoderParams:
+def _init_encoder(rng, cfg: ModelConfig) -> EncoderParams:
     mlp_hidden = int(cfg.dim * cfg.mlp_ratio)
     return EncoderParams(
-        patch_embed=init_affine(rng, PATCH_SIZE * PATCH_SIZE, cfg.dim, trainable),
+        patch_embed=init_affine(rng, PATCH_SIZE * PATCH_SIZE, cfg.dim),
         posenc=build_posenc(N_FREQ_PATCHES, cfg.n_time_patches, cfg.dim),
-        blocks=[init_block(rng, cfg.dim, cfg.heads, mlp_hidden, trainable)
-                for _ in range(cfg.depth)],
-        final_norm=init_layernorm(rng, cfg.dim, trainable),
+        blocks=[init_block(rng, cfg.dim, cfg.heads, mlp_hidden) for _ in range(cfg.depth)],
+        final_norm=init_layernorm(rng, cfg.dim),
     )
 
 
@@ -265,7 +265,7 @@ def _init_textpath(rng, cfg: ModelConfig) -> TextPathParams:
 
 def init_model_state(cfg: ModelConfig, seed: int) -> ModelState:
     rng = np.random.default_rng(seed)
-    online = _init_encoder(rng, cfg, trainable=True)
+    online = _init_encoder(rng, cfg)
     mlp_hidden = int(cfg.dim * cfg.mlp_ratio)
     predictor = PredictorParams(
         blocks=[init_block(rng, cfg.dim, cfg.predictor_heads, mlp_hidden)
@@ -273,20 +273,18 @@ def init_model_state(cfg: ModelConfig, seed: int) -> ModelState:
         out=init_affine(rng, cfg.dim, cfg.dim),
         mask_token=Tensor(trunc_normal(rng, (1, 1, cfg.dim)), requires_grad=True),
     )
-    projector = _init_projector(rng, cfg)
-    textpath = _init_textpath(rng, cfg)
-    state = ModelState(
+    target = copy.deepcopy(online)  # the EMA target starts as an exact copy, with no gradient
+    for tensor in named_params(target).values():
+        tensor.requires_grad = False
+    return ModelState(
         online=online,
-        target=_init_encoder(rng, cfg, trainable=False),
+        target=target,
         predictor=predictor,
-        projector=projector,
-        textpath=textpath,
+        projector=_init_projector(rng, cfg),
+        textpath=_init_textpath(rng, cfg),
         tau=Tensor(np.float64(0.07), requires_grad=True),
         config=cfg,
     )
-    # the target starts as an exact copy of the online encoder
-    transfer_shared(state.online, state.target)
-    return state
 
 
 def transfer_shared(src, dst) -> None:
@@ -294,7 +292,7 @@ def transfer_shared(src, dst) -> None:
     src_params = named_params(src)
     for name, tensor in named_params(dst).items():
         if name in src_params and src_params[name].data.shape == tensor.data.shape:
-            tensor.data = src_params[name].data.copy()
+            tensor.data[...] = src_params[name].data
 
 
 def named_params(obj, prefix: str = "") -> dict[str, Tensor]:
@@ -610,8 +608,10 @@ def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> Mode
             tensor = params.pop(name)
             if tuple(tensor.data.shape) != shape:
                 raise FormatError(f"shape mismatch for {name!r}")
-            payload = _read_exact(fh, 4 * tensor.data.size)
-            tensor.data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+            values = np.frombuffer(_read_exact(fh, 4 * tensor.data.size), dtype="<f4")
+            if not np.isfinite(values).all():
+                raise FormatError(f"tensor {name!r} in checkpoint has non-finite values")
+            tensor.data[...] = values.reshape(shape)
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint payload")
     return state

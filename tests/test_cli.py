@@ -298,6 +298,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and entries[2].id in err[0], err
 
+    def test_non_finite_feature_row_is_exit_1(self, corpus, tmp_path, capsys):
+        entries = dk.load_manifest(str(corpus / "manifest.jsonl"))
+        feats = np.ones((len(entries), 4))
+        feats[2, 1] = np.nan
+        write_features(str(tmp_path / "clip.feat"), [e.id for e in entries], feats)
+        code = main(["eval-linear", "--features", str(tmp_path / "clip.feat"),
+                     "--manifest", str(corpus / "manifest.jsonl"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: feature row {entries[2].id!r} has non-finite values"]
+
+    def test_non_finite_checkpoint_tensor_is_exit_1(self, corpus, stage1, tmp_path, capsys):
+        state = net.load_checkpoint(stage1 / "checkpoints" / "final.ckpt")
+        state.online.blocks[0].mlp_in.weight.data[3, 5] = np.nan
+        net.save_checkpoint(tmp_path / "nan.ckpt", state)  # the header digest still holds
+        code = main(["extract-features", "--manifest", str(corpus / "manifest.jsonl"),
+                     "--init", str(tmp_path / "nan.ckpt"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: tensor 'online.blocks.0.mlp_in.weight' in checkpoint has non-finite values"]
+        assert os.listdir(tmp_path / "out") == ["config.txt"]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--duration", "nan", "duration must be a positive number of seconds, got nan"),
         ("--duration", "inf", "duration must be a positive number of seconds, got inf"),

@@ -1,0 +1,240 @@
+"""The packed AdamW: byte-equality with the per-tensor optimizer it
+replaced, parameter storage that stays one buffer across every write,
+and a source check that keeps parameter writes in place."""
+
+import ast
+import os
+
+import numpy as np
+import pytest
+
+from miniclap import evaluation as ev, network as net, trainer
+from miniclap.trainer import AdamW, ema_update, run_stage, stage1_1_finetune, stage1_step
+
+from conftest import param_digest
+from test_trainer import (TINY, _encoded, _labeled_data, _stage1_cfg, _stage1_data,
+                          _stage2_data, _state)
+
+
+class OracleAdamW:
+    """The per-tensor AdamW that `trainer.AdamW` replaced: moments in
+    dicts keyed by name, and one update per parameter with a gradient."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.95), weight_decay=0.05):
+        self.params = dict(params)
+        self.lr = lr
+        self.betas = betas
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self, lr=None):
+        lr = self.lr if lr is None else lr
+        self.step_count += 1
+        b1, b2 = self.betas
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v, buf = self._m[name], self._v[name], np.empty_like(p.data)
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=buf)
+            v *= b2
+            v += np.multiply(np.multiply(1.0 - b2, g, out=buf), g, out=buf)
+            np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+            buf += 1e-8
+            update = m / bc1
+            update /= buf
+            if self.weight_decay and AdamW._decays(name, p):
+                update += np.multiply(self.weight_decay, p.data, out=buf)
+            update *= lr
+            p.data -= update
+
+
+def _recorded(monkeypatch, module, make) -> list:
+    """Make `module.AdamW` build its optimizers with `make`; returns the list
+    they are appended to."""
+    made = []
+    monkeypatch.setattr(module, "AdamW", lambda *a, **kw: made.append(make(*a, **kw)) or made[-1])
+    return made
+
+
+# Each scenario trains with the optimizer class `make` and returns what it
+# trained (compared by value) and the optimizer.
+
+def _stage1(lambda_clap, rebind=False):
+    def scenario(make, monkeypatch):
+        state = _state()
+        opt = make(trainer.trainable_params(state, "1"), lr=1e-3)
+        data, gen = _stage1_data(np.random.default_rng(5), n=8), np.random.default_rng(7)
+        for i in range(3):
+            if rebind and i:  # new arrays between steps, as criterion 7 sets tau
+                state.tau.data = np.asarray(0.05 + 0.01 * i)
+                state.online.patch_embed.bias.data = state.online.patch_embed.bias.data + 0.1
+            stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)),
+                        _stage1_cfg(lambda_clap=lambda_clap), gen, opt,
+                        lr=1e-3 * (i + 1), ema_alpha=0.9)
+        if lambda_clap == 0:
+            assert state.tau.grad is None and state.projector.cls_token.grad is None
+        return param_digest(state), opt
+    return scenario
+
+
+def _finetune(make, monkeypatch):
+    made = _recorded(monkeypatch, trainer, make)
+    state = _state()
+    cfg = trainer.stage_config_from("1.1", dict(epochs=2, batch_size=3, base_lr=1e-2))
+    result = stage1_1_finetune(state, _labeled_data(np.random.default_rng(5)), cfg, seed=4)
+    return (param_digest(state), param_digest(result.head), result.losses), made[0]
+
+
+def _masked_stage2(make, monkeypatch):
+    made = _recorded(monkeypatch, trainer, make)
+    cfg = trainer.stage_config_from("2", dict(epochs=2, warmup_epochs=1, batch_size=4,
+                                              base_lr=1e-3))
+    state, rows = run_stage(cfg, _stage2_data(np.random.default_rng(5), n=10), _state(), seed=2)
+    return (param_digest(state), rows), made[0]
+
+
+def _linear_probe(make, monkeypatch):
+    made = _recorded(monkeypatch, ev, make)
+    rng = np.random.default_rng(5)
+    feats, labels = rng.standard_normal((30, 6)), np.arange(30) % 3
+    parts = [ev.LabeledFeatureSet(feats[a:a + 10], labels[a:a + 10], split)
+             for a, split in ((0, "train"), (10, "val"), (20, "test"))]
+    result = ev.linear_probe(*parts, lr=1e-2, max_epochs=5, patience=5, seed=1)
+    return (result.test_metric, result.val_history), made[0]
+
+
+def _joined(arrays) -> bytes:
+    return np.concatenate([np.reshape(a, -1) for a in arrays]).tobytes()
+
+
+class TestMatchesPerTensorOracle:
+    @pytest.mark.parametrize("scenario", [_stage1(0.01), _stage1(0.0), _finetune,
+                                          _masked_stage2, _linear_probe, _stage1(0.01, True)],
+                             ids=["stage1", "stage1-no-clap", "stage1.1-unfrozen",
+                                  "stage2-masked", "linear-probe", "stage1-rebind"])
+    def test_parameters_and_moments_are_byte_equal(self, scenario, monkeypatch):
+        got, opt = scenario(AdamW, monkeypatch)
+        want, oracle = scenario(OracleAdamW, monkeypatch)
+        assert opt.step_count == oracle.step_count >= 3
+        assert got == want
+        assert opt.flat.tobytes() == _joined(p.data for p in oracle.params.values())
+        assert opt._m.tobytes() == _joined(oracle._m.values())
+        assert opt._v.tobytes() == _joined(oracle._v.values())
+
+
+class TestParameterStorage:
+    """Every trained tensor stays a view into its optimizer's `flat`."""
+
+    @staticmethod
+    def _assert_views(opt):
+        for name, p in opt.params.items():
+            assert np.shares_memory(p.data, opt.flat), name
+
+    def test_construction_copies_values(self):
+        state = _state()
+        before = param_digest(state)
+        opt = AdamW(trainer.trainable_params(state, "1"))
+        self._assert_views(opt)
+        assert param_digest(state) == before
+
+    def test_stage1_step_and_ema_update(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        stage1_step(state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
+                    np.random.default_rng(0), opt)
+        self._assert_views(opt)
+        ema_update(state.target, state.online, 0.5)
+        self._assert_views(opt)
+
+    def test_stage2_step(self, rng):
+        state = _state()
+        cfg = trainer.stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
+        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        trainer.stage2_step(state, _encoded(state, _stage2_data(rng, n=4), cfg,
+                                            np.random.default_rng(0)), cfg, opt)
+        self._assert_views(opt)
+
+    def test_rebound_data_is_viewed_again(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        state.tau.data = np.asarray(0.5)
+        stage1_step(state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
+                    np.random.default_rng(0), opt)
+        self._assert_views(opt)
+
+    def test_transfer_shared(self):
+        state, source = _state(), net.init_model_state(TINY, seed=4)
+        opt = AdamW(trainer.trainable_params(state, "1"))
+        net.transfer_shared(source, state)
+        self._assert_views(opt)
+        assert param_digest(state) == param_digest(source)
+
+    def test_load_checkpoint(self, tmp_path, monkeypatch):
+        source = net.init_model_state(TINY, seed=4)
+        net.save_checkpoint(tmp_path / "m.ckpt", source)
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"))
+        monkeypatch.setattr(net, "init_model_state", lambda cfg, seed: state)
+        assert net.load_checkpoint(tmp_path / "m.ckpt", TINY) is state
+        self._assert_views(opt)
+        for name, tensor in net.named_params(source).items():  # the file holds float32
+            want = tensor.data.astype("<f4").astype(np.float64)
+            assert net.named_params(state)[name].data.tobytes() == want.tobytes(), name
+
+
+# -- parameter writes stay in place ---------------------------------------------
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "miniclap")
+# Where `.data` may be bound: a tensor's creation, and the optimizer's packing.
+BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__"),
+              ("trainer.py", "AdamW.step")}
+
+
+def _data_bindings(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every assignment to a `.data`
+    attribute. An augmented assignment (`x.data += y`) is not one: on an
+    ndarray it writes in place."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                found.extend((".".join(scope), child.lineno) for target in targets
+                             for t in ast.walk(target) if isinstance(t, ast.Attribute)
+                             and t.attr == "data" and isinstance(t.ctx, ast.Store))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_parameter_data_is_bound_only_where_it_is_packed():
+    stray = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            stray += [f"{name}:{line} in {scope or 'module'}"
+                      for scope, line in _data_bindings(tree) if (name, scope) not in BINDS_DATA]
+    assert not stray, "assign into `.data[...]` instead of rebinding it: " + ", ".join(stray)
+
+
+def test_binding_check_finds_a_rebind():
+    tree = ast.parse("def f(t, u):\n    t.data += 1\n    t.data[...] = 2\n"
+                     "    t.data = 3\n    (u.data, x) = (4, 5)\n")
+    assert _data_bindings(tree) == [("f", 4), ("f", 5)]

@@ -414,7 +414,7 @@ class TestTargetOverlap:
             stats = [step_fn(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
                              gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
                      for i in range(3)]
-            moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
+            moments = (opt._m.tobytes(), opt._v.tobytes())
             runs.append((stats, param_digest(state.online), param_digest(state.target),
                          param_digest(state), moments))
         assert runs[0] == runs[1]
@@ -465,8 +465,7 @@ class TestSplitBackward:
                                 gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
             record.append((stats, param_digest(state),
                            [(name, p.grad.tobytes()) for name, p in opt.params.items()]))
-        moments = [(name, m.tobytes(), opt._v[name].tobytes()) for name, m in opt._m.items()]
-        return record, moments
+        return record, (opt._m.tobytes(), opt._v.tobytes())
 
     def test_pooled_steps_match_inline_path(self, rng, monkeypatch):
         data = _stage1_data(rng, n=8)
