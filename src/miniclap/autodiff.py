@@ -19,8 +19,9 @@ with a hand-written VJP that keeps only what its backward needs:
 `backward(pool)` splits the work: the calling thread walks the
 input-gradient chain while the pool computes the gradients that feed
 only a leaf parameter (weights, biases, norm gains) and GELU's slopes.
-Stage 1 passes `threads.worker()`, one of the worker's five users;
-every other caller runs those tasks inline, with the same bytes.
+Stage 1 passes `threads.worker()`, whose only other user is
+`threads.SharedCalls`; every other caller runs those tasks inline, with
+the same bytes.
 """
 
 from __future__ import annotations

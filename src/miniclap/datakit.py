@@ -58,6 +58,9 @@ def _entry_from_record(record: dict, line: int) -> ManifestEntry:
     for key in ("id", "source", "duration_s"):
         if key not in record:
             raise ParseError(f"missing required field {key!r}", line=line)
+    source = record["source"]
+    if not isinstance(source, (str, dict)):
+        raise ParseError(f"source must be a path or a synth spec, got {source!r}", line=line)
     labels = record.get("labels", [])
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise ParseError(f"labels must be a list of strings, got {labels!r}", line=line)
@@ -75,7 +78,7 @@ def _entry_from_record(record: dict, line: int) -> ManifestEntry:
         raise ParseError(f"duration_s must be a positive number, got {duration!r}", line=line)
     return ManifestEntry(
         id=str(record["id"]), caption=caption, duration_s=float(duration),
-        source=record["source"], labels=labels,
+        source=source, labels=labels,
     )
 
 

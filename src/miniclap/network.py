@@ -16,8 +16,8 @@ attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's.
 `SharedEncode` is the one graph-free frozen encode, a `threads.SharedCalls`
 of the calls `frozen_calls` plans: extraction, stage 2.1, an unmasked
-stage 2 and a frozen stage 1.1 run one at once through `encode_frozen`,
-and a masked stage 2 starts each batch's one step ahead on the worker.
+stage 2 and a frozen stage 1.1 run one at once through `encode_frozen`;
+stage 1's EMA target and a masked stage 2's next batch are shared with the worker.
 """
 
 from __future__ import annotations
@@ -418,11 +418,10 @@ class SharedEncode(SharedCalls):
 
 
 def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
-                  clips: np.ndarray | None = None, vis: np.ndarray | None = None,
                   summary=lambda z: z.data, pool=None) -> np.ndarray:
-    """The result of a `SharedEncode` of these arguments, run now and
-    shared with `pool` when it plans two calls or more."""
-    encode = SharedEncode(params, patches, pe, clips, vis, summary)
+    """The result of a `SharedEncode` of every clip's full grid, run now
+    and shared with `pool` when it plans two calls or more."""
+    encode = SharedEncode(params, patches, pe, summary=summary)
     if pool is not None and len(encode.plan) > 1:
         encode.share(pool)
     return encode.result()

@@ -65,12 +65,12 @@ def one_blas_thread() -> BlasThreads:
 @functools.cache
 def worker() -> futures.ThreadPoolExecutor:
     """The process's one worker thread, created on first use, after
-    `one_blas_thread`. It has three kinds of user:
-    - stage 1 runs its EMA-target branch on it;
+    `one_blas_thread`. It has two kinds of user:
     - stage 1's backward runs its weight gradients and GELU slopes on it;
     - a `SharedCalls` runs on it calls from the front of its list: the
-      frozen encodes of extraction, stages 2 and 2.1 and a frozen stage
-      1.1 (`network.SharedEncode`), and a long clip's log-mel blocks.
+      frozen encodes (`network.SharedEncode`) of extraction, stage 1's
+      EMA target, stages 2 and 2.1 and a frozen stage 1.1, and a long
+      clip's log-mel blocks.
     None is ever called from the worker, so a task never waits on
     another task queued behind it."""
     one_blas_thread()

@@ -7,7 +7,6 @@ import csv
 import functools
 import math
 import os
-from concurrent import futures
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -186,15 +185,17 @@ class AdamW:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
+        """Update every parameter with a gradient; a rebound `.data` fails before any write."""
+        for name, p in self.params.items():
+            if p.data.base is not self.flat:
+                raise InvalidInput(f"parameter {name} no longer views the optimizer's buffer; "
+                                   "write into .data[...] instead of rebinding it")
         lr = self.lr if lr is None else lr
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for p, part, decays in zip(self.params.values(), self._parts, self._decay):
-            if p.data.base is not self.flat:  # rebound since the last step
-                self.flat[part] = p.data.reshape(-1)
-                p.data = self.flat[part].reshape(p.data.shape)
             if p.grad is None:
                 continue
             g, w, m, v = p.grad.reshape(-1), self.flat[part], self._m[part], self._v[part]
@@ -291,26 +292,18 @@ def _check_partition(cfg: StageConfig, n: int) -> None:
                            f"{cfg.mask_ratio} masks {masked} of the {n} patches per clip")
 
 
-def _encode_targets(target: net.EncoderParams, patches: np.ndarray, msk: np.ndarray,
-                    pe: np.ndarray) -> Tensor:
-    """The standardized EMA-target features of the masked patches. The
-    target's parameters are requires_grad=False, so no graph forms; numpy
-    keeps error state per thread, so this runs under its own `_quiet`."""
-    with _quiet():
-        return net.standardize_targets(net.encode_selected(target, patches, msk, pe))
-
-
 def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
                 rng: np.random.Generator, opt: AdamW,
                 lr: float | None = None, ema_alpha: float | None = None) -> dict:
     """One multitask step on a batch; updates the online side and the EMA target.
 
-    The target branch reads only the EMA weights, the patches and the mask,
-    so it runs on `net.worker()` while this thread runs the online
-    forward; numpy and BLAS release the interpreter lock in their loops.
-    The step waits for it before leaving, on success or error. The
-    backward then hands its weight gradients and GELU slopes to the same
-    worker while this thread walks the input-gradient chain."""
+    The EMA target's standardized features of the masked patches are a
+    `net.SharedEncode` shared with `net.worker()`, which runs its calls
+    from the front during the online forward; this thread then runs the
+    rest from the back. The step leaves once the worker is idle, on
+    success or error. The backward then hands its weight gradients and
+    GELU slopes to the same worker while this thread walks the
+    input-gradient chain."""
     if cfg.stage_id != "1":
         raise InvalidInput(f"stage1_step called with stage {cfg.stage_id!r}")
     if data.embeddings is None:
@@ -323,14 +316,17 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     vis, msk = batch_partitions(n, cfg.mask_ratio, b, rng)
 
-    pending = net.worker().submit(_encode_targets, state.target, data.patches, msk, pe)
+    targets = net.SharedEncode(state.target, data.patches, pe, vis=msk,
+                               summary=lambda z: net.standardize_targets(z).data)
+    targets.share(net.worker())
     with _quiet():
         try:
             z_v = net.encode_selected(state.online, data.patches, vis, pe)
             predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
-        finally:
-            futures.wait((pending,))
-        loss_m2d = m2d_loss(predicted, pending.result())
+        except BaseException:
+            targets.wait()
+            raise
+        loss_m2d = m2d_loss(predicted, targets.result())
 
         if cfg.weights.lambda_clap > 0:
             s_a = net.project_audio(state.projector, z_v)

@@ -230,7 +230,7 @@ def test_criterion_07_temperature():
         opt.zero_grad()
         loss.backward()
         opt.step()
-        state.tau.data = np.asarray(losses.clip_temperature(float(state.tau.data)))
+        state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
         assert float(state.tau.data) >= 0.01
         assert 1.0 / float(state.tau.data) <= 100.0
 

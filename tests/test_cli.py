@@ -94,6 +94,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: line 2: duration_s must be"), err
         assert not os.path.exists(tmp_path / "out" / "checkpoints")
 
+    def test_mistyped_source_with_wav_dir_is_exit_1(self, corpus, stage1, tmp_path, capsys):
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps({**record, "source": 5})
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["extract-features", "--manifest", str(manifest), "--wav-dir", str(corpus),
+                     "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line 2: source must be a path or a synth spec, got 5"], err
+
     @pytest.mark.parametrize("taken", ["out", "config"])
     def test_unusable_path_is_exit_1(self, tmp_path, capsys, taken):
         file, folder = tmp_path / "file", tmp_path / "folder"

@@ -2,6 +2,7 @@
 the deterministic synthetic corpus."""
 
 import hashlib
+import json
 import os
 import struct
 
@@ -76,6 +77,18 @@ class TestManifest:
         with pytest.raises(ParseError) as caught:
             dk.load_manifest(path)
         assert str(caught.value).startswith(f"line 2: {message}"), caught.value
+        assert caught.value.line == 2
+
+    @pytest.mark.parametrize("source", ["5", "null", "[1]"])
+    def test_mistyped_source_reports_line_number(self, tmp_path, source):
+        path = tmp_path / "m.jsonl"
+        good = '{"id": "a", "source": "a.wav", "duration_s": 2, "caption": "c"}\n'
+        path.write_text(good + '{"id": "x", "source": ' + source + ', "duration_s": 1.0, '
+                        '"caption": "c"}\n')
+        with pytest.raises(ParseError) as caught:
+            dk.load_manifest(path)
+        want = f"line 2: source must be a path or a synth spec, got {json.loads(source)!r}"
+        assert str(caught.value) == want
         assert caught.value.line == 2
 
     def test_integer_duration_read_as_float(self, tmp_path):

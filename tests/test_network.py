@@ -303,6 +303,12 @@ def _on_worker() -> bool:
     return threading.current_thread().name.startswith("miniclap-worker")
 
 
+def _encode(params, patches, pe, clips, vis, summary=lambda z: z.data, pool=None):
+    """The result of a `SharedEncode` of these arguments, shared with `pool` when given."""
+    encode = net.SharedEncode(params, patches, pe, clips, vis, summary)
+    return (encode if pool is None else encode.share(pool)).result()
+
+
 def _one_call(params, patches, clips, vis, pe):
     with ad.no_grad():
         if vis is None:
@@ -334,8 +340,7 @@ class TestEncodeFrozen:
         monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         patches, clips, vis, pe = _frozen_inputs(rng, b, n, visible)
         calls = self._record(monkeypatch)
-        net.encode_frozen(state.online, patches, pe, clips, vis,
-                          pool=net.worker() if pool else None)
+        _encode(state.online, patches, pe, clips, vis, pool=net.worker() if pool else None)
         k = n if visible is None else visible
         tokens = [t for _, t in calls]
         assert sum(tokens) == b * k
@@ -351,7 +356,7 @@ class TestEncodeFrozen:
         monkeypatch.setattr(net, "SHARED_TOKENS", budget)
         patches, clips, vis, pe = _frozen_inputs(rng, b, visible=visible)
         calls = self._record(monkeypatch)
-        got = net.encode_frozen(state.online, patches, pe, clips, vis)
+        got = _encode(state.online, patches, pe, clips, vis)
         assert [t for _, t in calls] == want
         assert got.tobytes() == _one_call(state.online, patches, clips, vis, pe).tobytes()
 
@@ -363,7 +368,7 @@ class TestEncodeFrozen:
         shared, share = [], net.SharedEncode.share
         monkeypatch.setattr(net.SharedEncode, "share",
                             lambda job, pool: (shared.append(pool), share(job, pool))[1])
-        net.encode_frozen(state.online, patches, pe, clips, pool=net.worker())
+        net.encode_frozen(state.online, patches[clips], pe, pool=net.worker())
         assert shared == ([net.worker()] if split else [])
         assert len(calls) == (2 if split else 1)
         assert sum(tokens for _, tokens in calls) == b * 10
@@ -375,14 +380,14 @@ class TestEncodeFrozen:
         patches, clips, vis, pe = _frozen_inputs(rng, 13, visible=visible)
         want = _one_call(state.online, patches, clips, vis, pe)
         for pool in (None, net.worker()):
-            got = net.encode_frozen(state.online, patches, pe, clips, vis, pool=pool)
+            got = _encode(state.online, patches, pe, clips, vis, pool=pool)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             # each call's summary rows land in the clips' places
-            means = net.encode_frozen(state.online, patches, pe, clips, vis,
-                                      lambda z: z.data.mean(axis=1), pool)
+            means = _encode(state.online, patches, pe, clips, vis,
+                            lambda z: z.data.mean(axis=1), pool)
             assert means.tobytes() == want.mean(axis=1).tobytes()
         # every clip, in order, when no clips are named
-        got = net.encode_frozen(state.online, patches[clips], pe, vis=vis, pool=net.worker())
+        got = _encode(state.online, patches[clips], pe, None, vis, pool=net.worker())
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
@@ -403,7 +408,7 @@ class TestEncodeFrozen:
             return z.data
 
         with pytest.raises(RuntimeError) as caught:
-            net.encode_frozen(state.online, patches, pe, clips, summary=summary,
+            net.encode_frozen(state.online, patches[clips], pe, summary=summary,
                               pool=net.worker())
         assert caught.value is error
         assert finished == [2]
@@ -411,7 +416,7 @@ class TestEncodeFrozen:
     def test_builds_no_graph(self, state, rng):
         patches, clips, _, pe = _frozen_inputs(rng, 4)
         seen = []
-        net.encode_frozen(state.online, patches, pe, clips,
+        net.encode_frozen(state.online, patches[clips], pe,
                           summary=lambda z: seen.append(z.requires_grad) or z.data,
                           pool=net.worker())
         assert seen == [False, False]

@@ -1,6 +1,8 @@
 """The packed AdamW: byte-equality with the per-tensor optimizer it
 replaced, parameter storage that stays one buffer across every write,
-and a source check that keeps parameter writes in place."""
+a step that rejects a rebound `.data` before any write, and source
+checks that keep parameter writes in place and the worker's users to
+two: `threads.SharedCalls` and the split backward."""
 
 import ast
 import os
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from miniclap import evaluation as ev, network as net, trainer
+from miniclap.errors import InvalidInput
 from miniclap.trainer import AdamW, ema_update, run_stage, stage1_1_finetune, stage1_step
 
 from conftest import param_digest
@@ -69,15 +72,12 @@ def _recorded(monkeypatch, module, make) -> list:
 # Each scenario trains with the optimizer class `make` and returns what it
 # trained (compared by value) and the optimizer.
 
-def _stage1(lambda_clap, rebind=False):
+def _stage1(lambda_clap):
     def scenario(make, monkeypatch):
         state = _state()
         opt = make(trainer.trainable_params(state, "1"), lr=1e-3)
         data, gen = _stage1_data(np.random.default_rng(5), n=8), np.random.default_rng(7)
         for i in range(3):
-            if rebind and i:  # new arrays between steps, as criterion 7 sets tau
-                state.tau.data = np.asarray(0.05 + 0.01 * i)
-                state.online.patch_embed.bias.data = state.online.patch_embed.bias.data + 0.1
             stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)),
                         _stage1_cfg(lambda_clap=lambda_clap), gen, opt,
                         lr=1e-3 * (i + 1), ema_alpha=0.9)
@@ -119,9 +119,9 @@ def _joined(arrays) -> bytes:
 
 class TestMatchesPerTensorOracle:
     @pytest.mark.parametrize("scenario", [_stage1(0.01), _stage1(0.0), _finetune,
-                                          _masked_stage2, _linear_probe, _stage1(0.01, True)],
+                                          _masked_stage2, _linear_probe],
                              ids=["stage1", "stage1-no-clap", "stage1.1-unfrozen",
-                                  "stage2-masked", "linear-probe", "stage1-rebind"])
+                                  "stage2-masked", "linear-probe"])
     def test_parameters_and_moments_are_byte_equal(self, scenario, monkeypatch):
         got, opt = scenario(AdamW, monkeypatch)
         want, oracle = scenario(OracleAdamW, monkeypatch)
@@ -164,13 +164,34 @@ class TestParameterStorage:
                                             np.random.default_rng(0)), cfg, opt)
         self._assert_views(opt)
 
-    def test_rebound_data_is_viewed_again(self, rng):
+    @staticmethod
+    def _assert_rejected(opt, step, name):
+        """`step` fails naming `name` and leaves the optimizer as it was."""
+        before = (opt.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.step_count)
+        with pytest.raises(InvalidInput, match=f"parameter {name} no longer views"):
+            step()
+        assert (opt.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(),
+                opt.step_count) == before
+
+    def test_rebound_data_is_rejected_before_any_write(self, rng):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         state.tau.data = np.asarray(0.5)
-        stage1_step(state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
-                    np.random.default_rng(0), opt)
-        self._assert_views(opt)
+        self._assert_rejected(opt, lambda: stage1_step(
+            state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
+            np.random.default_rng(0), opt), "tau")
+
+    def test_first_stale_parameter_is_named_after_steps(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
+        step = lambda i: stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)),
+                                     _stage1_cfg(), gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9)
+        step(0)
+        step(1)
+        state.tau.data = np.asarray(0.07)  # tau comes last in the optimizer's order
+        state.online.patch_embed.bias.data = state.online.patch_embed.bias.data + 0.1
+        self._assert_rejected(opt, lambda: step(2), "online.patch_embed.bias")
 
     def test_transfer_shared(self):
         state, source = _state(), net.init_model_state(TINY, seed=4)
@@ -192,45 +213,67 @@ class TestParameterStorage:
             assert net.named_params(state)[name].data.tobytes() == want.tobytes(), name
 
 
-# -- parameter writes stay in place ---------------------------------------------
+# -- parameter writes stay in place, and the worker keeps two users --------------
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "miniclap")
 # Where `.data` may be bound: a tensor's creation, and the optimizer's packing.
-BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__"),
-              ("trainer.py", "AdamW.step")}
+BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__")}
+# Where work may be handed to the worker (nested functions included): a
+# shared call list, and the split backward.
+SUBMITS = {("threads.py", "SharedCalls.share"), ("autodiff.py", "Tensor.backward")}
+
+
+def _scoped_nodes(tree: ast.AST):
+    """(enclosing function, node) for every node below `tree`."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield ".".join(scope), child
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from visit(child, scope + (child.name,) if named else scope)
+
+    return visit(tree, ())
 
 
 def _data_bindings(tree: ast.AST) -> list[tuple[str, int]]:
     """(enclosing function, line) of every assignment to a `.data`
     attribute. An augmented assignment (`x.data += y`) is not one: on an
     ndarray it writes in place."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, (ast.Assign, ast.AnnAssign)):
-                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
-                found.extend((".".join(scope), child.lineno) for target in targets
-                             for t in ast.walk(target) if isinstance(t, ast.Attribute)
-                             and t.attr == "data" and isinstance(t.ctx, ast.Store))
-            visit(child, inner)
-
-    visit(tree, ())
-    return found
+    return [(scope, node.lineno) for scope, node in _scoped_nodes(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for t in ast.walk(target)
+            if isinstance(t, ast.Attribute) and t.attr == "data" and isinstance(t.ctx, ast.Store)]
 
 
-def test_parameter_data_is_bound_only_where_it_is_packed():
+def _submits(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every `.submit(...)` call."""
+    return [(scope, node.lineno) for scope, node in _scoped_nodes(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"]
+
+
+def _within(name: str, scope: str, allowed) -> bool:
+    """Whether `scope` in file `name` is one of the (file, function) pairs
+    `allowed`, or a function nested in one."""
+    return any(name == file and (scope == fn or scope.startswith(fn + "."))
+               for file, fn in allowed)
+
+
+def _stray(found, allowed) -> list[str]:
+    """Every `found(tree)` site of a package file outside `allowed`."""
     stray = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
-            stray += [f"{name}:{line} in {scope or 'module'}"
-                      for scope, line in _data_bindings(tree) if (name, scope) not in BINDS_DATA]
+            stray += [f"{name}:{line} in {scope or 'module'}" for scope, line in found(tree)
+                      if not _within(name, scope, allowed)]
+    return stray
+
+
+def test_parameter_data_is_bound_only_where_it_is_packed():
+    stray = _stray(_data_bindings, BINDS_DATA)
     assert not stray, "assign into `.data[...]` instead of rebinding it: " + ", ".join(stray)
 
 
@@ -238,3 +281,19 @@ def test_binding_check_finds_a_rebind():
     tree = ast.parse("def f(t, u):\n    t.data += 1\n    t.data[...] = 2\n"
                      "    t.data = 3\n    (u.data, x) = (4, 5)\n")
     assert _data_bindings(tree) == [("f", 4), ("f", 5)]
+
+
+def test_only_shared_calls_and_backward_submit_to_the_worker():
+    stray = _stray(_submits, SUBMITS)
+    assert not stray, "split work with the worker through `threads.SharedCalls`: " + \
+        ", ".join(stray)
+
+
+def test_submit_check_finds_a_stray_submit():
+    tree = ast.parse("class C:\n    def share(self, pool):\n        pool.submit(f)\n"
+                     "def g(pool):\n    def h():\n        return pool.submit(f)\n"
+                     "    pool.submit(f)\n    pool.map(f, [])\n")
+    assert _submits(tree) == [("C.share", 3), ("g.h", 6), ("g", 7)]
+    allowed = {("threads.py", "C.share")}
+    assert [site for site in _submits(tree)
+            if not _within("threads.py", site[0], allowed)] == [("g.h", 6), ("g", 7)]

@@ -15,9 +15,12 @@ import pytest
 from miniclap import evaluation as ev
 from miniclap import frontend as fe
 from miniclap import network as net
-from miniclap import threads
+from miniclap import threads, trainer
 from miniclap.config import HOP_LENGTH, ModelConfig
 from miniclap.frontend import MelSpectrogram
+
+from conftest import param_digest
+from test_trainer import _stage1_cfg, _stage1_data, _state
 
 # Creates the worker in a fresh process with no BLAS thread variable set,
 # and prints what the budget helper found and set.
@@ -79,6 +82,19 @@ def _once_per_run_encode() -> bytes:
                              pool=net.worker()).tobytes()
 
 
+def _stage1_step() -> bytes:
+    """One stage-1 step on 12 clips of 7 masked patches: at a budget of 21
+    rows its EMA-target encode is four calls of 3 clips."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(net, "SHARED_TOKENS", 21)
+        state = _state()
+        opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        data = _stage1_data(np.random.default_rng(2), n=12)
+        stats = trainer.stage1_step(state, data, _stage1_cfg(batch_size=12),
+                                    np.random.default_rng(3), opt)
+    return json.dumps(stats).encode() + param_digest(state).encode()
+
+
 def _logmel(frames: int) -> bytes:
     samples = np.random.default_rng(frames).standard_normal(frames * HOP_LENGTH - 37)
     return fe.compute_logmel(fe.Waveform(samples)).values.tobytes()
@@ -86,7 +102,7 @@ def _logmel(frames: int) -> bytes:
 
 # 255 frames are three blocks, which stay on the calling thread; 256 and
 # 257 frames are four, the fewest that are shared, and 900 frames (9 s) 14
-USERS = {"extraction": _extraction, "encode": _once_per_run_encode,
+USERS = {"extraction": _extraction, "encode": _once_per_run_encode, "stage1": _stage1_step,
          **{f"logmel-{t}": functools.partial(_logmel, t) for t in (255, 256, 257, 900)}}
 SHARED_USERS = [name for name in USERS if name != "logmel-255"]
 

@@ -19,7 +19,7 @@ from miniclap.autodiff import Tensor
 from miniclap.config import ModelConfig
 from miniclap.errors import InvalidConfig, InvalidInput
 from miniclap.frontend import summarize_features
-from miniclap.masking import batch_partitions
+from miniclap.masking import batch_partitions, masked_count
 from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
                               run_stage, stage1_1_finetune, stage1_step, stage2_step,
                               stage_config_from)
@@ -375,7 +375,7 @@ def _serial_stage1_step(state, data, cfg, rng, opt, lr, ema_alpha):
     opt.zero_grad()
     total.backward()
     opt.step(lr)
-    state.tau.data = np.asarray(losses.clip_temperature(float(state.tau.data)))
+    state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
     ema_update(state.target, state.online, ema_alpha)
     return {"loss_total": total.item(), "loss_m2d": loss_m2d.item(),
             "loss_clap": loss_clap.item()}
@@ -386,33 +386,39 @@ class TargetFailed(Exception):
 
 
 def _fail_for_target(monkeypatch, error, before=lambda: None):
-    """Make `encode_selected` raise `error` for the EMA target, after
+    """Make `encode_tokens` raise `error` for the EMA target, after
     calling `before`; the online encoder runs as usual."""
-    encode = net.encode_selected
+    encode = net.encode_tokens
 
-    def encode_selected(params, patches, idx, pe):
+    def encode_tokens(params, patches, pe):
         if not params.patch_embed.weight.requires_grad:
             before()
             raise error
-        return encode(params, patches, idx, pe)
+        return encode(params, patches, pe)
 
-    monkeypatch.setattr(net, "encode_selected", encode_selected)
+    monkeypatch.setattr(net, "encode_tokens", encode_tokens)
 
 
 class TestTargetOverlap:
-    """Stage 1 runs its EMA-target branch on a worker thread while the
+    """Stage 1 shares its EMA-target encode with the worker while the
     online forward runs; the results are those of one thread."""
 
-    def test_overlapped_steps_match_serial_oracle(self, rng):
-        data = _stage1_data(rng, n=8)
-        cfg = _stage1_cfg()
+    # 7 masked rows a clip: 4 clips are one call; 12 clips at a budget
+    # of 21 rows are four calls of 3 clips
+    @pytest.mark.parametrize("clips, budget, calls", [(4, net.SHARED_TOKENS, 1), (12, 21, 4)],
+                             ids=["one-call", "four-calls"])
+    def test_overlapped_steps_match_serial_oracle(self, rng, monkeypatch, clips, budget, calls):
+        monkeypatch.setattr(net, "SHARED_TOKENS", budget)
+        data = _stage1_data(rng, n=2 * clips)
+        cfg = _stage1_cfg(batch_size=clips)
+        assert len(net.frozen_calls(clips, masked_count(10, cfg.mask_ratio))) == calls
         runs = []
         for step_fn in (stage1_step, _serial_stage1_step):
             state = _state()
             opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
             gen = np.random.default_rng(7)
-            stats = [step_fn(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
-                             gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
+            stats = [step_fn(state, data.take(np.arange(clips * (i % 2), clips * (i % 2 + 1))),
+                             cfg, gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
                      for i in range(3)]
             moments = (opt._m.tobytes(), opt._v.tobytes())
             runs.append((stats, param_digest(state.online), param_digest(state.target),
@@ -540,7 +546,7 @@ def _encoded(state, data, cfg, rng):
     b, n = data.n_samples, data.n_f * data.n_t
     vis, _ = batch_partitions(n, cfg.mask_ratio, b, rng)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    features = net.encode_frozen(state.online, data.patches, pe, np.arange(b), vis)
+    features = net.SharedEncode(state.online, data.patches, pe, vis=vis).result()
     return dataclasses.replace(data, patches=None, features=features)
 
 
@@ -699,7 +705,7 @@ def _oracle_run_stage2(cfg, data, state, seed):
             opt.zero_grad()
             loss.backward()
             opt.step(lr)
-            state.tau.data = np.asarray(losses.clip_temperature(float(state.tau.data)))
+            state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
             rows.append({"epoch": epoch, "step": step, "loss_total": f"{loss.item():.8f}",
                          "loss_m2d": "", "loss_clap": f"{loss.item():.8f}",
                          "lr": f"{lr:.10g}", "ema": ""})
@@ -1041,7 +1047,7 @@ class TestMaskedPrefetch:
             want = net.encode_tokens(state.online, rows, pe).data
         monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         calls = _instrument_encoder(monkeypatch)
-        got = net.encode_frozen(state.online, patches, table, clips, vis)
+        got = net.SharedEncode(state.online, patches, table, clips, vis).result()
         # 11 x 10 rows in calls of 2, 3, 3 and 3 clips; 15 x 3 rows in calls
         # of 7 and 8 clips, so that no call has fewer than 16 rows
         assert calls["tokens"] == ([20, 30, 30, 30] if visible is None else [21, 24])
