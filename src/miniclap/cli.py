@@ -9,6 +9,7 @@ copy before it calls the verb with `(args, out, cfg)`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -88,11 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", help="checkpoint from the previous stage")
         p.set_defaults(func=cmd_pretrain_stage2, stage_id="2" if verb == "pretrain-stage2" else "2.1")
 
-    p = common(sub.add_parser("extract-features"))
+    p = common(sub.add_parser("extract-features", help="clip.feat and semantic.feat in one pass"))
     p.add_argument("--init", help="checkpoint to encode with")
     p.add_argument("--manifest", required=True)
     p.add_argument("--wav-dir")
-    p.add_argument("--kind", choices=("clip", "semantic"), default="clip")
     p.set_defaults(func=cmd_extract_features)
 
     p = common(sub.add_parser("eval-linear"))
@@ -300,14 +300,11 @@ def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
 def cmd_extract_features(args, out: str, cfg: dict) -> int:
     state = _load_state(args, cfg, "checkpoint")
     entries = dk.load_manifest(args.manifest)
-    mels = _prepare_mels(entries, args.wav_dir)
-    if args.kind == "clip":
-        feats = ev.clip_features(state, mels)
-    else:
-        feats = ev.semantic_features(state, mels)
-    path = os.path.join(out, f"{args.kind}.feat")
-    ev.write_features(path, [e.id for e in entries], feats)
-    print(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {path}")
+    with contextlib.ExitStack() as stack:  # no pair is replaced until all are written
+        for kind, feats in ev.features(state, _prepare_mels(entries, args.wav_dir)).items():
+            path = os.path.join(out, f"{kind}.feat")
+            ev.write_features(path, [e.id for e in entries], feats, stack)
+    print(f"wrote clip.feat and semantic.feat for {len(entries)} clips to {out}")
     return 0
 
 

@@ -1,9 +1,11 @@
 """Evaluation protocols: linear probe, zero-shot classification with
 caption templates, audio-text retrieval metrics, and projector
-attention export."""
+attention export; and the per-clip clip and semantic features, any
+subset of which `features` takes from one encode of the clips' windows."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
@@ -298,26 +300,30 @@ def encode_windows(state: ModelState, mels: list[MelSpectrogram],
     return feats, np.array([clip for clip, _ in windows])
 
 
-def _mean_per_clip(feats: np.ndarray, owner: np.ndarray, n_clips: int) -> np.ndarray:
-    """Each clip's mean row. `owner` is sorted, because `encode_windows`
-    emits windows in clip order, so each clip's rows are one slice."""
-    bounds = np.searchsorted(owner, np.arange(n_clips + 1))
-    return np.stack([feats[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+def features(state: ModelState, mels: list[MelSpectrogram],
+             kinds=("clip", "semantic")) -> dict[str, np.ndarray]:
+    """Per-clip features of each of `kinds`, from one `encode_windows` pass:
+    "clip" is the time-mean frame feature, [n, n_f*dim], and "semantic" the
+    projector's audio feature, [n, dim], each averaged over a clip's windows.
+    The kinds' window summaries are concatenated, averaged per clip, then split."""
+    n_t, dim = state.config.n_time_patches, state.config.dim
+    summaries = {"clip": lambda z: summarize_features(z, N_FREQ_PATCHES, n_t)[1].data,
+                 "semantic": lambda z: net.project_audio(state.projector, z).data}
+    feats, owner = encode_windows(
+        state, mels, lambda z: np.concatenate([summaries[kind](z) for kind in kinds], axis=1))
+    # windows come in clip order, so each clip's rows are one slice
+    bounds = np.searchsorted(owner, np.arange(len(mels) + 1))
+    means = np.stack([feats[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+    widths = np.cumsum([{"clip": N_FREQ_PATCHES * dim, "semantic": dim}[kind] for kind in kinds])
+    return dict(zip(kinds, np.split(means, widths[:-1], axis=1)))
 
 
 def clip_features(state: ModelState, mels: list[MelSpectrogram]) -> np.ndarray:
-    """Frozen clip-level features: encode full windows, average the
-    time-mean concatenated frame features over windows. [n, n_f*dim]."""
-    n_t = state.config.n_time_patches
-    feats, owner = encode_windows(
-        state, mels, lambda z: summarize_features(z, N_FREQ_PATCHES, n_t)[1].data)
-    return _mean_per_clip(feats, owner, len(mels))
+    return features(state, mels, ("clip",))["clip"]
 
 
 def semantic_features(state: ModelState, mels: list[MelSpectrogram]) -> np.ndarray:
-    """Projector audio features (mean over windows for long clips). [n, dim]."""
-    feats, owner = encode_windows(state, mels, lambda z: net.project_audio(state.projector, z).data)
-    return _mean_per_clip(feats, owner, len(mels))
+    return features(state, mels, ("semantic",))["semantic"]
 
 
 # -- reports and file formats -----------------------------------------------------
@@ -326,14 +332,18 @@ FEATURE_MAGIC = b"MCFE"
 FEATURE_VERSION = 1
 
 
-def write_features(path, ids: list[str], features: np.ndarray) -> None:
-    """Write the feature file and its `.ids` sidecar. Each file is written
-    atomically, and neither is replaced unless both were written whole;
-    the sidecar is replaced first, just before the feature file."""
+def write_features(path, ids: list[str], features: np.ndarray, stack=None) -> None:
+    """Write the feature file and its `.ids` sidecar through `atomic_open`.
+    Both are moved into place, the sidecar first, when `stack` (by default
+    an `ExitStack` of their own) closes without error, so calls given one
+    stack replace all their pairs or none."""
     arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim != 2 or len(ids) != arr.shape[0]:
         raise InvalidInput("need one id per feature row")
-    with atomic_open(path) as fh, atomic_open(str(path) + ".ids", "w", encoding="utf-8") as sidecar:
+    with contextlib.ExitStack() as own:
+        stack = own if stack is None else stack
+        fh = stack.enter_context(atomic_open(path))
+        sidecar = stack.enter_context(atomic_open(str(path) + ".ids", "w", encoding="utf-8"))
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", FEATURE_VERSION))
         fh.write(struct.pack("<I", arr.shape[1]))

@@ -1,9 +1,10 @@
 """Parametric components: patch encoders, predictor, audio projector,
 text path, plus checkpoint serialization.
 
-All components are dataclasses of `Tensor` leaves; forwards are free
-functions building an autodiff graph from the fused ops `ad.linear`,
-`ad.attention`, `ad.layer_norm_core` and `ad.gelu`. The target
+All components are dataclasses of `Tensor` leaves, named in field order
+by `named_params` (a config, vocabulary or position table holds none);
+forwards are free functions building an autodiff graph from the fused ops
+`ad.linear`, `ad.attention`, `ad.layer_norm_core` and `ad.gelu`. The target
 encoder is a copy of the online encoder with `requires_grad=False`, so
 no gradient can ever reach it.
 
@@ -15,8 +16,9 @@ Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's.
 `SharedEncode` is the one graph-free frozen encode, a `threads.SharedCalls`
-of the calls `frozen_calls` plans: extraction, stage 2.1, an unmasked
-stage 2 and a frozen stage 1.1 run one at once through `encode_frozen`;
+of the calls `frozen_calls` plans: extraction (one encode for both
+feature kinds), stage 2.1, an unmasked stage 2 and a frozen stage 1.1 run
+one at once through `encode_frozen`;
 stage 1's EMA target and a masked stage 2's next batch are shared with the worker.
 """
 
@@ -308,13 +310,6 @@ def _walk(obj, prefix, out):
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             _walk(item, f"{prefix}.{i}", out)
-    elif isinstance(obj, ModelState):
-        for f in dataclasses.fields(obj):
-            if f.name in ("config", "vocab"):
-                continue
-            _walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, out)
-    elif isinstance(obj, PositionalEncoding):
-        return  # fixed buffer, derived from the config
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             _walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name, out)

@@ -408,7 +408,7 @@ class FinetuneResult:
 
 
 def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
-                      seed: int = 0, head: net.Affine | None = None) -> FinetuneResult:
+                      seed: int = 0) -> FinetuneResult:
     """Supervised multi-label fine-tune: linear head on the clip feature.
     With a frozen encoder the clip features never change, so they are
     computed once, on both threads, and each step runs only the head."""
@@ -417,10 +417,7 @@ def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
     if data.labels is None or data.n_samples == 0:
         raise InvalidInput("fine-tuning needs a labeled, non-empty dataset")
     rng = np.random.default_rng(seed)
-    dim = state.config.dim
-    n_classes = data.labels.shape[1]
-    if head is None:
-        head = net.init_affine(rng, data.n_f * dim, n_classes)
+    head = net.init_affine(rng, data.n_f * state.config.dim, data.labels.shape[1])
     result = FinetuneResult(head=head)
     if cfg.epochs == 0:
         return result

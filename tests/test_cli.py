@@ -15,7 +15,7 @@ import pytest
 
 import miniclap
 from miniclap import config as C, datakit as dk, evaluation as ev, network as net
-from miniclap.cli import _build_parser, _split_indices, main
+from miniclap.cli import _build_parser, _prepare_mels, _split_indices, main
 from miniclap.evaluation import write_features
 
 TINY_MODEL = [
@@ -482,7 +482,7 @@ class TestPipeline:
         out = tmp_path_factory.mktemp("features")
         code = main(["extract-features", "--manifest", str(corpus / "manifest.jsonl"),
                      "--init", str(stage1 / "checkpoints" / "final.ckpt"),
-                     "--out", str(out), "--kind", "clip", *TINY_MODEL])
+                     "--out", str(out), *TINY_MODEL])
         assert code == 0
         assert (out / "clip.feat").exists() and (out / "clip.feat.ids").exists()
 
@@ -493,6 +493,52 @@ class TestPipeline:
                      "--out", str(eval_out), *TINY_MODEL])
         assert code == 0
         assert (eval_out / "metrics.csv").exists()
+
+    def test_extract_features_writes_both_kinds_from_one_encode(self, corpus, stage1, tmp_path,
+                                                                monkeypatch):
+        manifest, ckpt = corpus / "manifest.jsonl", stage1 / "checkpoints" / "final.ckpt"
+        tokens = []
+        encode_tokens = net.encode_tokens
+
+        def counted(params, patch_vectors, pe_rows):
+            tokens.append(patch_vectors.shape[0] * patch_vectors.shape[1])
+            return encode_tokens(params, patch_vectors, pe_rows)
+
+        monkeypatch.setattr(net, "encode_tokens", counted)
+        assert main(["extract-features", "--manifest", str(manifest), "--init", str(ckpt),
+                     "--out", str(tmp_path / "out")]) == 0
+        extracted, tokens[:] = sum(tokens), []
+
+        entries = dk.load_manifest(manifest)
+        state, mels = net.load_checkpoint(ckpt), _prepare_mels(entries, None)
+        clip = ev.clip_features(state, mels)
+        assert extracted == sum(tokens) > 0  # every window went through the encoder once
+        for kind, feats in (("clip", clip), ("semantic", ev.semantic_features(state, mels))):
+            write_features(tmp_path / f"{kind}.feat", [e.id for e in entries], feats)
+            for name in (f"{kind}.feat", f"{kind}.feat.ids"):
+                assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_failed_extract_write_keeps_both_previous_pairs(self, corpus, stage1, tmp_path,
+                                                            monkeypatch):
+        init = ["--init", str(stage1 / "checkpoints" / "final.ckpt"), "--out", str(tmp_path / "out")]
+        assert main(["extract-features", "--manifest", str(corpus / "manifest.jsonl"), *init]) == 0
+        names = ["clip.feat", "clip.feat.ids", "config.txt", "semantic.feat", "semantic.feat.ids"]
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in names[:2] + names[3:]}
+        fewer = tmp_path / "fewer.jsonl"  # other ids and rows, so a replaced file would differ
+        dk.save_manifest(fewer, dk.load_manifest(corpus / "manifest.jsonl")[:4])
+        write, calls = ev.write_features, []
+
+        def fail_second(*args):
+            write(*args)  # written whole into its temporary files
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise RuntimeError("second write failed")
+
+        monkeypatch.setattr(ev, "write_features", fail_second)
+        with pytest.raises(RuntimeError, match="second write failed"):
+            main(["extract-features", "--manifest", str(fewer), *init])
+        assert sorted(os.listdir(tmp_path / "out")) == names  # no temporary file is left
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in before} == before
 
     def test_eval_zeroshot(self, corpus, stage1, tmp_path_factory, capsys):
         out = tmp_path_factory.mktemp("zeroshot")
@@ -609,7 +655,7 @@ def _after_stage1(corpus, stage1, out, model):
         "stage21": ["refine-stage2.1", "--init", str(out / "stage2" / "checkpoints" / "final.ckpt"),
                     "--set", "stage2_1.epochs=2", "--set", "stage2_1.warmup_epochs=0",
                     "--set", "stage2_1.batch_size=3", "--set", "stage2_1.base_lr=1e-3"],
-        "features": ["extract-features", "--init", ckpt21, "--kind", "semantic"],
+        "features": ["extract-features", "--init", ckpt21],
         "attention": ["export-attention", "--init", ckpt21, "--entry", "synth-01-0002"],
         "stage11": ["finetune-stage1.1", "--init", ckpt1, "--set", "stage1_1.epochs=2",
                     "--set", "stage1_1.batch_size=3"],

@@ -433,7 +433,7 @@ class TestChunkedFeatures:
 
     def test_empty_clip_list_rejected(self):
         state = net.init_model_state(ModelConfig(dim=8, depth=1, heads=2, input_frames=32), seed=6)
-        for features in (ev.encode_windows, ev.clip_features, ev.semantic_features):
+        for features in (ev.encode_windows, ev.features, ev.clip_features, ev.semantic_features):
             with pytest.raises(InvalidInput):
                 features(state, [])
 
@@ -470,9 +470,26 @@ class TestTwoThreadExtraction:
         state = net.init_model_state(self.CFG, seed=6)
         mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in frames]
         got = {"clip": ev.clip_features(state, mels), "semantic": ev.semantic_features(state, mels)}
+        both = ev.features(state, mels)
+        assert list(both) == ["clip", "semantic"]
         for kind, features in got.items():
             want = _serial_features(state, mels, kind)
             assert features.dtype == want.dtype and features.tobytes() == want.tobytes(), kind
+            assert both[kind].dtype == want.dtype and both[kind].tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("kind, other", [("clip", "project_audio"),
+                                             ("semantic", "summarize_features")])
+    def test_one_kind_runs_only_its_summary(self, rng, monkeypatch, kind, other):
+        state = net.init_model_state(self.CFG, seed=6)
+        mels = [MelSpectrogram(rng.standard_normal((80, t))) for t in (20, 100)]
+        want = ev.features(state, mels)[kind]
+
+        def fail(*args):
+            raise AssertionError(f"{kind} features ran {other}")
+
+        monkeypatch.setattr(net if other == "project_audio" else ev, other, fail)
+        one = {"clip": ev.clip_features, "semantic": ev.semantic_features}[kind](state, mels)
+        assert one.tobytes() == want.tobytes()
 
     def test_worker_error_reaches_caller_after_its_own_chunk(self, rng):
         state = net.init_model_state(self.CFG, seed=6)

@@ -2,12 +2,12 @@
 
 A subprocess records every Python frame entered, on the calling thread
 and the worker (`sys.setprofile`, `threading.setprofile`), while it
-runs each CLI verb at a tiny model with its flag variants: both feature
-kinds, frozen and trained stage 1.1, the MLP projector with the text
-projector and no contrastive weight, `--config`, `--wav-dir`, a
-multi-label probe and two error exits. A module-level function or class
-method, dunders aside, that none of them enters is reachable only from
-tests: delete it, or name it in KEEP with the reason it stays.
+runs each CLI verb at a tiny model with its flag variants: frozen and
+trained stage 1.1, the MLP projector with the text projector and no
+contrastive weight, `--config`, `--wav-dir`, a multi-label probe and two
+error exits. A module-level function or class method, dunders aside, that
+none of them enters is reachable only from tests: delete it, or name it
+in KEEP with the reason it stays.
 """
 
 import json
@@ -22,6 +22,8 @@ KEEP = {
     "autodiff.softmax",
     # the paper's zero-shot caption templates, which acceptance criterion 10 checks
     "evaluation.caption_from_label",
+    # the benchmark calls and traces it by name; removing it is a benchmark revision
+    "evaluation.clip_features",
 }
 
 PROBE = r"""
@@ -79,9 +81,8 @@ stage2 = run("pretrain-stage2", "--manifest", manifest, *ckpt(stage1), "--set=st
              "--set=stage2.warmup_epochs=0", "--set=stage2.batch_size=3")
 run("refine-stage2.1", "--manifest", manifest, *ckpt(stage2), "--set=stage2_1.epochs=1",
     "--set=stage2_1.warmup_epochs=0", "--set=stage2_1.batch_size=3")
-for kind in ("clip", "semantic"):
-    run("extract-features", "--manifest", manifest, *ckpt(stage1), "--kind", kind, out=kind)
-features = ["--features", os.path.join(work, "clip", "clip.feat")]
+features = ["--features", os.path.join(run("extract-features", "--manifest", manifest,
+                                           *ckpt(stage1)), "clip.feat")]
 run("eval-linear", *features, "--manifest", manifest)
 entries = dk.load_manifest(manifest)
 for i, entry in enumerate(entries):
@@ -142,5 +143,5 @@ def test_every_function_is_reached_by_a_verb(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     # every verb succeeds but the malformed config file and the empty corpus
-    assert report["codes"] == [0] * 15 + [1, 1], report["codes"]
+    assert report["codes"] == [0] * 14 + [1, 1], report["codes"]
     assert set(report["unreached"]) == KEEP
