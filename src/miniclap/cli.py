@@ -181,7 +181,7 @@ def _load_state(args, cfg: dict, what: str) -> net.ModelState:
     """The `--init` checkpoint, built from its own model config. A
     ``model.*`` setting must agree with that config."""
     path = _require_file(args.init, what)
-    state = net.load_checkpoint(path, seed=args.seed)
+    state = net.load_checkpoint(path)
     wanted = C.model_config_from(cfg, base=state.config)
     for key in C.section(cfg, "model"):
         if getattr(wanted, key) != getattr(state.config, key):

@@ -59,6 +59,11 @@ def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
         x[bad] = rng.standard_normal(int(bad.sum())) * std
 
 
+def _weights(rng: np.random.Generator | None, shape) -> np.ndarray:
+    """`trunc_normal` draws, or (`rng` None) unset values that `load_checkpoint` overwrites."""
+    return np.empty(shape) if rng is None else trunc_normal(rng, shape)
+
+
 # -- building blocks -----------------------------------------------------------
 
 
@@ -70,7 +75,7 @@ class Affine:
 
 def init_affine(rng, d_in: int, d_out: int) -> Affine:
     return Affine(
-        Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True),
+        Tensor(_weights(rng, (d_in, d_out)), requires_grad=True),
         Tensor(np.zeros(d_out), requires_grad=True),
     )
 
@@ -235,7 +240,7 @@ def _init_projector(rng, cfg: ModelConfig) -> AudioProjectorParams:
     # feed-forward latent matches the model dim (not the 4x encoder ratio)
     return AudioProjectorParams(
         kind="transformer",
-        cls_token=Tensor(trunc_normal(rng, (1, 1, cfg.dim)), requires_grad=True),
+        cls_token=Tensor(_weights(rng, (1, 1, cfg.dim)), requires_grad=True),
         blocks=[init_block(rng, cfg.dim, cfg.projector_heads, cfg.dim)
                 for _ in range(cfg.projector_blocks)],
         mlp_in=None, mlp_out=None,
@@ -247,7 +252,7 @@ def _init_textpath(rng, cfg: ModelConfig) -> TextPathParams:
     encoder = None
     if cfg.text_vocab > 0:
         encoder = TextEncoderParams(
-            tok_embed=Tensor(trunc_normal(rng, (cfg.text_vocab, cfg.dim)), requires_grad=True),
+            tok_embed=Tensor(_weights(rng, (cfg.text_vocab, cfg.dim)), requires_grad=True),
             pos_embed=Tensor(np.zeros((cfg.text_maxlen, cfg.dim)), requires_grad=True),
             blocks=[init_block(rng, cfg.dim, cfg.text_heads, int(cfg.dim * cfg.mlp_ratio))
                     for _ in range(cfg.text_depth)],
@@ -266,14 +271,17 @@ def _init_textpath(rng, cfg: ModelConfig) -> TextPathParams:
 
 
 def init_model_state(cfg: ModelConfig, seed: int) -> ModelState:
-    rng = np.random.default_rng(seed)
+    return _model_state(cfg, np.random.default_rng(seed))
+
+
+def _model_state(cfg: ModelConfig, rng: np.random.Generator | None) -> ModelState:
     online = _init_encoder(rng, cfg)
     mlp_hidden = int(cfg.dim * cfg.mlp_ratio)
     predictor = PredictorParams(
         blocks=[init_block(rng, cfg.dim, cfg.predictor_heads, mlp_hidden)
                 for _ in range(cfg.predictor_depth)],
         out=init_affine(rng, cfg.dim, cfg.dim),
-        mask_token=Tensor(trunc_normal(rng, (1, 1, cfg.dim)), requires_grad=True),
+        mask_token=Tensor(_weights(rng, (1, 1, cfg.dim)), requires_grad=True),
     )
     target = copy.deepcopy(online)  # the EMA target starts as an exact copy, with no gradient
     for tensor in named_params(target).values():
@@ -566,7 +574,8 @@ def _read_section(fh, size: int) -> bytes:
 
 
 def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> ModelState:
-    """The ModelState the file describes; a `cfg` that is given must equal its config."""
+    """The ModelState the file describes, read into a skeleton built with no random
+    draw, so `seed` has no effect; a `cfg` that is given must equal its config."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != CKPT_MAGIC:
@@ -584,7 +593,7 @@ def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> Mode
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         if cfg is not None and cfg != file_cfg:
             raise FormatError("checkpoint was written with a different model config")
-        state = init_model_state(file_cfg, seed)
+        state = _model_state(file_cfg, None)
         state.vocab = vocab_text.splitlines()
         params = named_params(state)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))

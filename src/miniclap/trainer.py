@@ -1,5 +1,6 @@
 """Stage orchestration: schedules, optimizer, EMA updates, and the
-per-step training logic of every pre-training stage."""
+per-step training logic of every pre-training stage. A run's random
+numbers all come from `_batch_plan`; its steps draw none."""
 
 from __future__ import annotations
 
@@ -134,22 +135,23 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> flo
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def ema_update(target, online, alpha: float) -> None:
-    """In place: target <- alpha * target + (1 - alpha) * online."""
+def ema_update(target: np.ndarray, online: np.ndarray, alpha: float) -> None:
+    """In place, in two passes: target <- alpha * target + (1 - alpha) * online."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput("EMA decay must lie in [0, 1]")
-    t_named = named_params(target)
-    o_named = named_params(online)
-    if t_named.keys() != o_named.keys():
-        raise InvalidInput("target and online parameter trees do not match")
-    for name, t in t_named.items():
-        o = o_named[name]
-        if t.data.shape != o.data.shape:
-            raise InvalidInput(f"shape mismatch for {name}")
-        np.add(alpha * t.data, (1.0 - alpha) * o.data, out=t.data)
+    target *= alpha
+    target += (1.0 - alpha) * online
 
 
 # -- optimizer ----------------------------------------------------------------
+
+def pack_params(params: dict[str, Tensor]) -> np.ndarray:
+    """One float64 array of `params`' values, in order; every `.data` is rebound to view it."""
+    flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
+    for p, end in zip(params.values(), np.cumsum([p.data.size for p in params.values()])):
+        p.data = flat[end - p.data.size:end].reshape(p.data.shape)
+    return flat
+
 
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
@@ -168,9 +170,7 @@ class AdamW:
         self.step_count = 0
         ends = np.cumsum([p.data.size for p in self.params.values()])
         self._parts = [slice(end - p.data.size, end) for p, end in zip(self.params.values(), ends)]
-        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
-        for p, part in zip(self.params.values(), self._parts):
-            p.data = self.flat[part].reshape(p.data.shape)
+        self.flat = pack_params(self.params)
         self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self._decay = [self._decays(name, p) for name, p in self.params.items()]
 
@@ -224,23 +224,27 @@ def trainable_params(state: ModelState, stage_id: str) -> dict[str, Tensor]:
     return params
 
 
+def ema_target(state: ModelState, opt: AdamW) -> np.ndarray:
+    """The EMA target in one buffer, laid out as the online encoder that heads `opt.flat`."""
+    target, online = named_params(state.target, "online"), named_params(state.online, "online")
+    lead = dict(list(opt.params.items())[:len(online)])
+    layouts = [[(name, p.data.shape) for name, p in params.items()]
+               for params in (target, online, lead)]
+    if not layouts[0] == layouts[1] == layouts[2]:
+        raise InvalidInput("the EMA target and the head of the optimizer's buffer must "
+                           "match the online encoder's names, order and shapes")
+    return pack_params(target)
+
+
 # -- batches ------------------------------------------------------------------
 
 
 @dataclass
 class StageData:
-    """Precomputed per-sample inputs for one stage.
-
-    `features` is the frozen audio encoder's output, which is all a
-    stage-2/2.1 step reads of the audio. A caller leaves it unset:
-    `run_stage` fills it in for each step's batch, which then carries no
-    patches. In stage 2.1 (and an unmasked stage 2) it is the batch's
-    rows of a once-per-run `net.encode_frozen` of every full grid, shared
-    between the caller and `net.worker()`; in a masked stage 2 it is the
-    batch's visible-patch encode as a `net.SharedEncode`, which
-    `net.worker()` starts one step ahead and whose unstarted calls
-    `stage2_step` runs itself when it asks for the result.
-    """
+    """Precomputed per-sample inputs for one stage. A caller leaves
+    `features`, the frozen audio encoder's output and all a stage-2/2.1
+    step reads of the audio, unset: `run_stage` fills it in for each
+    step's batch, which then carries no patches, as its docstring says."""
 
     patches: np.ndarray | None  # [n_samples, n_patches, 256]; None once features replace it
     n_f: int
@@ -282,20 +286,12 @@ def _check_finite(**losses: Tensor) -> None:
                                "stopped before the parameter update")
 
 
-def _check_partition(cfg: StageConfig, n: int) -> None:
-    """Reject a mask ratio that leaves a stage no patch to encode: stage 1
-    needs visible and masked patches, a masked stage 2 visible ones."""
-    masked = masked_count(n, cfg.mask_ratio)
-    if masked == n or (cfg.stage_id == "1" and masked == 0):
-        need = "both visible and masked patches" if cfg.stage_id == "1" else "a visible patch"
-        raise InvalidInput(f"stage {cfg.stage_id} needs {need}, but mask_ratio="
-                           f"{cfg.mask_ratio} masks {masked} of the {n} patches per clip")
-
-
 def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
-                rng: np.random.Generator, opt: AdamW,
+                partition: tuple[np.ndarray, np.ndarray], opt: AdamW, target: np.ndarray,
                 lr: float | None = None, ema_alpha: float | None = None) -> dict:
-    """One multitask step on a batch; updates the online side and the EMA target.
+    """One multitask step on a batch and its patch `partition`, (visible
+    [b, V], masked [b, M]); updates the online side, then the EMA `target`
+    (from `ema_target`) against the head of `opt.flat`. It draws nothing.
 
     The EMA target's standardized features of the masked patches are a
     `net.SharedEncode` shared with `net.worker()`, which runs its calls
@@ -311,10 +307,8 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     lr = cfg.base_lr if lr is None else lr
     ema_alpha = cfg.ema_start if ema_alpha is None else ema_alpha
 
-    b, n, _ = data.patches.shape
-    _check_partition(cfg, n)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    vis, msk = batch_partitions(n, cfg.mask_ratio, b, rng)
+    vis, msk = partition
 
     targets = net.SharedEncode(state.target, data.patches, pe, vis=msk,
                                summary=lambda z: net.standardize_targets(z).data)
@@ -342,7 +336,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
     total.backward(net.worker())
     opt.step(lr)
     state.tau.data[...] = clip_temperature(float(state.tau.data))
-    ema_update(state.target, state.online, ema_alpha)
+    ema_update(target, opt.flat[:target.size], ema_alpha)
     return {
         "loss_total": total.item(),
         "loss_m2d": loss_m2d.item(),
@@ -466,31 +460,28 @@ def write_loss_log(path, rows: list[dict], header: bool = False) -> None:
 
 
 def _batch_plan(cfg: StageConfig, n_samples: int, n_patches: int, rng: np.random.Generator):
-    """Each step's (epoch, sample indices, visible patches [b, V]), drawn
-    from `rng` in the order the steps have always drawn them: an epoch's
-    permutation, then each of its batches' partitions. Stage 1 draws its
-    partitions in `stage1_step`, so its visible patches are None."""
+    """Each step's (epoch, sample indices, (visible [b, V], masked [b, M])
+    patches): every random draw of a run, in the order the steps have always
+    drawn them, an epoch's permutation and then each of its batches' partitions."""
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            vis = None
-            if cfg.stage_id != "1":
-                vis, _ = batch_partitions(n_patches, cfg.mask_ratio, len(idx), rng)
-            yield epoch, idx, vis
+            yield epoch, idx, batch_partitions(n_patches, cfg.mask_ratio, len(idx), rng)
 
 
 def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
     """Train one stage to completion; returns the state and the loss log.
 
-    A mask ratio that leaves the stage no patch to encode, and a warm-up
-    longer than the run, are rejected before anything is written. Stages
-    2 and 2.1 hand each step its batch's encoded audio. A stage that
-    masks nothing (stage 2.1) encodes every clip once, before the first
-    epoch, on both threads, into a copy of `data`; the caller's `data`
-    is left as it was. That holds n_samples x n_patches x dim float64
-    values for the whole run.
+    Every random draw comes from `_batch_plan`, seeded by `seed`. Stage 1
+    packs the EMA target once (`ema_target`). A mask ratio that leaves the
+    stage no patch to encode, and a warm-up longer than the run, are
+    rejected before anything is written. Stages 2 and 2.1 hand each step its
+    batch's encoded audio. A stage that masks nothing (stage 2.1) encodes
+    every clip once, before the first epoch, on both threads, into a copy of
+    `data`; the caller's `data` is left as it was. That holds n_samples x
+    n_patches x dim float64 values for the whole run.
 
     A masked stage 2 makes each batch's visible-patch encode a
     `net.SharedEncode` one step ahead: the worker starts batch k+1's
@@ -505,7 +496,11 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
         raise InvalidConfig("use stage1_1_finetune for stage 1.1")
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
-    _check_partition(cfg, data.n_f * data.n_t)
+    n, n_masked = data.n_f * data.n_t, masked_count(data.n_f * data.n_t, cfg.mask_ratio)
+    if n_masked == n or (cfg.stage_id == "1" and n_masked == 0):
+        need = "both visible and masked patches" if cfg.stage_id == "1" else "a visible patch"
+        raise InvalidInput(f"stage {cfg.stage_id} needs {need}, but mask_ratio="
+                           f"{cfg.mask_ratio} masks {n_masked} of the {n} patches per clip")
     if cfg.epochs and cfg.warmup_epochs > cfg.epochs:
         raise InvalidConfig(f"{config_section(cfg.stage_id)}.warmup_epochs={cfg.warmup_epochs} "
                             f"exceeds epochs={cfg.epochs}")
@@ -527,51 +522,47 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
     opt = AdamW(trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    if cfg.stage_id == "1":
+        target = ema_target(state, opt)
     if masked:
         text = replace(data, patches=None)  # step batches carry no patches
         pe = net.posenc_for(state.online, data.n_f, data.n_t)
 
-    def step_batch(idx: np.ndarray, vis: np.ndarray | None) -> StageData:
+    def step_batch(idx: np.ndarray, vis: np.ndarray) -> StageData:
         if not masked:
             return data.take(idx)
         encoded = net.SharedEncode(state.online, data.patches, pe, idx, vis).share(net.worker())
         return replace(text.take(idx), features=encoded)
 
-    def train(epoch: int, batch: StageData) -> None:
+    def train(epoch: int, batch: StageData, partition: tuple[np.ndarray, np.ndarray]) -> None:
         step = len(rows)
         lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
+        row = {"epoch": epoch, "step": step, "loss_m2d": "", "lr": f"{lr:.10g}", "ema": ""}
         if cfg.stage_id == "1":
             alpha = ema_decay_at(step + 1, total_steps, cfg.ema_start, cfg.ema_end)
-            stats = stage1_step(state, batch, cfg, rng, opt, lr=lr, ema_alpha=alpha)
-            rows.append({"epoch": epoch, "step": step,
-                         "loss_total": f"{stats['loss_total']:.8f}",
-                         "loss_m2d": f"{stats['loss_m2d']:.8f}",
-                         "loss_clap": f"{stats['loss_clap']:.8f}",
-                         "lr": f"{lr:.10g}", "ema": f"{alpha:.10f}"})
+            stats = stage1_step(state, batch, cfg, partition, opt, target, lr=lr, ema_alpha=alpha)
+            row["ema"] = f"{alpha:.10f}"
         else:
             stats = stage2_step(state, batch, cfg, opt, lr=lr)
-            rows.append({"epoch": epoch, "step": step,
-                         "loss_total": f"{stats['loss_clap']:.8f}",
-                         "loss_m2d": "", "loss_clap": f"{stats['loss_clap']:.8f}",
-                         "lr": f"{lr:.10g}", "ema": ""})
+            stats["loss_total"] = stats["loss_clap"]
+        rows.append({**row, **{name: f"{value:.8f}" for name, value in stats.items()}})
         if out_dir is not None and len(rows) % steps_per_epoch == 0:
             net.save_checkpoint(os.path.join(ckpt_dir, f"epoch-{epoch:04d}.ckpt"), state)
             write_loss_log(log_path, rows[-steps_per_epoch:])
 
-    # Stage 1 draws from `rng` inside its steps, so its plan is drawn step
-    # by step; the text stages' steps draw nothing, so theirs runs one ahead.
-    ahead = 0 if cfg.stage_id == "1" else 1
-    planned: list[tuple[int, StageData]] = []  # a step leaves it once it has finished
+    # only a masked stage 2 has work to start for the next batch: its encode
+    ahead = int(masked)
+    planned: list[tuple] = []  # a step leaves it once it has finished
     try:
-        for epoch, idx, vis in _batch_plan(cfg, data.n_samples, data.n_f * data.n_t, rng):
-            planned.append((epoch, step_batch(idx, vis)))
+        for epoch, idx, partition in _batch_plan(cfg, data.n_samples, data.n_f * data.n_t, rng):
+            planned.append((epoch, step_batch(idx, partition[0]), partition))
             if len(planned) > ahead:
                 train(*planned[0])
                 del planned[0]
-        if planned:  # a text stage's last batch
+        if planned:  # a masked stage 2's last batch
             train(*planned[0])
     finally:
-        for _, batch in planned:
+        for _, batch, _ in planned:
             if isinstance(batch.features, net.SharedEncode):
                 batch.features.wait()
     if out_dir is not None:

@@ -10,6 +10,7 @@ import pytest
 
 from miniclap import config as C, network as net, trainer
 from miniclap.config import ModelConfig
+from miniclap.masking import batch_partitions
 from miniclap.trainer import AdamW, StageData, stage1_step, stage_config_from
 
 from conftest import param_digest
@@ -24,8 +25,9 @@ def _one_step(cfg, rng, **stage_kw):
     state = net.init_model_state(cfg, seed=0)
     stage_cfg = stage_config_from("1", dict(batch_size=4, base_lr=1e-3, **stage_kw))
     opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-    stats = stage1_step(state, _stage1_data(rng, emb_dim=cfg.emb_dim), stage_cfg,
-                        np.random.default_rng(0), opt)
+    data = _stage1_data(rng, emb_dim=cfg.emb_dim)
+    partition = batch_partitions(10, stage_cfg.mask_ratio, 4, np.random.default_rng(0))
+    stats = stage1_step(state, data, stage_cfg, partition, opt, trainer.ema_target(state, opt))
     return state, stats
 
 

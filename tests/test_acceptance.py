@@ -17,7 +17,7 @@ from miniclap.autodiff import Tensor
 from miniclap.config import ModelConfig
 from miniclap.evaluation import caption_from_label, retrieval_metrics, zero_shot_classify
 from miniclap.frontend import Waveform, compute_logmel, pad_or_crop_to_grid, patchify, standardize, summarize_features
-from miniclap.masking import sample_partition
+from miniclap.masking import batch_partitions, sample_partition
 from miniclap.trainer import AdamW, StageData, ema_decay_at, lr_at, stage1_step, stage_config_from
 
 from conftest import assert_grads_match, param_digest
@@ -214,8 +214,9 @@ def test_criterion_06_freeze_contracts(rng):
     s1 = StageData(rng.standard_normal((4, 10, 256)) * 0.3, 5, 2,
                    embeddings=rng.standard_normal((4, TINY.emb_dim)))
     opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-    stage1_step(state, s1, stage_config_from("1", dict(batch_size=4)),
-                np.random.default_rng(0), opt)
+    cfg = stage_config_from("1", dict(batch_size=4))
+    stage1_step(state, s1, cfg, batch_partitions(10, cfg.mask_ratio, 4, np.random.default_rng(0)),
+                opt, trainer.ema_target(state, opt))
     assert all(t.grad is None for t in net.named_params(state.target).values())
     assert not any("target" in name for name in trainer.trainable_params(state, "1"))
 

@@ -18,7 +18,7 @@ BENCH = os.path.join(ROOT, "benchmarks")
 # step, and that a log-mel split across two threads counts as one call.
 TRACED_RUN = """
 import numpy as np
-from miniclap import evaluation as ev, frontend as fe, network as net, trainer
+from miniclap import evaluation as ev, frontend as fe, masking, network as net, trainer
 from miniclap.config import ModelConfig
 from miniclap.frontend import MelSpectrogram
 from tracer import Tracer
@@ -35,7 +35,8 @@ data = trainer.StageData(rng.standard_normal((4, 10, 256)), 5, 2,
                          embeddings=rng.standard_normal((4, 12)))
 stage = trainer.stage_config_from("1", dict(batch_size=4))
 opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-trainer.stage1_step(state, data, stage, rng, opt)
+partition = masking.batch_partitions(10, stage.mask_ratio, 4, rng)
+trainer.stage1_step(state, data, stage, partition, opt, trainer.ema_target(state, opt))
 nodes = tracer.counts["autodiff.graph_nodes"]
 mels = [MelSpectrogram(rng.standard_normal((80, 128)))]
 ev.clip_features(state, mels)

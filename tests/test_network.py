@@ -682,6 +682,18 @@ class TestCheckpoint:
             got = net.named_params(loaded)[name].data
             np.testing.assert_array_equal(got, tensor.data.astype(np.float32).astype(np.float64))
 
+    def test_load_draws_no_random_model(self, state, tmp_path, monkeypatch):
+        """Every tensor comes from the file, so loading initialises nothing."""
+        path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+        net.save_checkpoint(path, state)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(net, "trunc_normal", no_draw)
+        net.save_checkpoint(again, net.load_checkpoint(path, TINY, seed=123))
+        assert again.read_bytes() == path.read_bytes()
+
     def test_bad_magic_rejected(self, state, tmp_path):
         path = tmp_path / "m.ckpt"
         net.save_checkpoint(path, state)

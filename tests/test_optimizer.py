@@ -15,7 +15,7 @@ from miniclap.errors import InvalidInput
 from miniclap.trainer import AdamW, ema_update, run_stage, stage1_1_finetune, stage1_step
 
 from conftest import param_digest
-from test_trainer import (TINY, _encoded, _labeled_data, _stage1_cfg, _stage1_data,
+from test_trainer import (TINY, _encoded, _labeled_data, _partition, _stage1_cfg, _stage1_data,
                           _stage2_data, _state)
 
 
@@ -31,6 +31,12 @@ class OracleAdamW:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+    @property
+    def flat(self):
+        """Every parameter's values joined in order, as `AdamW.flat` holds
+        them; a copy, from which stage 1's EMA reads the online encoder."""
+        return np.concatenate([np.reshape(p.data, -1) for p in self.params.values()])
 
     def zero_grad(self):
         for p in self.params.values():
@@ -77,9 +83,10 @@ def _stage1(lambda_clap):
         state = _state()
         opt = make(trainer.trainable_params(state, "1"), lr=1e-3)
         data, gen = _stage1_data(np.random.default_rng(5), n=8), np.random.default_rng(7)
+        cfg, target = _stage1_cfg(lambda_clap=lambda_clap), trainer.ema_target(state, opt)
         for i in range(3):
-            stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)),
-                        _stage1_cfg(lambda_clap=lambda_clap), gen, opt,
+            batch = data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4))
+            stage1_step(state, batch, cfg, _partition(batch, cfg, gen), opt, target,
                         lr=1e-3 * (i + 1), ema_alpha=0.9)
         if lambda_clap == 0:
             assert state.tau.grad is None and state.projector.cls_token.grad is None
@@ -150,11 +157,13 @@ class TestParameterStorage:
     def test_stage1_step_and_ema_update(self, rng):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        stage1_step(state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
-                    np.random.default_rng(0), opt)
+        target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
+        stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
+                    np.random.default_rng(0)), opt, target)
         self._assert_views(opt)
-        ema_update(state.target, state.online, 0.5)
+        ema_update(target, opt.flat[:target.size], 0.5)
         self._assert_views(opt)
+        assert all(t.data.base is target for t in net.named_params(state.target).values())
 
     def test_stage2_step(self, rng):
         state = _state()
@@ -176,17 +185,23 @@ class TestParameterStorage:
     def test_rebound_data_is_rejected_before_any_write(self, rng):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         state.tau.data = np.asarray(0.5)
         self._assert_rejected(opt, lambda: stage1_step(
-            state, _stage1_data(rng).take(np.arange(4)), _stage1_cfg(),
-            np.random.default_rng(0), opt), "tau")
+            state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), np.random.default_rng(0)),
+            opt, target), "tau")
 
     def test_first_stale_parameter_is_named_after_steps(self, rng):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
-        step = lambda i: stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)),
-                                     _stage1_cfg(), gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9)
+        target = trainer.ema_target(state, opt)
+
+        def step(i):
+            batch = data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4))
+            stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), gen), opt,
+                        target, lr=1e-3 * (i + 1), ema_alpha=0.9)
+
         step(0)
         step(1)
         state.tau.data = np.asarray(0.07)  # tau comes last in the optimizer's order
@@ -205,7 +220,7 @@ class TestParameterStorage:
         net.save_checkpoint(tmp_path / "m.ckpt", source)
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"))
-        monkeypatch.setattr(net, "init_model_state", lambda cfg, seed: state)
+        monkeypatch.setattr(net, "_model_state", lambda cfg, rng: state)
         assert net.load_checkpoint(tmp_path / "m.ckpt", TINY) is state
         self._assert_views(opt)
         for name, tensor in net.named_params(source).items():  # the file holds float32
@@ -217,8 +232,9 @@ class TestParameterStorage:
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "miniclap")
-# Where `.data` may be bound: a tensor's creation, and the optimizer's packing.
-BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__")}
+# Where `.data` may be bound: a tensor's creation, and the packing of the
+# optimizer's buffer and the EMA target's.
+BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "pack_params")}
 # Where work may be handed to the worker (nested functions included): a
 # shared call list, and the split backward.
 SUBMITS = {("threads.py", "SharedCalls.share"), ("autodiff.py", "Tensor.backward")}

@@ -20,7 +20,7 @@ from miniclap.config import HOP_LENGTH, ModelConfig
 from miniclap.frontend import MelSpectrogram
 
 from conftest import param_digest
-from test_trainer import _stage1_cfg, _stage1_data, _state
+from test_trainer import _partition, _stage1_cfg, _stage1_data, _state
 
 # Creates the worker in a fresh process with no BLAS thread variable set,
 # and prints what the budget helper found and set.
@@ -89,9 +89,9 @@ def _stage1_step() -> bytes:
         patched.setattr(net, "SHARED_TOKENS", 21)
         state = _state()
         opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        data = _stage1_data(np.random.default_rng(2), n=12)
-        stats = trainer.stage1_step(state, data, _stage1_cfg(batch_size=12),
-                                    np.random.default_rng(3), opt)
+        data, cfg = _stage1_data(np.random.default_rng(2), n=12), _stage1_cfg(batch_size=12)
+        partition = _partition(data, cfg, np.random.default_rng(3))
+        stats = trainer.stage1_step(state, data, cfg, partition, opt, trainer.ema_target(state, opt))
     return json.dumps(stats).encode() + param_digest(state).encode()
 
 

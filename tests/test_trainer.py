@@ -46,6 +46,12 @@ def _stage1_data(rng, n=12):
                      embeddings=rng.standard_normal((n, TINY.emb_dim)))
 
 
+def _partition(data, cfg, rng):
+    """A batch's (visible, masked) patches, drawn as `run_stage`'s plan draws them."""
+    b, n, _ = data.patches.shape
+    return batch_partitions(n, cfg.mask_ratio, b, rng)
+
+
 def _stage2_data(rng, n=12):
     tokens = [[3 + int(i % 7), 4, 0] for i in range(n)]
     return StageData(rng.standard_normal((n, 10, 256)) * 0.3, 5, 2, token_rows=tokens)
@@ -98,41 +104,66 @@ class TestSchedules:
             lr_at(11, 10, 0, 1e-3)
 
 
+def _packed(state):
+    """The EMA target's buffer and the online encoder's, as stage 1 updates them."""
+    opt = AdamW(trainer.trainable_params(state, "1"))
+    target = trainer.ema_target(state, opt)
+    return target, opt.flat[:target.size]
+
+
 class TestEmaUpdate:
+    """The update on the target buffer, and the layout check made when it is packed."""
+
     def test_alpha_one_keeps_target(self):
         state = _state()
+        target, online = _packed(state)
         before = param_digest(state.target)
         state.online.patch_embed.weight.data += 1.0
-        ema_update(state.target, state.online, 1.0)
+        ema_update(target, online, 1.0)
         assert param_digest(state.target) == before
 
     def test_alpha_zero_copies_online(self):
         state = _state()
+        target, online = _packed(state)
         state.online.patch_embed.weight.data += 1.0
-        ema_update(state.target, state.online, 0.0)
+        ema_update(target, online, 0.0)
         assert param_digest(state.target) == param_digest(state.online)
 
     def test_arithmetic(self):
         state = _state()
+        target, online = _packed(state)
         for t in net.named_params(state.target).values():
-            t.data = np.full_like(t.data, 2.0)
+            t.data[...] = 2.0
         for o in net.named_params(state.online).values():
-            o.data = np.zeros_like(o.data)
-        ema_update(state.target, state.online, 0.75)
+            o.data[...] = 0.0
+        ema_update(target, online, 0.75)
         for t in net.named_params(state.target).values():
             np.testing.assert_allclose(t.data, 1.5)
 
-    def test_shape_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self, rng, monkeypatch):
+        """A target, online encoder or optimizer head out of the online
+        encoder's layout is rejected when the run packs the target."""
+        monkeypatch.setattr(trainer, "stage1_step", lambda *a, **kw: pytest.fail("a step ran"))
+        other = net.init_model_state(ModelConfig(dim=8, depth=2, heads=2, input_frames=32), seed=0)
+        for tree in ("online", "target"):
+            state = _state()
+            setattr(state, tree, other.online if tree == "online" else other.target)
+            with pytest.raises(InvalidInput, match="EMA target"):
+                run_stage(_stage1_cfg(), _stage1_data(rng), state, seed=0)
         state = _state()
-        other = net.init_model_state(
-            ModelConfig(dim=8, depth=2, heads=2, input_frames=32), seed=0)
-        with pytest.raises(InvalidInput):
-            ema_update(state.target, other.online, 0.5)
+        with pytest.raises(InvalidInput, match="EMA target"):
+            trainer.ema_target(state, AdamW(trainer.trainable_params(state, "2")))
 
     def test_bad_alpha_rejected(self):
-        state = _state()
         with pytest.raises(InvalidInput):
-            ema_update(state.target, state.online, 1.5)
+            ema_update(*_packed(_state()), 1.5)
+
+    def test_target_views_one_buffer_after_a_run(self, rng):
+        state, _ = run_stage(_stage1_cfg(), _stage1_data(rng), _state(), seed=0)
+        buffer = state.target.patch_embed.weight.data.base
+        tensors = net.named_params(state.target).values()
+        assert all(t.data.base is buffer for t in tensors)
+        assert buffer.size == sum(t.data.size for t in tensors)
 
 
 class TestAdamW:
@@ -269,8 +300,9 @@ class TestStage1Step:
         data = _stage1_data(rng)
         cfg = _stage1_cfg()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        stats = stage1_step(state, data.take(np.arange(4)), cfg,
-                            np.random.default_rng(0), opt)
+        batch = data.take(np.arange(4))
+        stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
+                            opt, trainer.ema_target(state, opt))
         want = (cfg.weights.lambda_m2d * stats["loss_m2d"]
                 + cfg.weights.lambda_clap * stats["loss_clap"])
         assert abs(stats["loss_total"] - want) <= 1e-7
@@ -282,8 +314,9 @@ class TestStage1Step:
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         old_target = {k: v.data.copy() for k, v in net.named_params(state.target).items()}
         alpha = 0.875
-        stage1_step(state, data.take(np.arange(4)), cfg,
-                    np.random.default_rng(0), opt, ema_alpha=alpha)
+        batch = data.take(np.arange(4))
+        stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
+                    trainer.ema_target(state, opt), ema_alpha=alpha)
         online = net.named_params(state.online)
         for name, tensor in net.named_params(state.target).items():
             want = alpha * old_target[name] + (1 - alpha) * online[name].data
@@ -293,8 +326,9 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng)
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        stage1_step(state, data.take(np.arange(4)), _stage1_cfg(),
-                    np.random.default_rng(0), opt)
+        batch = data.take(np.arange(4))
+        stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
+                    np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
         for tensor in net.named_params(state.target).values():
             assert tensor.grad is None
 
@@ -311,8 +345,9 @@ class TestStage1Step:
 
         for state in (state_a, state_b):
             opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-            stats = stage1_step(state, data.take(np.arange(4)), cfg,
-                                np.random.default_rng(0), opt)
+            batch = data.take(np.arange(4))
+            stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
+                                opt, trainer.ema_target(state, opt))
             assert stats["loss_clap"] == 0.0
             assert stats["loss_total"] == stats["loss_m2d"]
         assert param_digest(state_a.online) == param_digest(state_b.online)
@@ -324,8 +359,9 @@ class TestStage1Step:
         before_proj = param_digest(state.projector)
         before_tau = float(state.tau.data)
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        stage1_step(state, data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0),
-                    np.random.default_rng(0), opt)
+        batch, cfg = data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0)
+        stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
+                    trainer.ema_target(state, opt))
         assert param_digest(state.projector) == before_proj
         assert float(state.tau.data) == before_tau
 
@@ -334,9 +370,10 @@ class TestStage1Step:
         state.tau.data = np.asarray(0.0102)
         data = _stage1_data(rng)
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-2)
+        target, batch = trainer.ema_target(state, opt), data.take(np.arange(4))
         for step in range(5):
-            stage1_step(state, data.take(np.arange(4)),
-                        _stage1_cfg(), np.random.default_rng(step), opt)
+            stage1_step(state, batch, _stage1_cfg(),
+                        _partition(batch, _stage1_cfg(), np.random.default_rng(step)), opt, target)
             assert float(state.tau.data) >= 0.01
 
     def test_non_finite_loss_stops_before_update(self, rng):
@@ -346,7 +383,8 @@ class TestStage1Step:
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_m2d"):
-            stage1_step(state, data, _stage1_cfg(), np.random.default_rng(0), opt)
+            stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
         assert param_digest(state) == digest
         assert opt.step_count == 0
 
@@ -355,15 +393,16 @@ class TestStage1Step:
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         with pytest.raises(InvalidInput):
             stage1_step(state, _stage1_data(rng), stage_config_from("2", {}),
-                        np.random.default_rng(0), opt)
+                        _partition(_stage1_data(rng), _stage1_cfg(), np.random.default_rng(0)),
+                        opt, trainer.ema_target(state, opt))
 
 
-def _serial_stage1_step(state, data, cfg, rng, opt, lr, ema_alpha):
+def _serial_stage1_step(state, data, cfg, partition, opt, target, lr, ema_alpha):
     """Stage 1 as one thread runs it: the online forward, then the target
-    branch, then the loss, update and EMA."""
-    b, n, _ = data.patches.shape
+    branch, then the loss, the update, and the EMA tensor by tensor; it
+    never reads the packed `target`."""
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    vis, msk = batch_partitions(n, cfg.mask_ratio, b, rng)
+    vis, msk = partition
     z_v = net.encode_selected(state.online, data.patches, vis, pe)
     predicted = net.predict_masked(state.predictor, z_v, pe, vis, msk)
     target = net.standardize_targets(net.encode_selected(state.target, data.patches, msk, pe))
@@ -376,7 +415,9 @@ def _serial_stage1_step(state, data, cfg, rng, opt, lr, ema_alpha):
     total.backward()
     opt.step(lr)
     state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
-    ema_update(state.target, state.online, ema_alpha)
+    online = net.named_params(state.online)
+    for name, t in net.named_params(state.target).items():
+        np.add(ema_alpha * t.data, (1.0 - ema_alpha) * online[name].data, out=t.data)
     return {"loss_total": total.item(), "loss_m2d": loss_m2d.item(),
             "loss_clap": loss_clap.item()}
 
@@ -417,9 +458,11 @@ class TestTargetOverlap:
             state = _state()
             opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
             gen = np.random.default_rng(7)
-            stats = [step_fn(state, data.take(np.arange(clips * (i % 2), clips * (i % 2 + 1))),
-                             cfg, gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
-                     for i in range(3)]
+            target = trainer.ema_target(state, opt) if step_fn is stage1_step else None
+            batches = [data.take(np.arange(clips * (i % 2), clips * (i % 2 + 1))) for i in range(3)]
+            stats = [step_fn(state, batch, cfg, _partition(batch, cfg, gen), opt, target,
+                             lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
+                     for i, batch in enumerate(batches)]
             moments = (opt._m.tobytes(), opt._v.tobytes())
             runs.append((stats, param_digest(state.online), param_digest(state.target),
                          param_digest(state), moments))
@@ -431,9 +474,10 @@ class TestTargetOverlap:
         digest = param_digest(state)
         error = TargetFailed("target branch failed")
         _fail_for_target(monkeypatch, error)
+        data = _stage1_data(rng, n=4)
         with pytest.raises(TargetFailed) as caught:
-            stage1_step(state, _stage1_data(rng, n=4), _stage1_cfg(),
-                        np.random.default_rng(0), opt)
+            stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
         assert caught.value is error
         assert param_digest(state) == digest
         assert opt.step_count == 0
@@ -449,9 +493,10 @@ class TestTargetOverlap:
         monkeypatch.setattr(net, "predict_masked", failing_predict)
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        data = _stage1_data(rng, n=4)
         with pytest.raises(InvalidInput, match="online branch failed"):
-            stage1_step(state, _stage1_data(rng, n=4), _stage1_cfg(),
-                        np.random.default_rng(0), opt)
+            stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
         assert finished == [True]  # the worker was done when the error left the step
         assert opt.step_count == 0
 
@@ -464,11 +509,12 @@ class TestSplitBackward:
     def _run(data, cfg):
         state = _state()
         opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
-        gen = np.random.default_rng(11)
+        gen, target = np.random.default_rng(11), trainer.ema_target(state, opt)
         record = []
         for i in range(3):
-            stats = stage1_step(state, data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4)), cfg,
-                                gen, opt, lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
+            batch = data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4))
+            stats = stage1_step(state, batch, cfg, _partition(batch, cfg, gen), opt, target,
+                                lr=1e-3 * (i + 1), ema_alpha=0.9 + 0.01 * i)
             record.append((stats, param_digest(state),
                            [(name, p.grad.tobytes()) for name, p in opt.params.items()]))
         return record, (opt._m.tobytes(), opt._v.tobytes())
@@ -1102,6 +1148,54 @@ class TestStage11Finetune:
         with pytest.raises(InvalidInput, match="non-finite loss_bce"):
             stage1_1_finetune(state, data, cfg, seed=0)
         assert param_digest(state) == digest
+
+
+def _replay(cfg, data, state, seed, out):
+    """Draw the whole `_batch_plan` first, then run its steps one by one as
+    `run_stage` does; writes the loss log and final checkpoint into `out`."""
+    plan = list(trainer._batch_plan(cfg, data.n_samples, data.n_f * data.n_t,
+                                    np.random.default_rng(seed)))
+    steps_per_epoch = -(-data.n_samples // cfg.batch_size)
+    total, warmup = len(plan), cfg.warmup_epochs * steps_per_epoch
+    opt = AdamW(trainer.trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    target = trainer.ema_target(state, opt) if cfg.stage_id == "1" else None
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    rows = []
+    for step, (epoch, idx, partition) in enumerate(plan):
+        lr = lr_at(step, total, warmup, cfg.base_lr)
+        row = {"epoch": epoch, "step": step, "lr": f"{lr:.10g}"}
+        if cfg.stage_id == "1":
+            alpha = ema_decay_at(step + 1, total, cfg.ema_start, cfg.ema_end)
+            stats = stage1_step(state, data.take(idx), cfg, partition, opt, target,
+                                lr=lr, ema_alpha=alpha)
+            row.update(ema=f"{alpha:.10f}", **{k: f"{v:.8f}" for k, v in stats.items()})
+        else:
+            features = net.SharedEncode(state.online, data.patches, pe, idx, partition[0]).result()
+            batch = dataclasses.replace(data.take(idx), patches=None, features=features)
+            loss = f"{stage2_step(state, batch, cfg, opt, lr=lr)['loss_clap']:.8f}"
+            row.update(loss_total=loss, loss_m2d="", loss_clap=loss, ema="")
+        rows.append(row)
+    trainer.write_loss_log(out / "losses.csv", rows, header=True)
+    net.save_checkpoint(out / "final.ckpt", state)
+    return rows
+
+
+class TestOnePlan:
+    """`_batch_plan` makes every random draw of a run: its steps, drawn up
+    front and replayed, give `run_stage`'s log and checkpoint byte for byte."""
+
+    @pytest.mark.parametrize("stage", ["1", "2", "2.1"],
+                             ids=["stage1", "stage2-masked", "stage2.1"])
+    def test_replayed_plan_matches_run_stage(self, rng, tmp_path, stage):
+        cfg = stage_config_from(stage, dict(epochs=3, warmup_epochs=1, batch_size=4, base_lr=1e-3))
+        data = (_stage1_data if stage == "1" else _stage2_data)(rng, n=10)
+        rows = run_stage(cfg, data, _state(), seed=4, out_dir=str(tmp_path / "run"))[1]
+        (tmp_path / "replay").mkdir()
+        assert _replay(cfg, data, _state(), 4, tmp_path / "replay") == rows
+        for name, path in (("losses.csv", "losses.csv"),
+                           ("final.ckpt", "checkpoints/final.ckpt")):
+            assert ((tmp_path / "replay" / name).read_bytes()
+                    == (tmp_path / "run" / path).read_bytes()), name
 
 
 class TestRunStage:
