@@ -200,6 +200,17 @@ def _load_caption_scorer(args, cfg: dict) -> net.ModelState:
     return state
 
 
+def _train(args, out: str, stage_cfg: trainer.StageConfig, data: StageData,
+           state: net.ModelState) -> int:
+    """Run the stage into `out` and report its last loss and its checkpoint."""
+    _, rows = trainer.run_stage(stage_cfg, data, state, seed=args.seed, out_dir=out)
+    if rows:
+        print(f"stage {stage_cfg.stage_id} done: {len(rows)} steps, "
+              f"final loss {rows[-1]['loss_total']}")
+    print(f"checkpoint: {os.path.join(out, 'checkpoints', 'final.ckpt')}")
+    return 0
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -229,12 +240,7 @@ def cmd_pretrain_stage1(args, out: str, cfg: dict) -> int:
     embeddings = np.stack([cache.lookup(e.caption) for e in entries])
     data = StageData(patches, n_f, n_t, embeddings=embeddings)
 
-    state = net.init_model_state(model_cfg, args.seed)
-    state, rows = trainer.run_stage(stage_cfg, data, state, seed=args.seed, out_dir=out)
-    if rows:
-        print(f"stage 1 done: {len(rows)} steps, final loss {rows[-1]['loss_total']}")
-    print(f"checkpoint: {os.path.join(out, 'checkpoints', 'final.ckpt')}")
-    return 0
+    return _train(args, out, stage_cfg, data, net.init_model_state(model_cfg, args.seed))
 
 
 def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
@@ -245,20 +251,17 @@ def cmd_finetune_stage1_1(args, out: str, cfg: dict) -> int:
     classes = sorted({label for e in entries for label in e.labels})
     if not classes:
         raise InvalidInput("manifest has no labels to fine-tune on")
-    labels = _multi_hot([e.labels for e in entries], classes)
+    for label in classes:  # the checkpoint stores one label per line
+        if label.splitlines() != [label]:
+            raise InvalidInput(f"label {label!r} is empty or holds a line break")
 
     rng = np.random.default_rng([args.seed, 0])
     patches, n_f, n_t = _prepare_grids(entries, args.wav_dir, state.config.input_frames, rng)
-    data = StageData(patches, n_f, n_t, labels=labels)
-    result = trainer.stage1_1_finetune(state, data, stage_cfg, seed=args.seed)
-
-    net.save_checkpoint(os.path.join(out, "finetuned.ckpt"), state)
-    with dk.atomic_open(os.path.join(out, "head.npz")) as fh:
-        np.savez(fh, weight=result.head.weight.data, bias=result.head.bias.data,
-                 classes=np.array(classes))
-    if result.losses:
-        print(f"stage 1.1 done: {len(result.losses)} steps, final BCE {result.losses[-1]:.6f}")
-    return 0
+    data = StageData(patches, n_f, n_t, labels=_multi_hot([e.labels for e in entries], classes))
+    state.head = net.init_affine(np.random.default_rng(args.seed), n_f * state.config.dim,
+                                 len(classes))
+    state.classes = classes
+    return _train(args, out, stage_cfg, data, state)
 
 
 def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
@@ -288,13 +291,7 @@ def cmd_pretrain_stage2(args, out: str, cfg: dict) -> int:
             raise InvalidInput(f"caption of {entry.id} has {len(row) - 1} words; the text encoder "
                                f"takes at most {limit - 1} (model.text_maxlen={limit}, less one "
                                "for the end token)")
-    data = StageData(patches, n_f, n_t, token_rows=tokens)
-
-    state, rows = trainer.run_stage(stage_cfg, data, state, seed=args.seed, out_dir=out)
-    if rows:
-        print(f"stage {stage_id} done: {len(rows)} steps, final loss {rows[-1]['loss_clap']}")
-    print(f"checkpoint: {os.path.join(out, 'checkpoints', 'final.ckpt')}")
-    return 0
+    return _train(args, out, stage_cfg, StageData(patches, n_f, n_t, token_rows=tokens), state)
 
 
 def cmd_extract_features(args, out: str, cfg: dict) -> int:

@@ -216,7 +216,9 @@ class ModelState:
     textpath: TextPathParams
     tau: Tensor
     config: ModelConfig
+    head: Affine | None = None  # stage 1.1's classifier, N_FREQ_PATCHES*dim -> len(classes)
     vocab: list[str] = dataclasses.field(default_factory=list)  # the tokenizer's, from stage 2 on
+    classes: list[str] = dataclasses.field(default_factory=list)  # the head's labels, in order
 
 
 def _init_encoder(rng, cfg: ModelConfig) -> EncoderParams:
@@ -530,16 +532,18 @@ def encode_text_batch(tp: TextPathParams, token_rows: list[list[int]]) -> Tensor
 # -- checkpoints ------------------------------------------------------------
 
 CKPT_MAGIC = b"MCKP"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 def save_checkpoint(path, state: ModelState) -> None:
     """Write the checkpoint atomically: `path` holds either the previous
-    file or the whole new one."""
+    file or the whole new one. Its header holds the config, the vocabulary
+    and the class list, one word or label per line, under one SHA-256."""
     params = named_params(state)
     header = b"".join(struct.pack("<I", len(text)) + text for text in (
         state.config.canonical().encode("utf-8"),
-        "".join(word + "\n" for word in state.vocab).encode("utf-8")))
+        *("".join(line + "\n" for line in lines).encode("utf-8")
+          for lines in (state.vocab, state.classes))))
     with atomic_open(path) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
@@ -575,7 +579,8 @@ def _read_section(fh, size: int) -> bytes:
 
 def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> ModelState:
     """The ModelState the file describes, read into a skeleton built with no random
-    draw, so `seed` has no effect; a `cfg` that is given must equal its config."""
+    draw, so `seed` has no effect; a file that lists classes gets a head for them.
+    A `cfg` that is given must equal its config."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != CKPT_MAGIC:
@@ -583,18 +588,20 @@ def load_checkpoint(path, cfg: ModelConfig | None = None, seed: int = 0) -> Mode
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        sections = [_read_section(fh, size) for _ in range(2)]
+        sections = [_read_section(fh, size) for _ in range(3)]
         if _read_exact(fh, 32) != hashlib.sha256(b"".join(sections)).digest():
             raise FormatError("checkpoint header does not match its digest")
         try:
-            config_text, vocab_text = (section[4:].decode("utf-8") for section in sections)
+            config_text, *lists = (section[4:].decode("utf-8") for section in sections)
             file_cfg = parse_model_config(config_text)
         except ValueError as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         if cfg is not None and cfg != file_cfg:
             raise FormatError("checkpoint was written with a different model config")
         state = _model_state(file_cfg, None)
-        state.vocab = vocab_text.splitlines()
+        state.vocab, state.classes = (text.splitlines() for text in lists)
+        if state.classes:
+            state.head = init_affine(None, N_FREQ_PATCHES * file_cfg.dim, len(state.classes))
         params = named_params(state)
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         if count != len(params):

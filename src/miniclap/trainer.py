@@ -1,6 +1,7 @@
 """Stage orchestration: schedules, optimizer, EMA updates, and the
-per-step training logic of every pre-training stage. A run's random
-numbers all come from `_batch_plan`; its steps draw none."""
+per-step training logic of every stage, pre-training and stage 1.1's
+fine-tune alike, all run by `run_stage`. A run's random numbers all come
+from `_batch_plan`; its steps draw none."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import csv
 import functools
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,8 @@ class Stage(NamedTuple):
 
 # The one table of stages. A stage reads exactly its keys and rejects any
 # other: stage 2.1 never masks, only stage 1 has loss weights and an EMA
-# target, and stages 2/2.1 never train the audio encoder.
+# target, stages 2/2.1 never train the audio encoder, and stage 1.1 trains
+# it unless `freeze_audio_encoder` (`StageConfig.trains`).
 _TEXT_SIDE = ("projector", "textpath.encoder", "textpath.projector_in",
               "textpath.projector_out", "tau")
 STAGES = {
@@ -40,7 +42,7 @@ STAGES = {
                ("online", "predictor", "projector", "textpath.llm_map",
                 "textpath.projector_in", "textpath.projector_out", "tau")),
     "1.1": Stage(dict(epochs=10, batch_size=32, base_lr=1e-3, freeze_audio_encoder=False),
-                 ("online",)),
+                 ("online", "head")),
     "2": Stage(dict(mask_ratio=0.3, epochs=30, warmup_epochs=5, batch_size=2048, base_lr=3e-6),
                _TEXT_SIDE),
     "2.1": Stage(dict(epochs=30, warmup_epochs=5, batch_size=2048, base_lr=3e-6), _TEXT_SIDE),
@@ -87,6 +89,12 @@ class StageConfig:
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise InvalidConfig(f"{prefix}{key} must lie in [0, 1], got {value}")
+
+    @property
+    def trains(self) -> tuple[str, ...]:
+        """The stage's parameter groups, less a frozen audio encoder's."""
+        return tuple(group for group in _stage(self.stage_id).trains
+                     if not (group == "online" and self.freeze_audio_encoder))
 
 
 def config_section(stage_id: str) -> str:
@@ -216,10 +224,12 @@ class AdamW:
             w -= update
 
 
-def trainable_params(state: ModelState, stage_id: str) -> dict[str, Tensor]:
-    """Parameters the optimizer may update for a given stage."""
+def trainable_params(state: ModelState, stage: str | StageConfig) -> dict[str, Tensor]:
+    """Parameters the optimizer may update for a stage id, or for a stage's
+    config, which leaves out a frozen audio encoder."""
+    groups = stage.trains if isinstance(stage, StageConfig) else _stage(stage).trains
     params: dict[str, Tensor] = {}
-    for group in _stage(stage_id).trains:  # an absent component has no parameters
+    for group in groups:  # an absent component has no parameters
         params.update(named_params(functools.reduce(getattr, group.split("."), state), group))
     return params
 
@@ -243,8 +253,9 @@ def ema_target(state: ModelState, opt: AdamW) -> np.ndarray:
 class StageData:
     """Precomputed per-sample inputs for one stage. A caller leaves
     `features`, the frozen audio encoder's output and all a stage-2/2.1
-    step reads of the audio, unset: `run_stage` fills it in for each
-    step's batch, which then carries no patches, as its docstring says."""
+    or frozen stage-1.1 step reads of the audio, unset: `run_stage` fills
+    it in for each step's batch, which then carries no patches, as its
+    docstring says."""
 
     patches: np.ndarray | None  # [n_samples, n_patches, 256]; None once features replace it
     n_f: int
@@ -252,7 +263,8 @@ class StageData:
     embeddings: np.ndarray | None = None  # [n_samples, emb_dim] (stage 1)
     token_rows: list[list[int]] | None = None  # stage 2 / 2.1
     labels: np.ndarray | None = None  # [n_samples, n_classes] multi-hot (stage 1.1)
-    # [n_samples, visible patches, dim], or its shared encode (stages 2 / 2.1)
+    # [n_samples, visible patches, dim], or its shared encode (stages 2 / 2.1);
+    # [n_samples, n_f * dim] clip features (a frozen stage 1.1)
     features: np.ndarray | net.SharedEncode | None = None
 
     @property
@@ -395,54 +407,29 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return (_softplus(logits) - logits * targets).mean()
 
 
-@dataclass
-class FinetuneResult:
-    head: net.Affine
-    losses: list[float] = field(default_factory=list)
-
-
-def stage1_1_finetune(state: ModelState, data: StageData, cfg: StageConfig,
-                      seed: int = 0) -> FinetuneResult:
-    """Supervised multi-label fine-tune: linear head on the clip feature.
-    With a frozen encoder the clip features never change, so they are
-    computed once, on both threads, and each step runs only the head."""
+def stage1_1_step(state: ModelState, data: StageData, cfg: StageConfig,
+                  opt: AdamW, lr: float | None = None) -> dict:
+    """One supervised multi-label step: the BCE of `state.head` on each
+    clip's feature, from `data.features` when `run_stage` encoded the
+    frozen encoder once, otherwise from an encode of the batch with a graph."""
     if cfg.stage_id != "1.1":
-        raise InvalidInput(f"stage1_1_finetune called with stage {cfg.stage_id!r}")
-    if data.labels is None or data.n_samples == 0:
-        raise InvalidInput("fine-tuning needs a labeled, non-empty dataset")
-    rng = np.random.default_rng(seed)
-    head = net.init_affine(rng, data.n_f * state.config.dim, data.labels.shape[1])
-    result = FinetuneResult(head=head)
-    if cfg.epochs == 0:
-        return result
+        raise InvalidInput(f"stage1_1_step called with stage {cfg.stage_id!r}")
+    if data.labels is None:
+        raise InvalidInput("stage 1.1 batches need labels")
+    lr = cfg.base_lr if lr is None else lr
+    with _quiet():
+        clip = data.features
+        if clip is None:
+            pe = net.posenc_for(state.online, data.n_f, data.n_t)
+            _, clip = summarize_features(encode_tokens(state.online, data.patches, pe),
+                                         data.n_f, data.n_t)
+        loss = bce_with_logits(affine(state.head, clip), data.labels)
+    _check_finite(loss_bce=loss)
 
-    params = dict(named_params(head, "head"))
-    if not cfg.freeze_audio_encoder:
-        params.update(trainable_params(state, "1.1"))
-    opt = AdamW(params, lr=cfg.base_lr)
-    pe = net.posenc_for(state.online, data.n_f, data.n_t)
-    if cfg.freeze_audio_encoder:
-        clips = net.encode_frozen(
-            state.online, data.patches, pe, pool=net.worker(),
-            summary=lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
-
-    for _ in range(cfg.epochs):
-        order = rng.permutation(data.n_samples)
-        for start in range(0, data.n_samples, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            with _quiet():
-                if cfg.freeze_audio_encoder:
-                    clip = clips[idx]
-                else:
-                    z = encode_tokens(state.online, data.patches[idx], pe)
-                    _, clip = summarize_features(z, data.n_f, data.n_t)
-                loss = bce_with_logits(affine(head, clip), data.labels[idx])
-            _check_finite(loss_bce=loss)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            result.losses.append(loss.item())
-    return result
+    opt.zero_grad()
+    loss.backward()
+    opt.step(lr)
+    return {"loss_total": loss.item()}
 
 
 # -- stage runner -------------------------------------------------------------
@@ -474,14 +461,16 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
               seed: int = 0, out_dir: str | None = None) -> tuple[ModelState, list[dict]]:
     """Train one stage to completion; returns the state and the loss log.
 
-    Every random draw comes from `_batch_plan`, seeded by `seed`. Stage 1
-    packs the EMA target once (`ema_target`). A mask ratio that leaves the
-    stage no patch to encode, and a warm-up longer than the run, are
-    rejected before anything is written. Stages 2 and 2.1 hand each step its
-    batch's encoded audio. A stage that masks nothing (stage 2.1) encodes
-    every clip once, before the first epoch, on both threads, into a copy of
-    `data`; the caller's `data` is left as it was. That holds n_samples x
-    n_patches x dim float64 values for the whole run.
+    Every random draw comes from `_batch_plan`, seeded by `seed`; the caller
+    builds the model, stage 1.1's head included. Stage 1 packs the EMA target
+    once (`ema_target`). A mask ratio that leaves the stage no patch to
+    encode, a warm-up longer than the run, and a stage-1.1 head without one
+    output per label column are rejected before anything is written. A stage
+    whose encoder is frozen and masks nothing (stage 2.1, an unmasked stage
+    2, a frozen stage 1.1) encodes every clip once, before the first epoch,
+    on both threads, into a copy of `data`; the caller's `data` is left as
+    it was. That holds n_samples x n_patches x dim float64 values for the
+    whole run, or n_f x dim per clip for stage 1.1's clip features.
 
     A masked stage 2 makes each batch's visible-patch encode a
     `net.SharedEncode` one step ahead: the worker starts batch k+1's
@@ -492,10 +481,11 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     running; an encode's error reaches the caller as the same object,
     from the step that needs it, before that step's update.
     """
-    if cfg.stage_id == "1.1":
-        raise InvalidConfig("use stage1_1_finetune for stage 1.1")
     if data.n_samples == 0:
         raise InvalidInput("empty dataset")
+    if cfg.stage_id == "1.1" and (state.head is None or data.labels is None
+                                  or state.head.bias.shape[0] != data.labels.shape[1]):
+        raise InvalidInput("stage 1.1 needs labels and a head with one output per label column")
     n, n_masked = data.n_f * data.n_t, masked_count(data.n_f * data.n_t, cfg.mask_ratio)
     if n_masked == n or (cfg.stage_id == "1" and n_masked == 0):
         need = "both visible and masked patches" if cfg.stage_id == "1" else "a visible patch"
@@ -504,11 +494,14 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     if cfg.epochs and cfg.warmup_epochs > cfg.epochs:
         raise InvalidConfig(f"{config_section(cfg.stage_id)}.warmup_epochs={cfg.warmup_epochs} "
                             f"exceeds epochs={cfg.epochs}")
-    masked = cfg.stage_id == "2" and cfg.mask_ratio > 0.0
-    if cfg.stage_id in ("2", "2.1") and not masked and cfg.epochs > 0:
-        pe = net.posenc_for(state.online, data.n_f, data.n_t)
-        data = replace(data, patches=None,
-                       features=net.encode_frozen(state.online, data.patches, pe, pool=net.worker()))
+    frozen = "online" not in cfg.trains
+    masked = frozen and cfg.mask_ratio > 0.0  # a masked stage 2
+    pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    if frozen and not masked and cfg.epochs > 0:
+        summary = ((lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
+                   if cfg.stage_id == "1.1" else (lambda z: z.data))  # 1.1 reads clip features
+        data = replace(data, patches=None, features=net.encode_frozen(
+            state.online, data.patches, pe, summary=summary, pool=net.worker()))
 
     if out_dir is not None:
         ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -521,12 +514,10 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
-    opt = AdamW(trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    opt = AdamW(trainable_params(state, cfg), lr=cfg.base_lr)
     if cfg.stage_id == "1":
         target = ema_target(state, opt)
-    if masked:
-        text = replace(data, patches=None)  # step batches carry no patches
-        pe = net.posenc_for(state.online, data.n_f, data.n_t)
+    text = replace(data, patches=None)  # a masked stage 2's step batches carry no patches
 
     def step_batch(idx: np.ndarray, vis: np.ndarray) -> StageData:
         if not masked:
@@ -537,11 +528,14 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     def train(epoch: int, batch: StageData, partition: tuple[np.ndarray, np.ndarray]) -> None:
         step = len(rows)
         lr = lr_at(step, total_steps, warmup_steps, cfg.base_lr)
-        row = {"epoch": epoch, "step": step, "loss_m2d": "", "lr": f"{lr:.10g}", "ema": ""}
+        row = {"epoch": epoch, "step": step, "loss_m2d": "", "loss_clap": "",
+               "lr": f"{lr:.10g}", "ema": ""}
         if cfg.stage_id == "1":
             alpha = ema_decay_at(step + 1, total_steps, cfg.ema_start, cfg.ema_end)
             stats = stage1_step(state, batch, cfg, partition, opt, target, lr=lr, ema_alpha=alpha)
             row["ema"] = f"{alpha:.10f}"
+        elif cfg.stage_id == "1.1":
+            stats = stage1_1_step(state, batch, cfg, opt, lr=lr)
         else:
             stats = stage2_step(state, batch, cfg, opt, lr=lr)
             stats["loss_total"] = stats["loss_clap"]
@@ -554,7 +548,7 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     ahead = int(masked)
     planned: list[tuple] = []  # a step leaves it once it has finished
     try:
-        for epoch, idx, partition in _batch_plan(cfg, data.n_samples, data.n_f * data.n_t, rng):
+        for epoch, idx, partition in _batch_plan(cfg, data.n_samples, n, rng):
             planned.append((epoch, step_batch(idx, partition[0]), partition))
             if len(planned) > ahead:
                 train(*planned[0])

@@ -169,8 +169,23 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss_bce"), err
-        assert not (tmp_path / "finetuned.ckpt").exists()
-        assert not (tmp_path / "head.npz").exists()
+        assert not list(tmp_path.rglob("*.ckpt"))
+
+    @pytest.mark.parametrize("label", ["", "dog\nbark", "dog\rbark", "dog\u2028bark"],
+                             ids=["empty", "newline", "return", "line-separator"])
+    def test_label_a_checkpoint_cannot_hold_is_exit_1(self, corpus, stage1, tmp_path, capsys,
+                                                       label):
+        entries = dk.load_manifest(corpus / "manifest.jsonl")
+        entries[2].labels.append(label)
+        manifest = tmp_path / "manifest.jsonl"
+        dk.save_manifest(manifest, entries)
+        code = main(["finetune-stage1.1", "--manifest", str(manifest),
+                     "--init", str(stage1 / "checkpoints" / "final.ckpt"),
+                     "--out", str(tmp_path / "out"), *TINY_MODEL, "--set", "stage1_1.epochs=1"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: label {label!r} is empty or holds a line break"]
+        assert os.listdir(tmp_path / "out") == ["config.txt"]
 
     @pytest.mark.parametrize("verb, setting, message", [
         ("pretrain-stage2", "stage2.lambda_m2d=7", "stage 2 does not read lambda_m2d"),
@@ -577,25 +592,14 @@ class TestPipeline:
                      "--out", str(out), *TINY_MODEL,
                      "--set", "stage1_1.epochs=2", "--set", "stage1_1.batch_size=6"])
         assert code == 0
-        assert (out / "finetuned.ckpt").exists()
-        head = np.load(out / "head.npz")
-        assert head["weight"].shape == (5 * 8, 2)
-
-    def test_failed_head_write_keeps_previous_file(self, corpus, stage1, tmp_path, monkeypatch):
-        (tmp_path / "head.npz").write_bytes(b"previous head")
-
-        def fail(fh, **arrays):
-            fh.write(b"partial")
-            raise RuntimeError("write failed")
-
-        monkeypatch.setattr(np, "savez", fail)
-        with pytest.raises(RuntimeError):
-            main(["finetune-stage1.1", "--manifest", str(corpus / "manifest.jsonl"),
-                  "--init", str(stage1 / "checkpoints" / "final.ckpt"),
-                  "--out", str(tmp_path), *TINY_MODEL,
-                  "--set", "stage1_1.epochs=1", "--set", "stage1_1.batch_size=6"])
-        assert (tmp_path / "head.npz").read_bytes() == b"previous head"
-        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        assert sorted(os.listdir(out)) == ["checkpoints", "config.txt", "losses.csv"]
+        state = net.load_checkpoint(out / "checkpoints" / "final.ckpt")
+        entries = dk.load_manifest(corpus / "manifest.jsonl")
+        assert state.classes == sorted({label for e in entries for label in e.labels})
+        assert state.head.weight.shape == (5 * 8, 2)
+        with open(out / "losses.csv", newline="") as fh:
+            losses = [float(row["loss_total"]) for row in csv.DictReader(fh)]
+        assert len(losses) == 2 and losses[1] < losses[0]
 
     def test_stage2_artifacts(self, corpus, stage2):
         assert sorted(os.listdir(stage2)) == ["checkpoints", "config.txt", "losses.csv"]
@@ -671,7 +675,7 @@ def test_checkpoints_carry_the_model(corpus, stage1, tmp_path):
     bare = _after_stage1(corpus, stage1, tmp_path / "bare", [])
     tiny = _after_stage1(corpus, stage1, tmp_path / "tiny", TINY_MODEL)
     for name in ("stage2/losses.csv", "stage21/losses.csv", "features/semantic.feat",
-                "attention/attention-synth-01-0002.pgm", "stage11/finetuned.ckpt"):
+                "attention/attention-synth-01-0002.pgm", "stage11/checkpoints/final.ckpt"):
         assert name in bare
     assert bare == tiny
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from miniclap import autodiff as ad, masking, network as net
 from miniclap.autodiff import Tensor
 from miniclap import config as C
-from miniclap.config import ModelConfig
+from miniclap.config import N_FREQ_PATCHES, ModelConfig
 from miniclap.errors import FormatError, InvalidInput
 from miniclap.frontend import build_posenc
 
@@ -615,10 +615,10 @@ class TestGradients:
 
 def _first_tensor_header(data: bytes) -> int:
     """Offset of the first tensor's header: past the magic, the version,
-    the length-prefixed config and vocabulary sections, the 32-byte digest
-    and the tensor count."""
+    the length-prefixed config, vocabulary and class sections, the 32-byte
+    digest and the tensor count."""
     at = 8
-    for _ in range(2):
+    for _ in range(3):
         (length,) = struct.unpack_from("<I", data, at)
         at += 4 + length
     return at + 32 + 4
@@ -639,20 +639,29 @@ def _payload_spans(data: bytes) -> list[range]:
 
 
 def _with_header(texts: list[bytes], data: bytes) -> bytes:
-    """`data` with its config and vocabulary sections replaced by `texts`
-    and a digest that matches them."""
+    """`data` with its config, vocabulary and class sections replaced by
+    `texts` and a digest that matches them."""
     sections = b"".join(struct.pack("<I", len(text)) + text for text in texts)
     return data[:8] + sections + hashlib.sha256(sections).digest() + \
         data[_first_tensor_header(data) - 4:]
 
 
 VOCAB = [f"w{i}" for i in range(TINY.text_vocab - 3)]
+CLASSES = ["dog bark", "siren", "rain"]
+
+
+def _headed(state):
+    """`state` with a stage-1.1 head over CLASSES."""
+    state.head = net.init_affine(np.random.default_rng(6), N_FREQ_PATCHES * TINY.dim, len(CLASSES))
+    state.classes = list(CLASSES)
+    return state
 
 
 @pytest.fixture(scope="module")
 def ckpt_bytes(tmp_path_factory):
-    """A checkpoint with a vocabulary, so every header section is non-empty."""
-    state = net.init_model_state(TINY, seed=5)
+    """A checkpoint with a vocabulary, a head and its classes, so every
+    header section is non-empty."""
+    state = _headed(net.init_model_state(TINY, seed=5))
     state.vocab = VOCAB
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
     net.save_checkpoint(path, state)
@@ -769,7 +778,7 @@ class TestCheckpoint:
         path.write_bytes(ckpt_bytes)
         loaded = net.load_checkpoint(path)
         assert loaded.config == TINY
-        assert loaded.vocab == VOCAB
+        assert loaded.vocab == VOCAB and loaded.classes == CLASSES
         assert "vocab" not in " ".join(net.named_params(loaded))
         net.save_checkpoint(tmp_path / "again.ckpt", loaded)
         assert (tmp_path / "again.ckpt").read_bytes() == ckpt_bytes
@@ -783,10 +792,34 @@ class TestCheckpoint:
         assert struct.unpack_from("<I", data, 12 + config_len) == (0,)
         assert net.load_checkpoint(path).vocab == []
 
-    def test_version_1_rejected(self, ckpt_bytes, tmp_path):
+    def test_stage1_file_has_empty_class_list(self, state, tmp_path):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(ckpt_bytes[:4] + struct.pack("<I", 1) + ckpt_bytes[8:])
-        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        net.save_checkpoint(path, state)
+        data = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        assert struct.unpack_from("<I", data, 16 + config_len) == (0,)  # past an empty vocabulary
+        loaded = net.load_checkpoint(path)
+        assert loaded.classes == [] and loaded.head is None
+        assert not [name for name in net.named_params(loaded) if name.startswith("head")]
+
+    def test_head_and_classes_round_trip(self, state, tmp_path):
+        headed = _headed(state)
+        path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+        net.save_checkpoint(path, headed)
+        loaded = net.load_checkpoint(path, TINY)
+        assert loaded.classes == CLASSES
+        assert loaded.head.weight.shape == (N_FREQ_PATCHES * TINY.dim, len(CLASSES))
+        for name, tensor in net.named_params(headed.head, "head").items():
+            want = tensor.data.astype("<f4").astype(np.float64)
+            assert net.named_params(loaded)[name].data.tobytes() == want.tobytes(), name
+        net.save_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_version_rejected(self, ckpt_bytes, tmp_path, version):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ckpt_bytes[:4] + struct.pack("<I", version) + ckpt_bytes[8:])
+        with pytest.raises(FormatError, match=f"unsupported checkpoint version {version}"):
             net.load_checkpoint(path)
 
     @pytest.mark.parametrize("config, message", [
@@ -797,7 +830,7 @@ class TestCheckpoint:
     ])
     def test_malformed_config_text_rejected(self, ckpt_bytes, tmp_path, config, message):
         path = tmp_path / "m.ckpt"
-        path.write_bytes(_with_header([config, b""], ckpt_bytes))
+        path.write_bytes(_with_header([config, b"", b""], ckpt_bytes))
         with pytest.raises(FormatError, match=message):
             net.load_checkpoint(path)
 

@@ -12,11 +12,11 @@ import pytest
 
 from miniclap import evaluation as ev, network as net, trainer
 from miniclap.errors import InvalidInput
-from miniclap.trainer import AdamW, ema_update, run_stage, stage1_1_finetune, stage1_step
+from miniclap.trainer import AdamW, ema_update, run_stage, stage1_step
 
 from conftest import param_digest
-from test_trainer import (TINY, _encoded, _labeled_data, _partition, _stage1_cfg, _stage1_data,
-                          _stage2_data, _state)
+from test_trainer import (TINY, _encoded, _headed_state, _labeled_data, _partition, _stage1_cfg,
+                          _stage1_data, _stage2_data, _state)
 
 
 class OracleAdamW:
@@ -96,10 +96,9 @@ def _stage1(lambda_clap):
 
 def _finetune(make, monkeypatch):
     made = _recorded(monkeypatch, trainer, make)
-    state = _state()
     cfg = trainer.stage_config_from("1.1", dict(epochs=2, batch_size=3, base_lr=1e-2))
-    result = stage1_1_finetune(state, _labeled_data(np.random.default_rng(5)), cfg, seed=4)
-    return (param_digest(state), param_digest(result.head), result.losses), made[0]
+    state, rows = run_stage(cfg, _labeled_data(np.random.default_rng(5)), _headed_state(), seed=4)
+    return (param_digest(state), rows), made[0]
 
 
 def _masked_stage2(make, monkeypatch):

@@ -21,7 +21,7 @@ from miniclap.errors import InvalidConfig, InvalidInput
 from miniclap.frontend import summarize_features
 from miniclap.masking import batch_partitions, masked_count
 from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
-                              run_stage, stage1_1_finetune, stage1_step, stage2_step,
+                              run_stage, stage1_1_step, stage1_step, stage2_step,
                               stage_config_from)
 
 from conftest import param_digest
@@ -61,6 +61,14 @@ def _labeled_data(rng, n=8):
     labels = np.zeros((n, 3))
     labels[np.arange(n), np.arange(n) % 3] = 1.0
     return StageData(rng.standard_normal((n, 10, 256)) * 0.3, 5, 2, labels=labels)
+
+
+def _headed_state(n_classes=3):
+    """`_state()` with a stage-1.1 head and classes, as `finetune-stage1.1` gives them."""
+    state = _state()
+    state.head = net.init_affine(np.random.default_rng(0), 5 * TINY.dim, n_classes)
+    state.classes = [f"class-{i}" for i in range(n_classes)]
+    return state
 
 
 class TestSchedules:
@@ -282,11 +290,13 @@ class TestStageConfig:
             ModelConfig(text_vocab=False)
 
     def test_trained_groups(self):
-        state = _state()
+        state = _headed_state()
         groups = {stage: {name.split(".")[0] for name in trainer.trainable_params(state, stage)}
                   for stage in READS}
         assert groups["1"] == {"online", "predictor", "projector", "textpath", "tau"}
-        assert groups["1.1"] == {"online"}
+        assert groups["1.1"] == {"online", "head"}
+        frozen = stage_config_from("1.1", dict(freeze_audio_encoder=True))
+        assert list(trainer.trainable_params(state, frozen)) == ["head.weight", "head.bias"]
         assert groups["2"] == groups["2.1"] == {"projector", "textpath", "tau"}
         assert not any(name.startswith("textpath.llm_map")
                        for name in trainer.trainable_params(state, "2"))
@@ -549,10 +559,11 @@ fe.compute_logmel(fe.Waveform(rng.standard_normal((fe.MIN_SHARED_BLOCKS * fe.BLO
 counts.append(threading.active_count())
 labels = np.eye(3)[np.arange(6) % 3]
 for frozen in (False, True):
-    trainer.stage1_1_finetune(
-        net.init_model_state(cfg, 0), trainer.StageData(patches, 5, 2, labels=labels),
-        trainer.stage_config_from("1.1", dict(epochs=1, batch_size=4,
-                                              freeze_audio_encoder=frozen)))
+    state = net.init_model_state(cfg, 0)
+    state.head = net.init_affine(np.random.default_rng(0), 5 * cfg.dim, 3)
+    trainer.run_stage(trainer.stage_config_from("1.1", dict(epochs=1, batch_size=4,
+                                                            freeze_audio_encoder=frozen)),
+                      trainer.StageData(patches, 5, 2, labels=labels), state)
     counts.append(threading.active_count())
 text = trainer.StageData(patches, 5, 2, token_rows=[[3 + i % 5, 4] for i in range(6)])
 for stage in ("2.1", "2"):
@@ -842,41 +853,14 @@ class TestEncodeOnce:
         net.encode_frozen(state.online, data.patches, pe)
         assert tokens == [20, 20, 20, 20, 30]  # except where a lone clip has under 16 rows
 
-    def test_frozen_stage1_1_matches_per_batch_encode(self, rng):
-        data = _labeled_data(rng)
-        cfg = stage_config_from("1.1", dict(epochs=3, batch_size=3, base_lr=1e-2,
-                                            freeze_audio_encoder=True))
-        state = _state()
-        result = stage1_1_finetune(state, data, cfg, seed=4)
-
-        rng_oracle = np.random.default_rng(4)
-        head = net.init_affine(rng_oracle, data.n_f * TINY.dim, data.labels.shape[1])
-        opt = AdamW(net.named_params(head, "head"), lr=cfg.base_lr)
-        pe = net.posenc_for(state.online, data.n_f, data.n_t)
-        want = []
-        for _ in range(cfg.epochs):
-            order = rng_oracle.permutation(data.n_samples)
-            for start in range(0, data.n_samples, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                with ad.no_grad():
-                    z = net.encode_tokens(state.online, data.patches[idx], pe)
-                _, clip = summarize_features(z, data.n_f, data.n_t)
-                loss = trainer.bce_with_logits(net.affine(head, clip), data.labels[idx])
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                want.append(loss.item())
-        assert result.losses == want
-        assert param_digest(result.head) == param_digest(head)
-
     @pytest.mark.parametrize("epochs", [1, 4])
     def test_frozen_stage1_1_encodes_each_clip_once(self, rng, monkeypatch, epochs):
         data = _labeled_data(rng)
         tokens = _instrument_encoder(monkeypatch)["tokens"]
         cfg = stage_config_from("1.1", dict(epochs=epochs, batch_size=3,
                                             freeze_audio_encoder=True))
-        result = stage1_1_finetune(_state(), data, cfg, seed=0)
-        assert len(result.losses) == 3 * epochs
+        _, rows = run_stage(cfg, data, _headed_state(), seed=0)
+        assert len(rows) == 3 * epochs
         assert sum(tokens) == data.n_samples * data.patches.shape[1]
 
 
@@ -1102,52 +1086,72 @@ class TestMaskedPrefetch:
 
 class TestStage11Finetune:
     def test_one_batch_overfit(self, rng):
-        state = _state()
         data = _labeled_data(rng)
         cfg = stage_config_from("1.1", dict(epochs=50, batch_size=8, base_lr=1e-2))
-        result = stage1_1_finetune(state, data, cfg, seed=0)
-        assert len(result.losses) == 50
-        assert result.losses[-1] < 0.05
+        _, rows = run_stage(cfg, data, _headed_state(), seed=0)
+        assert len(rows) == 50
+        assert float(rows[-1]["loss_total"]) < 0.05
 
     def test_zero_epochs_leaves_state_unchanged(self, rng):
-        state = _state()
+        state = _headed_state()
         digest = param_digest(state)
         cfg = stage_config_from("1.1", dict(epochs=0))
-        result = stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
-        assert result.losses == []
+        _, rows = run_stage(cfg, _labeled_data(rng), state, seed=0)
+        assert rows == []
         assert param_digest(state) == digest
 
     def test_head_only_mode_freezes_encoder(self, rng):
-        state = _state()
+        state = _headed_state()
         digest = param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=5, batch_size=8,
                                             freeze_audio_encoder=True))
-        stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
+        run_stage(cfg, _labeled_data(rng), state, seed=0)
         assert param_digest(state.online) == digest
 
     def test_full_mode_updates_encoder(self, rng):
-        state = _state()
+        state = _headed_state()
         digest = param_digest(state.online)
         cfg = stage_config_from("1.1", dict(epochs=2, batch_size=8))
-        stage1_1_finetune(state, _labeled_data(rng), cfg, seed=0)
+        run_stage(cfg, _labeled_data(rng), state, seed=0)
         assert param_digest(state.online) != digest
 
     def test_empty_dataset_rejected(self, rng):
-        state = _state()
         with pytest.raises(InvalidInput):
-            stage1_1_finetune(state, StageData(np.zeros((0, 10, 256)), 5, 2,
-                                               labels=np.zeros((0, 3))),
-                              stage_config_from("1.1", {}), seed=0)
+            run_stage(stage_config_from("1.1", {}),
+                      StageData(np.zeros((0, 10, 256)), 5, 2, labels=np.zeros((0, 3))),
+                      _headed_state(), seed=0)
+
+    @pytest.mark.parametrize("head", [None, 2], ids=["no-head", "two-outputs"])
+    def test_head_must_match_the_labels(self, rng, tmp_path, monkeypatch, head):
+        state = _state() if head is None else _headed_state(head)
+        monkeypatch.setattr(trainer, "stage1_1_step", None)  # no step may run
+        with pytest.raises(InvalidInput, match="a head with one output per label column"):
+            run_stage(stage_config_from("1.1", {}), _labeled_data(rng), state, seed=0,
+                      out_dir=str(tmp_path / "run"))
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_loss_stops_before_update(self, rng):
-        state = _state()
+        state = _headed_state()
         data = _labeled_data(rng)
         data.patches[3] = np.nan
         digest = param_digest(state)
         cfg = stage_config_from("1.1", dict(epochs=1, batch_size=8))
         with pytest.raises(InvalidInput, match="non-finite loss_bce"):
-            stage1_1_finetune(state, data, cfg, seed=0)
+            run_stage(cfg, data, state, seed=0)
         assert param_digest(state) == digest
+
+    def test_log_and_checkpoint_carry_the_head(self, rng, tmp_path):
+        cfg = stage_config_from("1.1", dict(epochs=2, batch_size=4))
+        state, rows = run_stage(cfg, _labeled_data(rng), _headed_state(), seed=0,
+                                out_dir=str(tmp_path))
+        assert [(r["loss_m2d"], r["loss_clap"], r["ema"]) for r in rows] == [("", "", "")] * 4
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+            "epoch-0000.ckpt", "epoch-0001.ckpt", "final.ckpt"]
+        loaded = net.load_checkpoint(tmp_path / "checkpoints" / "final.ckpt")
+        assert loaded.classes == state.classes
+        for name, tensor in net.named_params(state.head, "head").items():
+            want = tensor.data.astype("<f4").astype(np.float64)
+            assert net.named_params(loaded)[name].data.tobytes() == want.tobytes(), name
 
 
 def _replay(cfg, data, state, seed, out):
@@ -1157,7 +1161,7 @@ def _replay(cfg, data, state, seed, out):
                                     np.random.default_rng(seed)))
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total, warmup = len(plan), cfg.warmup_epochs * steps_per_epoch
-    opt = AdamW(trainer.trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    opt = AdamW(trainer.trainable_params(state, cfg), lr=cfg.base_lr)
     target = trainer.ema_target(state, opt) if cfg.stage_id == "1" else None
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     rows = []
@@ -1169,6 +1173,14 @@ def _replay(cfg, data, state, seed, out):
             stats = stage1_step(state, data.take(idx), cfg, partition, opt, target,
                                 lr=lr, ema_alpha=alpha)
             row.update(ema=f"{alpha:.10f}", **{k: f"{v:.8f}" for k, v in stats.items()})
+        elif cfg.stage_id == "1.1":
+            batch = data.take(idx)
+            if cfg.freeze_audio_encoder:  # this batch's clip features, encoded on their own
+                clips = net.SharedEncode(state.online, data.patches, pe, idx, summary=lambda z: (
+                    summarize_features(z, data.n_f, data.n_t)[1].data)).result()
+                batch = dataclasses.replace(batch, patches=None, features=clips)
+            loss = f"{stage1_1_step(state, batch, cfg, opt, lr=lr)['loss_total']:.8f}"
+            row.update(loss_total=loss, loss_m2d="", loss_clap="", ema="")
         else:
             features = net.SharedEncode(state.online, data.patches, pe, idx, partition[0]).result()
             batch = dataclasses.replace(data.take(idx), patches=None, features=features)
@@ -1184,14 +1196,20 @@ class TestOnePlan:
     """`_batch_plan` makes every random draw of a run: its steps, drawn up
     front and replayed, give `run_stage`'s log and checkpoint byte for byte."""
 
-    @pytest.mark.parametrize("stage", ["1", "2", "2.1"],
-                             ids=["stage1", "stage2-masked", "stage2.1"])
-    def test_replayed_plan_matches_run_stage(self, rng, tmp_path, stage):
-        cfg = stage_config_from(stage, dict(epochs=3, warmup_epochs=1, batch_size=4, base_lr=1e-3))
-        data = (_stage1_data if stage == "1" else _stage2_data)(rng, n=10)
-        rows = run_stage(cfg, data, _state(), seed=4, out_dir=str(tmp_path / "run"))[1]
+    # every batch has at least MIN_ROWS token rows, so a per-batch encode
+    # rounds as the whole-run encode does
+    @pytest.mark.parametrize("stage, extra", [
+        ("1", dict(warmup_epochs=1)), ("2", dict(warmup_epochs=1)),
+        ("2.1", dict(warmup_epochs=1)), ("1.1", {}), ("1.1", dict(freeze_audio_encoder=True)),
+    ], ids=["stage1", "stage2-masked", "stage2.1", "stage1.1", "stage1.1-frozen"])
+    def test_replayed_plan_matches_run_stage(self, rng, tmp_path, stage, extra):
+        cfg = stage_config_from(stage, dict(epochs=3, batch_size=4, base_lr=1e-3, **extra))
+        make = {"1": _stage1_data, "1.1": _labeled_data}.get(stage, _stage2_data)
+        data = make(rng, n=10)
+        state = _headed_state if stage == "1.1" else _state
+        rows = run_stage(cfg, data, state(), seed=4, out_dir=str(tmp_path / "run"))[1]
         (tmp_path / "replay").mkdir()
-        assert _replay(cfg, data, _state(), 4, tmp_path / "replay") == rows
+        assert _replay(cfg, data, state(), 4, tmp_path / "replay") == rows
         for name, path in (("losses.csv", "losses.csv"),
                            ("final.ckpt", "checkpoints/final.ckpt")):
             assert ((tmp_path / "replay" / name).read_bytes()
