@@ -2,8 +2,8 @@
 
 A `Tensor` wraps an ndarray and records the closure needed to push its
 output gradient back to its parents. Calling `backward()` on a scalar
-loss topologically sorts the graph and accumulates `.grad` arrays on
-every tensor with `requires_grad=True`. Tensors with
+loss sorts the graph and adds each reached leaf's gradient in place
+onto its `.grad`, an optimizer's view or its own array. Tensors with
 `requires_grad=False` never build graph edges, which is how frozen
 parameters (the EMA target encoder) are kept out of the gradient flow by
 construction. Inside a `no_grad()` block no op records a graph edge at
@@ -115,11 +115,11 @@ class Tensor:
         do the gradient-free `factor`s some VJPs carry (GELU's slope),
         submitted in the order the walk needs them; this thread then walks
         only the input-gradient chain. Without a pool each task runs here,
-        at the point it is produced. Either way a leaf's parts are summed
-        in the order they arrived and then added onto `.grad`, so the bytes
-        do not depend on the pool. No `.grad` changes unless the walk and
-        every task succeed, and the call returns or raises only after every
-        task it submitted has finished; a task's error is raised as is.
+        at the point it is produced. Either way each part is added in place
+        onto its leaf's `.grad`, in arrival order, so the bytes do not depend
+        on the pool. No `.grad` changes unless the walk and every task
+        succeed, and the call returns or raises only after every task it
+        submitted has finished; a task's error is raised as is.
         """
         if not self.requires_grad:
             raise InvalidInput("loss is detached from all trainable parameters")
@@ -187,12 +187,10 @@ class Tensor:
             future.result()  # raises a task's error before any .grad changes
 
         for leaf, leaf_parts in parts.values():
-            total = None
+            if leaf.grad is None:
+                leaf.grad = np.zeros(leaf.shape)
             for pg in leaf_parts:
-                if isinstance(pg, futures.Future):
-                    pg = pg.result()
-                total = pg if total is None else total + pg
-            leaf.grad = total if leaf.grad is None else leaf.grad + total
+                leaf.grad += pg.result() if isinstance(pg, futures.Future) else pg
 
     # -- arithmetic -----------------------------------------------------------
 

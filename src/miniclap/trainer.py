@@ -31,16 +31,17 @@ class Stage(NamedTuple):
 
 # The one table of stages. A stage reads exactly its keys and rejects any
 # other: stage 2.1 never masks, only stage 1 has loss weights and an EMA
-# target, stages 2/2.1 never train the audio encoder, and stage 1.1 trains
-# it unless `freeze_audio_encoder` (`StageConfig.trains`).
+# target, and a config leaves out the groups its loss cannot reach: stage 1's
+# contrastive side at lambda_clap 0, a frozen encoder (`StageConfig.trains`).
 _TEXT_SIDE = ("projector", "textpath.encoder", "textpath.projector_in",
+              "textpath.projector_out", "tau")
+_CLAP_SIDE = ("projector", "textpath.llm_map", "textpath.projector_in",
               "textpath.projector_out", "tau")
 STAGES = {
     "1": Stage(dict(mask_ratio=0.7, epochs=300, warmup_epochs=20, batch_size=2048,
                     base_lr=3e-4, lambda_m2d=1.0, lambda_clap=0.01,
                     ema_start=0.99995, ema_end=0.99999),
-               ("online", "predictor", "projector", "textpath.llm_map",
-                "textpath.projector_in", "textpath.projector_out", "tau")),
+               ("online", "predictor", *_CLAP_SIDE)),
     "1.1": Stage(dict(epochs=10, batch_size=32, base_lr=1e-3, freeze_audio_encoder=False),
                  ("online", "head")),
     "2": Stage(dict(mask_ratio=0.3, epochs=30, warmup_epochs=5, batch_size=2048, base_lr=3e-6),
@@ -92,9 +93,10 @@ class StageConfig:
 
     @property
     def trains(self) -> tuple[str, ...]:
-        """The stage's parameter groups, less a frozen audio encoder's."""
-        return tuple(group for group in _stage(self.stage_id).trains
-                     if not (group == "online" and self.freeze_audio_encoder))
+        """The stage's parameter groups, less those its loss cannot reach."""
+        drop = (("online",) if self.freeze_audio_encoder else ()) + (
+            _CLAP_SIDE if self.weights is not None and self.weights.lambda_clap == 0 else ())
+        return tuple(group for group in _stage(self.stage_id).trains if group not in drop)
 
 
 def config_section(stage_id: str) -> str:
@@ -166,8 +168,10 @@ class AdamW:
 
     Decay applies only to >=2-D weight matrices; biases, norm gains,
     tokens, position/word embeddings, and the temperature are exempt.
-    It owns `flat`, the float64 array that every `.data` views, and `_m` and `_v`.
+    It owns `flat`, the float64 array that every `.data` views, `grad`, its
+    twin that every `.grad` views and `backward` adds into, and `_m` and `_v`.
     """
+    _BLOCK = 16384  # values per update pass: its arrays fit a 2 MB L2 cache (README)
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  betas=(0.9, 0.95), weight_decay: float = 0.05):
@@ -176,11 +180,13 @@ class AdamW:
         self.betas = betas
         self.weight_decay = weight_decay
         self.step_count = 0
-        ends = np.cumsum([p.data.size for p in self.params.values()])
-        self._parts = [slice(end - p.data.size, end) for p, end in zip(self.params.values(), ends)]
         self.flat = pack_params(self.params)
-        self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
-        self._decay = [self._decays(name, p) for name, p in self.params.items()]
+        self.grad, self._m, self._v = (np.zeros_like(self.flat) for _ in range(3))
+        self._decay, end = np.zeros(self.flat.size, dtype=bool), 0  # per value
+        for name, p in self.params.items():
+            part, end = slice(end, end + p.data.size), end + p.data.size
+            p.grad = self.grad[part].reshape(p.data.shape)
+            self._decay[part] = self._decays(name, p)
 
     @staticmethod
     def _decays(name: str, p: Tensor) -> bool:
@@ -189,24 +195,25 @@ class AdamW:
         return not any(tag in name for tag in ("token", "pos_embed", "tok_embed"))
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.grad.fill(0.0)
 
     def step(self, lr: float | None = None) -> None:
-        """Update every parameter with a gradient; a rebound `.data` fails before any write."""
+        """Update every parameter; a rebound buffer or a non-finite gradient fails first."""
         for name, p in self.params.items():
-            if p.data.base is not self.flat:
-                raise InvalidInput(f"parameter {name} no longer views the optimizer's buffer; "
-                                   "write into .data[...] instead of rebinding it")
+            if p.data.base is not self.flat or getattr(p.grad, "base", None) is not self.grad:
+                raise InvalidInput(f"parameter {name} no longer views the optimizer's buffers; "
+                                   "write into .data[...] and .grad[...] instead of rebinding")
+        if not np.isfinite(self.grad).all():
+            bad = next(name for name, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise InvalidInput(f"non-finite gradient of {bad}; stopped before the update")
         lr = self.lr if lr is None else lr
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        for p, part, decays in zip(self.params.values(), self._parts, self._decay):
-            if p.grad is None:
-                continue
-            g, w, m, v = p.grad.reshape(-1), self.flat[part], self._m[part], self._v[part]
+        for start in range(0, self.flat.size, self._BLOCK):
+            part = slice(start, start + self._BLOCK)
+            g, w, m, v = self.grad[part], self.flat[part], self._m[part], self._v[part]
             # in place, with the rounding of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
             # p = p - lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
             buf = np.empty_like(w)
@@ -218,15 +225,16 @@ class AdamW:
             buf += 1e-8  # eps
             update = m / bc1
             update /= buf
-            if self.weight_decay and decays:
-                update += np.multiply(self.weight_decay, w, out=buf)
+            if self.weight_decay:
+                np.add(update, np.multiply(self.weight_decay, w, out=buf), out=update,
+                       where=self._decay[part])
             update *= lr
             w -= update
 
 
 def trainable_params(state: ModelState, stage: str | StageConfig) -> dict[str, Tensor]:
-    """Parameters the optimizer may update for a stage id, or for a stage's
-    config, which leaves out a frozen audio encoder."""
+    """Parameters the optimizer may update: every group of a stage id, or those
+    of a stage's config, less what its loss cannot reach (`StageConfig.trains`)."""
     groups = stage.trains if isinstance(stage, StageConfig) else _stage(stage).trains
     params: dict[str, Tensor] = {}
     for group in groups:  # an absent component has no parameters

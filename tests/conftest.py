@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, a
 straight-line (loop-based) transformer forward oracle that is
-independent of the autodiff engine, a parameter digest, and a disk that
-fills up mid-write."""
+independent of the autodiff engine, a parameter digest, an infinite
+gradient injected at a chosen step, and a disk that fills up mid-write."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 from miniclap import datakit as dk
 from miniclap.autodiff import Tensor
 from miniclap.network import named_params
+from miniclap.trainer import AdamW
 
 
 def param_digest(obj) -> str:
@@ -22,6 +23,19 @@ def param_digest(obj) -> str:
         h.update(name.encode("utf-8"))
         h.update(np.ascontiguousarray(tensor.data).tobytes())
     return h.hexdigest()
+
+
+def inject_inf(monkeypatch, name: str, at_step: int) -> None:
+    """Make `AdamW.step` find an infinite value in the gradient of `name`
+    when `at_step` steps have run."""
+    step = AdamW.step
+
+    def injected(self, lr=None):
+        if self.step_count == at_step:
+            self.params[name].grad.flat[-1] = np.inf
+        return step(self, lr)
+
+    monkeypatch.setattr(AdamW, "step", injected)
 
 
 def numerical_grad(fn, param: Tensor, h: float = 1e-4) -> np.ndarray:

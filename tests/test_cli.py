@@ -18,6 +18,8 @@ from miniclap import config as C, datakit as dk, evaluation as ev, network as ne
 from miniclap.cli import _build_parser, _prepare_mels, _split_indices, main
 from miniclap.evaluation import write_features
 
+from conftest import inject_inf
+
 TINY_MODEL = [
     "--set", "model.dim=8", "--set", "model.depth=1", "--set", "model.heads=2",
     "--set", "model.input_frames=32", "--set", "model.predictor_depth=1",
@@ -160,6 +162,14 @@ class TestExitCodes:
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss"), err
+
+    def test_non_finite_gradient_is_exit_1(self, corpus, tmp_path, capsys, monkeypatch):
+        inject_inf(monkeypatch, "online.patch_embed.weight", at_step=1)  # epoch 0's last step
+        assert _stage1(corpus, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: non-finite gradient of online.patch_embed.weight; "
+                       "stopped before the update"], err
+        assert os.listdir(tmp_path / "checkpoints") == []
 
     def test_diverging_stage1_1_is_exit_1(self, corpus, stage1, tmp_path, capsys):
         code = main(["finetune-stage1.1", "--manifest", str(corpus / "manifest.jsonl"),

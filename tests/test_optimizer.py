@@ -1,20 +1,25 @@
 """The packed AdamW: byte-equality with the per-tensor optimizer it
-replaced, parameter storage that stays one buffer across every write,
-a step that rejects a rebound `.data` before any write, and source
-checks that keep parameter writes in place and the worker's users to
-two: `threads.SharedCalls` and the split backward."""
+replaced, parameter and gradient storage that stays one buffer each
+across every write, a step that rejects a rebound `.data` or `.grad` or
+a non-finite gradient before any write, a stage's groups that are
+exactly what its loss reaches, and source checks that keep parameter and
+gradient writes in place and the worker's users to two:
+`threads.SharedCalls` and the split backward."""
 
 import ast
+import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from miniclap import evaluation as ev, network as net, trainer
+from miniclap.autodiff import Tensor
 from miniclap.errors import InvalidInput
 from miniclap.trainer import AdamW, ema_update, run_stage, stage1_step
 
-from conftest import param_digest
+from conftest import inject_inf, param_digest
 from test_trainer import (TINY, _encoded, _headed_state, _labeled_data, _partition, _stage1_cfg,
                           _stage1_data, _stage2_data, _state)
 
@@ -80,10 +85,10 @@ def _recorded(monkeypatch, module, make) -> list:
 
 def _stage1(lambda_clap):
     def scenario(make, monkeypatch):
-        state = _state()
-        opt = make(trainer.trainable_params(state, "1"), lr=1e-3)
+        state, cfg = _state(), _stage1_cfg(lambda_clap=lambda_clap)
+        opt = make(trainer.trainable_params(state, cfg), lr=1e-3)
         data, gen = _stage1_data(np.random.default_rng(5), n=8), np.random.default_rng(7)
-        cfg, target = _stage1_cfg(lambda_clap=lambda_clap), trainer.ema_target(state, opt)
+        target = trainer.ema_target(state, opt)
         for i in range(3):
             batch = data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4))
             stage1_step(state, batch, cfg, _partition(batch, cfg, gen), opt, target,
@@ -139,12 +144,14 @@ class TestMatchesPerTensorOracle:
 
 
 class TestParameterStorage:
-    """Every trained tensor stays a view into its optimizer's `flat`."""
+    """Every trained tensor stays a view into its optimizer's `flat`, and
+    its gradient a view into its optimizer's `grad`."""
 
     @staticmethod
     def _assert_views(opt):
         for name, p in opt.params.items():
             assert np.shares_memory(p.data, opt.flat), name
+            assert p.grad.base is opt.grad and p.grad.shape == p.data.shape, name
 
     def test_construction_copies_values(self):
         state = _state()
@@ -172,11 +179,26 @@ class TestParameterStorage:
                                             np.random.default_rng(0)), cfg, opt)
         self._assert_views(opt)
 
+    def test_gradients_stay_views_across_steps_and_zero_grad(self, rng):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
+        target = trainer.ema_target(state, opt)
+        for i in range(3):
+            batch = data.take(np.arange(4 * (i % 2), 4 * (i % 2) + 4))
+            stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), gen), opt,
+                        target, lr=1e-3, ema_alpha=0.9)
+            self._assert_views(opt)
+            assert opt.grad.any()
+            opt.zero_grad()
+            self._assert_views(opt)
+            assert not opt.grad.any()
+
     @staticmethod
-    def _assert_rejected(opt, step, name):
-        """`step` fails naming `name` and leaves the optimizer as it was."""
+    def _assert_rejected(opt, step, match):
+        """`step` fails matching `match` and leaves the optimizer as it was."""
         before = (opt.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.step_count)
-        with pytest.raises(InvalidInput, match=f"parameter {name} no longer views"):
+        with pytest.raises(InvalidInput, match=match):
             step()
         assert (opt.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(),
                 opt.step_count) == before
@@ -188,7 +210,26 @@ class TestParameterStorage:
         state.tau.data = np.asarray(0.5)
         self._assert_rejected(opt, lambda: stage1_step(
             state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), np.random.default_rng(0)),
-            opt, target), "tau")
+            opt, target), "parameter tau no longer views")
+
+    @pytest.mark.parametrize("rebound", [np.zeros(()), None], ids=["to-an-array", "to-none"])
+    def test_rebound_grad_is_rejected_before_any_write(self, rng, rebound):
+        state = _state()
+        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
+        state.tau.grad = rebound  # the backward adds into this, or into an array of its own
+        self._assert_rejected(opt, lambda: stage1_step(
+            state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), np.random.default_rng(0)),
+            opt, target), "parameter tau no longer views")
+
+    def test_first_non_finite_gradient_is_named_before_any_write(self, rng):
+        x, y, z = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(3))
+        opt = AdamW({"x": x, "y": y, "z": z}, lr=0.1)
+        ((x * x).sum() + (y * y).sum() + (z * z).sum()).backward()
+        opt.step()
+        ((x * x).sum() + (y * y).sum() + (z * z).sum()).backward()
+        z.grad[0], y.grad[2] = np.nan, -np.inf
+        self._assert_rejected(opt, opt.step, "non-finite gradient of y;")
 
     def test_first_stale_parameter_is_named_after_steps(self, rng):
         state = _state()
@@ -205,7 +246,8 @@ class TestParameterStorage:
         step(1)
         state.tau.data = np.asarray(0.07)  # tau comes last in the optimizer's order
         state.online.patch_embed.bias.data = state.online.patch_embed.bias.data + 0.1
-        self._assert_rejected(opt, lambda: step(2), "online.patch_embed.bias")
+        self._assert_rejected(opt, lambda: step(2),
+                              "parameter online.patch_embed.bias no longer views")
 
     def test_transfer_shared(self):
         state, source = _state(), net.init_model_state(TINY, seed=4)
@@ -227,6 +269,58 @@ class TestParameterStorage:
             assert net.named_params(state)[name].data.tobytes() == want.tobytes(), name
 
 
+class TestNonFiniteGradient:
+    """An infinite gradient stops stage 1 at the update, naming its tensor,
+    before any warning or checkpoint."""
+
+    def test_run_stops_naming_the_tensor(self, tmp_path, monkeypatch):
+        name = "predictor.blocks.0.mlp_in.weight"
+        inject_inf(monkeypatch, name, at_step=1)  # the last step of epoch 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInput, match=f"^non-finite gradient of {name};"):
+                run_stage(_stage1_cfg(), _stage1_data(np.random.default_rng(5), n=8), _state(),
+                          seed=0, out_dir=str(tmp_path))
+        assert not caught, [str(w.message) for w in caught]
+        assert os.listdir(tmp_path / "checkpoints") == []  # epoch 0's is never written
+
+
+# -- a stage trains exactly what its loss reaches ----------------------------------
+
+# (stage, its settings, model settings): stage 1 at both CLAP weights with
+# each projector kind, with and without the text projector; the text stages
+# with and without it; stage 1.1 trained and frozen
+_GROUP_CASES = (
+    [("1", dict(lambda_clap=clap), dict(projector_kind=kind, text_projector=proj))
+     for clap in (0.01, 0.0) for kind in ("transformer", "mlp") for proj in (False, True)]
+    + [(stage, settings, dict(text_projector=proj))
+       for stage, settings in (("2", {}), ("2", dict(mask_ratio=0.0)), ("2.1", {}))
+       for proj in (False, True)]
+    + [("1.1", dict(freeze_audio_encoder=frozen), {}) for frozen in (False, True)])
+
+
+@pytest.mark.parametrize("stage,settings,model", _GROUP_CASES,
+                         ids=[f"{st}-{'-'.join(f'{k}={v}' for k, v in {**se, **mo}.items())}"
+                              for st, se, mo in _GROUP_CASES])
+def test_a_stage_trains_exactly_what_its_loss_reaches(stage, settings, model, monkeypatch):
+    """One step's backward, with `.grad`s that no optimizer binds, reaches
+    exactly the parameters of the groups `StageConfig.trains` selects."""
+    _recorded(monkeypatch, trainer, OracleAdamW)
+    rng = np.random.default_rng(5)
+    if stage == "1.1":
+        state, data = _headed_state(), _labeled_data(rng)
+        cfg = trainer.stage_config_from("1.1", dict(epochs=1, batch_size=8, base_lr=1e-3,
+                                                    **settings))
+    else:
+        state = net.init_model_state(dataclasses.replace(TINY, **model), seed=3)
+        data = (_stage1_data if stage == "1" else _stage2_data)(rng, n=4)
+        cfg = trainer.stage_config_from(stage, dict(epochs=1, warmup_epochs=0, batch_size=4,
+                                                    base_lr=1e-3, **settings))
+    run_stage(cfg, data, state, seed=0)
+    reached = {name for name, p in net.named_params(state).items() if p.grad is not None}
+    assert reached == set(trainer.trainable_params(state, cfg))
+
+
 # -- parameter writes stay in place, and the worker keeps two users --------------
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -234,6 +328,10 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 # Where `.data` may be bound: a tensor's creation, and the packing of the
 # optimizer's buffer and the EMA target's.
 BINDS_DATA = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "pack_params")}
+# Where `.grad` may be bound: a tensor's creation (to None), the optimizer's
+# binding of its buffer, and a backward that reaches a leaf without one.
+BINDS_GRAD = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__"),
+              ("autodiff.py", "Tensor.backward")}
 # Where work may be handed to the worker (nested functions included): a
 # shared call list, and the split backward.
 SUBMITS = {("threads.py", "SharedCalls.share"), ("autodiff.py", "Tensor.backward")}
@@ -250,15 +348,15 @@ def _scoped_nodes(tree: ast.AST):
     return visit(tree, ())
 
 
-def _data_bindings(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every assignment to a `.data`
+def _bindings(tree: ast.AST, attr: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every assignment to an `attr`
     attribute. An augmented assignment (`x.data += y`) is not one: on an
     ndarray it writes in place."""
     return [(scope, node.lineno) for scope, node in _scoped_nodes(tree)
             if isinstance(node, (ast.Assign, ast.AnnAssign))
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
             for t in ast.walk(target)
-            if isinstance(t, ast.Attribute) and t.attr == "data" and isinstance(t.ctx, ast.Store)]
+            if isinstance(t, ast.Attribute) and t.attr == attr and isinstance(t.ctx, ast.Store)]
 
 
 def _submits(tree: ast.AST) -> list[tuple[str, int]]:
@@ -288,14 +386,20 @@ def _stray(found, allowed) -> list[str]:
 
 
 def test_parameter_data_is_bound_only_where_it_is_packed():
-    stray = _stray(_data_bindings, BINDS_DATA)
+    stray = _stray(lambda tree: _bindings(tree, "data"), BINDS_DATA)
     assert not stray, "assign into `.data[...]` instead of rebinding it: " + ", ".join(stray)
+
+
+def test_gradients_are_bound_only_by_the_optimizer_and_backward():
+    stray = _stray(lambda tree: _bindings(tree, "grad"), BINDS_GRAD)
+    assert not stray, "add into `.grad` instead of rebinding it: " + ", ".join(stray)
 
 
 def test_binding_check_finds_a_rebind():
     tree = ast.parse("def f(t, u):\n    t.data += 1\n    t.data[...] = 2\n"
-                     "    t.data = 3\n    (u.data, x) = (4, 5)\n")
-    assert _data_bindings(tree) == [("f", 4), ("f", 5)]
+                     "    t.data = 3\n    (u.data, x) = (4, 5)\n    t.grad = None\n")
+    assert _bindings(tree, "data") == [("f", 4), ("f", 5)]
+    assert _bindings(tree, "grad") == [("f", 6)]
 
 
 def test_only_shared_calls_and_backward_submit_to_the_worker():

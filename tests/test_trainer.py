@@ -189,6 +189,8 @@ class TestAdamW:
         assert float((x.data ** 2).sum()) < 1e-4 * start
 
     def test_skips_parameters_without_gradients(self, rng):
+        # y keeps the zero gradient `zero_grad` left; with zero moments and
+        # no decay (it is 1-D) its update is exactly zero
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         y = Tensor(rng.standard_normal(4), requires_grad=True)
         before = y.data.copy()
@@ -368,8 +370,8 @@ class TestStage1Step:
         data = _stage1_data(rng)
         before_proj = param_digest(state.projector)
         before_tau = float(state.tau.data)
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
         batch, cfg = data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0)
+        opt = AdamW(trainer.trainable_params(state, cfg), lr=1e-3)
         stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
                     trainer.ema_target(state, opt))
         assert param_digest(state.projector) == before_proj
