@@ -270,8 +270,6 @@ class Tensor:
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         old = a.shape
 
@@ -281,8 +279,6 @@ class Tensor:
         return Tensor._make(a.data.reshape(shape), (a,), vjp)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         a = self
         inverse = tuple(np.argsort(axes))
 
@@ -393,8 +389,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     if x.ndim == 2:
         key = (idx,)
     elif x.ndim == 3:
-        if idx.ndim == 1:
-            idx = np.broadcast_to(idx, (x.shape[0], idx.shape[0]))
         key = (np.arange(x.shape[0])[:, None], idx)
     else:
         raise InvalidInput("gather_rows supports 2-D or 3-D inputs")

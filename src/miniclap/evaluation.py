@@ -21,7 +21,7 @@ from .errors import FormatError, InvalidInput, Unsupported
 from .frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
 from .losses import similarity_matrix
 from .network import AudioProjectorParams, ModelState, affine, named_params
-from .trainer import AdamW, bce_with_logits
+from .trainer import AdamW, bce_with_logits, descend
 
 
 # -- linear probe -------------------------------------------------------------
@@ -104,9 +104,7 @@ def linear_probe(train: LabeledFeatureSet, val: LabeledFeatureSet, test: Labeled
         else:
             picks = log_softmax(logits, axis=1)[np.arange(train.labels.shape[0]), train.labels]
             loss = -picks.mean()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        descend(opt, loss)
         epochs_run = epoch + 1
 
         metric = _probe_metric(head.weight.data, head.bias.data, val)
@@ -277,8 +275,7 @@ def attention_map(ap: AudioProjectorParams, z: np.ndarray) -> np.ndarray:
 def encode_windows(state: ModelState, mels: list[MelSpectrogram],
                    summary=lambda z: z.data) -> tuple[np.ndarray, np.ndarray]:
     """Encode every window of every clip with the online encoder, without
-    building a graph, through `net.encode_frozen` on this thread and
-    `net.worker()`.
+    building a graph, in one `net.SharedEncode` shared with `net.worker()`.
 
     A clip is split into consecutive windows of `input_frames` frames;
     the last one is zero-padded to the full width. `summary` maps each
@@ -295,8 +292,8 @@ def encode_windows(state: ModelState, mels: list[MelSpectrogram],
                for start in range(0, max(1, mel.n_frames), width)]
     patches = np.stack([patchify(pad_or_crop_to_grid(w, width)).patches for _, w in windows])
     # every window has the configured width
-    feats = net.encode_frozen(state.online, patches, state.online.posenc.table,
-                              summary=summary, pool=net.worker())
+    feats = net.SharedEncode(state.online, patches, state.online.posenc.table,
+                             summary=summary).share(net.worker()).result()
     return feats, np.array([clip for clip, _ in windows])
 
 
@@ -332,24 +329,22 @@ FEATURE_MAGIC = b"MCFE"
 FEATURE_VERSION = 1
 
 
-def write_features(path, ids: list[str], features: np.ndarray, stack=None) -> None:
+def write_features(path, ids: list[str], features: np.ndarray,
+                   stack: contextlib.ExitStack) -> None:
     """Write the feature file and its `.ids` sidecar through `atomic_open`.
-    Both are moved into place, the sidecar first, when `stack` (by default
-    an `ExitStack` of their own) closes without error, so calls given one
-    stack replace all their pairs or none."""
+    Both are moved into place, the sidecar first, when `stack` closes
+    without error, so calls given one stack replace all their pairs or none."""
     arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim != 2 or len(ids) != arr.shape[0]:
         raise InvalidInput("need one id per feature row")
-    with contextlib.ExitStack() as own:
-        stack = own if stack is None else stack
-        fh = stack.enter_context(atomic_open(path))
-        sidecar = stack.enter_context(atomic_open(str(path) + ".ids", "w", encoding="utf-8"))
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        fh.write(struct.pack("<I", arr.shape[1]))
-        fh.write(struct.pack("<Q", arr.shape[0]))
-        fh.write(arr.tobytes())
-        sidecar.writelines(i + "\n" for i in ids)
+    fh = stack.enter_context(atomic_open(path))
+    sidecar = stack.enter_context(atomic_open(str(path) + ".ids", "w", encoding="utf-8"))
+    fh.write(FEATURE_MAGIC)
+    fh.write(struct.pack("<I", FEATURE_VERSION))
+    fh.write(struct.pack("<I", arr.shape[1]))
+    fh.write(struct.pack("<Q", arr.shape[0]))
+    fh.write(arr.tobytes())
+    sidecar.writelines(i + "\n" for i in ids)
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:

@@ -16,10 +16,10 @@ Text is padded with the tokenizer's `datakit.PAD_ID`. The projector's
 attention weights are computed by `evaluation.attention_map`.
 `worker` is `threads.worker`, the one thread besides the caller's.
 `SharedEncode` is the one graph-free frozen encode, a `threads.SharedCalls`
-of the calls `frozen_calls` plans: extraction (one encode for both
-feature kinds), stage 2.1, an unmasked stage 2 and a frozen stage 1.1 run
-one at once through `encode_frozen`;
-stage 1's EMA target and a masked stage 2's next batch are shared with the worker.
+of the calls `frozen_calls` plans, always shared with the worker: extraction
+(one encode for both feature kinds), stage 1's EMA target, stage 2's
+batches, and the once-per-run encode of stage 2.1, an unmasked stage 2 and
+a frozen stage 1.1.
 """
 
 from __future__ import annotations
@@ -343,9 +343,10 @@ def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     return layer_norm(params.final_norm, x)
 
 
-# OpenBLAS computes a product of fewer than 16 rows with another kernel,
-# whose bytes differ from those of a larger product (see
-# `frontend.BLOCK_FRAMES`), so no frozen encoder call has fewer.
+# A product's row can round differently from the same row of a larger
+# product: with OpenBLAS 0.3.31, at one row for every shape the model
+# uses, at more rows for narrow outputs over a wide inner dimension
+# (README, Performance). So no frozen encoder call has fewer rows.
 MIN_ROWS = 16
 # Token rows per frozen encoder call. The two threads split an encode
 # only at call boundaries, so the calls must be small enough for the
@@ -382,9 +383,9 @@ class SharedEncode(SharedCalls):
 
     Any thread may run any call, and the token rows, or a summary computed
     from each clip's rows alone, are byte-identical to one call over all
-    the clips. A summary whose products mix a call's clips is not: the
-    projector's class-token products have one row per clip, fewer than
-    MIN_ROWS, so their last bits depend on which clips share a call."""
+    the clips. A summary whose products mix a call's clips need not be:
+    the projector's class-token products have one row per clip, so a
+    call of one clip rounds them differently (`MIN_ROWS`)."""
 
     def __init__(self, params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
                  clips: np.ndarray | None = None, vis: np.ndarray | None = None,
@@ -397,9 +398,6 @@ class SharedEncode(SharedCalls):
         self.out = None
         self._made = threading.Lock()
         super().__init__(functools.partial(self.run, *call) for call in self.plan)
-
-    def __len__(self) -> int:
-        return len(self.clips)
 
     def run(self, start: int, end: int) -> None:
         """Encode clips start..end, gathered just before the call, in this
@@ -420,16 +418,6 @@ class SharedEncode(SharedCalls):
     def result(self) -> np.ndarray:
         super().result()
         return self.out
-
-
-def encode_frozen(params: EncoderParams, patches: np.ndarray, pe: np.ndarray,
-                  summary=lambda z: z.data, pool=None) -> np.ndarray:
-    """The result of a `SharedEncode` of every clip's full grid, run now
-    and shared with `pool` when it plans two calls or more."""
-    encode = SharedEncode(params, patches, pe, summary=summary)
-    if pool is not None and len(encode.plan) > 1:
-        encode.share(pool)
-    return encode.result()
 
 
 def encode_selected(params: EncoderParams, patches: np.ndarray, idx: np.ndarray,

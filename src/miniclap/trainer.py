@@ -173,7 +173,7 @@ class AdamW:
     """
     _BLOCK = 16384  # values per update pass: its arrays fit a 2 MB L2 cache (README)
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
+    def __init__(self, params: dict[str, Tensor], lr: float,
                  betas=(0.9, 0.95), weight_decay: float = 0.05):
         self.params = dict(params)
         self.lr = lr
@@ -232,14 +232,21 @@ class AdamW:
             w -= update
 
 
-def trainable_params(state: ModelState, stage: str | StageConfig) -> dict[str, Tensor]:
-    """Parameters the optimizer may update: every group of a stage id, or those
-    of a stage's config, less what its loss cannot reach (`StageConfig.trains`)."""
-    groups = stage.trains if isinstance(stage, StageConfig) else _stage(stage).trains
+def trainable_params(state: ModelState, cfg: StageConfig) -> dict[str, Tensor]:
+    """Parameters the optimizer may update: those of the stage's groups, less
+    what its loss cannot reach (`StageConfig.trains`)."""
     params: dict[str, Tensor] = {}
-    for group in groups:  # an absent component has no parameters
+    for group in cfg.trains:  # an absent component has no parameters
         params.update(named_params(functools.reduce(getattr, group.split("."), state), group))
     return params
+
+
+def descend(opt: AdamW, loss: Tensor, lr: float | None = None, pool=None) -> None:
+    """The one update step: zero `opt.grad`, backpropagate `loss`, handing
+    work to `pool` when given, then step `opt` at `lr` (`opt.lr` when None)."""
+    opt.zero_grad()
+    loss.backward(pool)
+    opt.step(lr)
 
 
 def ema_target(state: ModelState, opt: AdamW) -> np.ndarray:
@@ -308,7 +315,7 @@ def _check_finite(**losses: Tensor) -> None:
 
 def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
                 partition: tuple[np.ndarray, np.ndarray], opt: AdamW, target: np.ndarray,
-                lr: float | None = None, ema_alpha: float | None = None) -> dict:
+                lr: float, ema_alpha: float) -> dict:
     """One multitask step on a batch and its patch `partition`, (visible
     [b, V], masked [b, M]); updates the online side, then the EMA `target`
     (from `ema_target`) against the head of `opt.flat`. It draws nothing.
@@ -324,8 +331,6 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
         raise InvalidInput(f"stage1_step called with stage {cfg.stage_id!r}")
     if data.embeddings is None:
         raise InvalidInput("stage 1 batches need text embeddings")
-    lr = cfg.base_lr if lr is None else lr
-    ema_alpha = cfg.ema_start if ema_alpha is None else ema_alpha
 
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     vis, msk = partition
@@ -352,9 +357,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
             total = cfg.weights.lambda_m2d * loss_m2d
     _check_finite(loss_m2d=loss_m2d, loss_clap=loss_clap, loss_total=total)
 
-    opt.zero_grad()
-    total.backward(net.worker())
-    opt.step(lr)
+    descend(opt, total, lr, net.worker())
     state.tau.data[...] = clip_temperature(float(state.tau.data))
     ema_update(target, opt.flat[:target.size], ema_alpha)
     return {
@@ -365,7 +368,7 @@ def stage1_step(state: ModelState, data: StageData, cfg: StageConfig,
 
 
 def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
-                opt: AdamW, lr: float | None = None) -> dict:
+                opt: AdamW, lr: float) -> dict:
     """One contrastive step with a frozen audio encoder, on the batch's
     encoded audio `data.features` as `run_stage` supplies it: an array,
     or a `net.SharedEncode`, whose result the step takes before anything
@@ -377,7 +380,6 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
         raise InvalidInput("stage 2 batches need token sequences")
     if data.features is None:
         raise InvalidInput("stage 2 batches need their encoded audio features")
-    lr = cfg.base_lr if lr is None else lr
 
     z_v = data.features
     if isinstance(z_v, net.SharedEncode):
@@ -393,14 +395,12 @@ def stage2_step(state: ModelState, data: StageData, cfg: StageConfig,
         loss = clap_loss(similarity_matrix(s_a, s_t), state.tau)
     _check_finite(loss_clap=loss)
 
-    opt.zero_grad()
     # Inline: a masked stage 2 has the next batch's encode on the worker.
     # Stage 2.1 leaves it idle, but handing it the weight gradients and
     # GELU slopes of these small arrays lost (one BLAS thread, 2 vCPU,
     # text-stages size, 300 alternating steps each at two seeds): step
     # p50 32.5 and 26.9 ms pooled against 28.5 and 23.9 ms inline.
-    loss.backward()
-    opt.step(lr)
+    descend(opt, loss, lr)
     state.tau.data[...] = clip_temperature(float(state.tau.data))
     return {"loss_clap": loss.item()}
 
@@ -416,7 +416,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def stage1_1_step(state: ModelState, data: StageData, cfg: StageConfig,
-                  opt: AdamW, lr: float | None = None) -> dict:
+                  opt: AdamW, lr: float) -> dict:
     """One supervised multi-label step: the BCE of `state.head` on each
     clip's feature, from `data.features` when `run_stage` encoded the
     frozen encoder once, otherwise from an encode of the batch with a graph."""
@@ -424,7 +424,6 @@ def stage1_1_step(state: ModelState, data: StageData, cfg: StageConfig,
         raise InvalidInput(f"stage1_1_step called with stage {cfg.stage_id!r}")
     if data.labels is None:
         raise InvalidInput("stage 1.1 batches need labels")
-    lr = cfg.base_lr if lr is None else lr
     with _quiet():
         clip = data.features
         if clip is None:
@@ -434,9 +433,7 @@ def stage1_1_step(state: ModelState, data: StageData, cfg: StageConfig,
         loss = bce_with_logits(affine(state.head, clip), data.labels)
     _check_finite(loss_bce=loss)
 
-    opt.zero_grad()
-    loss.backward()
-    opt.step(lr)
+    descend(opt, loss, lr)
     return {"loss_total": loss.item()}
 
 
@@ -508,8 +505,8 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     if frozen and not masked and cfg.epochs > 0:
         summary = ((lambda z: summarize_features(z, data.n_f, data.n_t)[1].data)
                    if cfg.stage_id == "1.1" else (lambda z: z.data))  # 1.1 reads clip features
-        data = replace(data, patches=None, features=net.encode_frozen(
-            state.online, data.patches, pe, summary=summary, pool=net.worker()))
+        data = replace(data, patches=None, features=net.SharedEncode(
+            state.online, data.patches, pe, summary=summary).share(net.worker()).result())
 
     if out_dir is not None:
         ckpt_dir = os.path.join(out_dir, "checkpoints")
@@ -522,6 +519,8 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
+    # float32 checkpoints read a temperature at its floor back just below it
+    state.tau.data[...] = clip_temperature(float(state.tau.data))
     opt = AdamW(trainable_params(state, cfg), lr=cfg.base_lr)
     if cfg.stage_id == "1":
         target = ema_target(state, opt)

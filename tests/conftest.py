@@ -1,19 +1,21 @@
 """Shared test utilities: finite-difference gradient checking, a
 straight-line (loop-based) transformer forward oracle that is
-independent of the autodiff engine, a parameter digest, an infinite
-gradient injected at a chosen step, and a disk that fills up mid-write."""
+independent of the autodiff engine, a parameter digest, a stage's
+default parameter groups, a one-file feature write, an infinite gradient
+injected at a chosen step, and a disk that fills up mid-write."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
-from miniclap import datakit as dk
+from miniclap import datakit as dk, evaluation as ev
 from miniclap.autodiff import Tensor
 from miniclap.network import named_params
-from miniclap.trainer import AdamW
+from miniclap.trainer import AdamW, stage_config_from, trainable_params
 
 
 def param_digest(obj) -> str:
@@ -23,6 +25,17 @@ def param_digest(obj) -> str:
         h.update(name.encode("utf-8"))
         h.update(np.ascontiguousarray(tensor.data).tobytes())
     return h.hexdigest()
+
+
+def stage_params(state, stage_id: str) -> dict[str, Tensor]:
+    """The parameters stage `stage_id` trains at its default settings."""
+    return trainable_params(state, stage_config_from(stage_id, {}))
+
+
+def write_features(path, ids: list[str], features: np.ndarray) -> None:
+    """One feature file and its sidecar, moved into place together."""
+    with contextlib.ExitStack() as stack:
+        ev.write_features(path, ids, features, stack)
 
 
 def inject_inf(monkeypatch, name: str, at_step: int) -> None:

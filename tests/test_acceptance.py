@@ -20,7 +20,7 @@ from miniclap.frontend import Waveform, compute_logmel, pad_or_crop_to_grid, pat
 from miniclap.masking import batch_partitions, sample_partition
 from miniclap.trainer import AdamW, StageData, ema_decay_at, lr_at, stage1_step, stage_config_from
 
-from conftest import assert_grads_match, param_digest
+from conftest import assert_grads_match, param_digest, stage_params
 from test_eval import oracle_retrieval
 from test_losses import oracle_ntxent
 
@@ -213,12 +213,12 @@ def test_criterion_06_freeze_contracts(rng):
     state = net.init_model_state(TINY, seed=3)
     s1 = StageData(rng.standard_normal((4, 10, 256)) * 0.3, 5, 2,
                    embeddings=rng.standard_normal((4, TINY.emb_dim)))
-    opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+    opt = AdamW(stage_params(state, "1"), lr=1e-3)
     cfg = stage_config_from("1", dict(batch_size=4))
     stage1_step(state, s1, cfg, batch_partitions(10, cfg.mask_ratio, 4, np.random.default_rng(0)),
-                opt, trainer.ema_target(state, opt))
+                opt, trainer.ema_target(state, opt), lr=cfg.base_lr, ema_alpha=cfg.ema_start)
     assert all(t.grad is None for t in net.named_params(state.target).values())
-    assert not any("target" in name for name in trainer.trainable_params(state, "1"))
+    assert not any("target" in name for name in stage_params(state, "1"))
 
 
 @criterion(7, "temperature init and clipping")
@@ -227,10 +227,7 @@ def test_criterion_07_temperature():
     assert float(state.tau.data) == 0.07
     opt = AdamW({"tau": state.tau}, lr=0.01, weight_decay=0.0)
     for _ in range(50):  # gradient of +1 drives tau toward -inf without the clip
-        loss = state.tau * 1.0
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        trainer.descend(opt, state.tau * 1.0)
         state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
         assert float(state.tau.data) >= 0.01
         assert 1.0 / float(state.tau.data) <= 100.0

@@ -380,6 +380,8 @@ class TestGatherRows:
         ((2, 6, 3), np.array([[5, 0, 5], [1, 1, 1]])),  # repeated
         ((6, 3), np.array([4, 0, 1])),
         ((6, 3), np.array([4, 0, 4])),
+        ((2, 6, 3), np.array([4, 0, 1])),  # one index for every row, by broadcasting
+        ((2, 6, 3), np.array([4, 0, 4])),
     ])
     def test_backward_reproduces_add_at_bytes(self, rng, shape, idx):
         a = _param(rng, *shape)

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 import miniclap
-from miniclap import config as C, datakit as dk, evaluation as ev, network as net
+from miniclap import config as C, datakit as dk, evaluation as ev, losses, network as net
 from miniclap.cli import _build_parser, _prepare_mels, _split_indices, main
-from miniclap.evaluation import write_features
 
-from conftest import inject_inf
+from conftest import inject_inf, write_features
 
 TINY_MODEL = [
     "--set", "model.dim=8", "--set", "model.depth=1", "--set", "model.heads=2",
@@ -627,6 +626,25 @@ class TestPipeline:
                      "--set", "stage2_1.batch_size=3", "--set", "stage2_1.base_lr=1e-3"])
         assert code == 0
         assert (out / "checkpoints" / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("verb, section", [("pretrain-stage2", "stage2"),
+                                           ("refine-stage2.1", "stage2_1")])
+def test_text_stage_starts_from_a_temperature_at_its_floor(corpus, stage1, stage2, tmp_path,
+                                                           verb, section):
+    """A checkpoint holds float32, so a temperature at TAU_MIN reads back just
+    below it; the next stage floors it before its first step and trains."""
+    init = {"pretrain-stage2": stage1, "refine-stage2.1": stage2}[verb]
+    state = net.load_checkpoint(init / "checkpoints" / "final.ckpt")
+    state.tau.data[...] = losses.TAU_MIN
+    net.save_checkpoint(tmp_path / "floor.ckpt", state)
+    assert float(net.load_checkpoint(tmp_path / "floor.ckpt").tau.data) < losses.TAU_MIN
+    code = main([verb, "--manifest", str(corpus / "manifest.jsonl"),
+                 "--init", str(tmp_path / "floor.ckpt"), "--out", str(tmp_path / "out"),
+                 *TINY_MODEL, "--set", f"{section}.epochs=1", "--set", f"{section}.warmup_epochs=0",
+                 "--set", f"{section}.batch_size=3"])
+    assert code == 0
+    assert (tmp_path / "out" / "checkpoints" / "final.ckpt").exists()
 
 
 def test_eval_linear_scores_multi_label_manifest_by_map(tmp_path):

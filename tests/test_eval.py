@@ -19,6 +19,8 @@ from miniclap.evaluation import LabeledFeatureSet, attention_map, caption_from_l
     linear_probe, retrieval_metrics, zero_shot_classify
 from miniclap.frontend import MelSpectrogram, pad_or_crop_to_grid, patchify, summarize_features
 
+from conftest import write_features
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "caption_fixtures.json")
 
 
@@ -294,23 +296,23 @@ class TestFeatureFiles:
         path = tmp_path / "x.feat"
         feats = rng.standard_normal((7, 5)).astype(np.float32).astype(np.float64)
         ids = [f"clip-{i}" for i in range(7)]
-        ev.write_features(path, ids, feats)
+        write_features(path, ids, feats)
         got_ids, got = ev.read_features(path)
         assert got_ids == ids
         np.testing.assert_array_equal(got, feats)
         first = path.read_bytes()
-        ev.write_features(path, got_ids, got)
+        write_features(path, got_ids, got)
         assert path.read_bytes() == first
 
     def test_failed_write_keeps_previous_pair(self, rng, tmp_path):
         path = tmp_path / "x.feat"
         feats = rng.standard_normal((4, 5)).astype(np.float32).astype(np.float64)
         ids = [f"clip-{i}" for i in range(4)]
-        ev.write_features(path, ids, feats)
+        write_features(path, ids, feats)
         before = path.read_bytes(), (tmp_path / "x.feat.ids").read_bytes()
         # the feature file is written whole; the sidecar fails at its third line
         with pytest.raises(TypeError):
-            ev.write_features(path, ["a", "b", None, "d", "e"], rng.standard_normal((5, 3)))
+            write_features(path, ["a", "b", None, "d", "e"], rng.standard_normal((5, 3)))
         assert (path.read_bytes(), (tmp_path / "x.feat.ids").read_bytes()) == before
         assert sorted(os.listdir(tmp_path)) == ["x.feat", "x.feat.ids"]
         got_ids, got = ev.read_features(path)
@@ -319,7 +321,7 @@ class TestFeatureFiles:
 
     def test_truncated_rejected(self, rng, tmp_path):
         path = tmp_path / "x.feat"
-        ev.write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
+        write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FormatError):
             ev.read_features(path)
@@ -333,7 +335,7 @@ class TestFeatureFiles:
     @pytest.mark.parametrize("dim, count", [(2**32 - 1, 2**40), (2**32 - 1, 2), (3, 2**40)])
     def test_corrupt_size_fields_rejected(self, rng, tmp_path, dim, count):
         path = tmp_path / "x.feat"
-        ev.write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
+        write_features(path, ["a", "b"], rng.standard_normal((2, 3)))
         data = bytearray(path.read_bytes())
         data[8:20] = struct.pack("<IQ", dim, count)  # after magic and version
         path.write_bytes(bytes(data))

@@ -361,16 +361,19 @@ class TestEncodeFrozen:
         assert got.tobytes() == _one_call(state.online, patches, clips, vis, pe).tobytes()
 
     # 10 rows a clip: one clip a call is under MIN_ROWS, so 1 or 3 clips make one call
-    @pytest.mark.parametrize("b, split", [(1, False), (3, False), (4, True), (11, True)])
-    def test_pool_shares_only_from_two_calls(self, state, rng, monkeypatch, b, split):
+    @pytest.mark.parametrize("b, n_calls", [(1, 1), (3, 1), (4, 2), (11, 2)])
+    def test_worker_alone_runs_a_shared_plan(self, state, rng, monkeypatch, b, n_calls):
+        """A plan of any length, one call included, may be shared: once the
+        worker has drained it, `result` runs nothing and returns the
+        unshared bytes."""
         patches, clips, _, pe = _frozen_inputs(rng, b)
+        want = _encode(state.online, patches, pe, clips, None)
         calls = self._record(monkeypatch)
-        shared, share = [], net.SharedEncode.share
-        monkeypatch.setattr(net.SharedEncode, "share",
-                            lambda job, pool: (shared.append(pool), share(job, pool))[1])
-        net.encode_frozen(state.online, patches[clips], pe, pool=net.worker())
-        assert shared == ([net.worker()] if split else [])
-        assert len(calls) == (2 if split else 1)
+        encode = net.SharedEncode(state.online, patches, pe, clips).share(net.worker())
+        encode.wait()
+        assert encode.result().tobytes() == want.tobytes()
+        assert len(calls) == n_calls
+        assert all(thread != threading.get_ident() for thread, _ in calls)  # the worker's
         assert sum(tokens for _, tokens in calls) == b * 10
 
     @pytest.mark.parametrize("visible", [None, 4])
@@ -408,17 +411,15 @@ class TestEncodeFrozen:
             return z.data
 
         with pytest.raises(RuntimeError) as caught:
-            net.encode_frozen(state.online, patches[clips], pe, summary=summary,
-                              pool=net.worker())
+            _encode(state.online, patches, pe, clips, None, summary, net.worker())
         assert caught.value is error
         assert finished == [2]
 
     def test_builds_no_graph(self, state, rng):
         patches, clips, _, pe = _frozen_inputs(rng, 4)
         seen = []
-        net.encode_frozen(state.online, patches[clips], pe,
-                          summary=lambda z: seen.append(z.requires_grad) or z.data,
-                          pool=net.worker())
+        _encode(state.online, patches, pe, clips, None,
+                lambda z: seen.append(z.requires_grad) or z.data, net.worker())
         assert seen == [False, False]
 
 

@@ -3,8 +3,8 @@ replaced, parameter and gradient storage that stays one buffer each
 across every write, a step that rejects a rebound `.data` or `.grad` or
 a non-finite gradient before any write, a stage's groups that are
 exactly what its loss reaches, and source checks that keep parameter and
-gradient writes in place and the worker's users to two:
-`threads.SharedCalls` and the split backward."""
+gradient writes in place, every update in `trainer.descend`, and the
+worker's users to two: `threads.SharedCalls` and the split backward."""
 
 import ast
 import dataclasses
@@ -19,7 +19,7 @@ from miniclap.autodiff import Tensor
 from miniclap.errors import InvalidInput
 from miniclap.trainer import AdamW, ema_update, run_stage, stage1_step
 
-from conftest import inject_inf, param_digest
+from conftest import inject_inf, param_digest, stage_params
 from test_trainer import (TINY, _encoded, _headed_state, _labeled_data, _partition, _stage1_cfg,
                           _stage1_data, _stage2_data, _state)
 
@@ -156,16 +156,16 @@ class TestParameterStorage:
     def test_construction_copies_values(self):
         state = _state()
         before = param_digest(state)
-        opt = AdamW(trainer.trainable_params(state, "1"))
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         self._assert_views(opt)
         assert param_digest(state) == before
 
     def test_stage1_step_and_ema_update(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
-                    np.random.default_rng(0)), opt, target)
+                    np.random.default_rng(0)), opt, target, lr=1e-3, ema_alpha=0.99995)
         self._assert_views(opt)
         ema_update(target, opt.flat[:target.size], 0.5)
         self._assert_views(opt)
@@ -174,14 +174,14 @@ class TestParameterStorage:
     def test_stage2_step(self, rng):
         state = _state()
         cfg = trainer.stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         trainer.stage2_step(state, _encoded(state, _stage2_data(rng, n=4), cfg,
-                                            np.random.default_rng(0)), cfg, opt)
+                                            np.random.default_rng(0)), cfg, opt, lr=cfg.base_lr)
         self._assert_views(opt)
 
     def test_gradients_stay_views_across_steps_and_zero_grad(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
         target = trainer.ema_target(state, opt)
         for i in range(3):
@@ -205,22 +205,22 @@ class TestParameterStorage:
 
     def test_rebound_data_is_rejected_before_any_write(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         state.tau.data = np.asarray(0.5)
         self._assert_rejected(opt, lambda: stage1_step(
             state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), np.random.default_rng(0)),
-            opt, target), "parameter tau no longer views")
+            opt, target, lr=1e-3, ema_alpha=0.99995), "parameter tau no longer views")
 
     @pytest.mark.parametrize("rebound", [np.zeros(()), None], ids=["to-an-array", "to-none"])
     def test_rebound_grad_is_rejected_before_any_write(self, rng, rebound):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         state.tau.grad = rebound  # the backward adds into this, or into an array of its own
         self._assert_rejected(opt, lambda: stage1_step(
             state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(), np.random.default_rng(0)),
-            opt, target), "parameter tau no longer views")
+            opt, target, lr=1e-3, ema_alpha=0.99995), "parameter tau no longer views")
 
     def test_first_non_finite_gradient_is_named_before_any_write(self, rng):
         x, y, z = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(3))
@@ -233,7 +233,7 @@ class TestParameterStorage:
 
     def test_first_stale_parameter_is_named_after_steps(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
         target = trainer.ema_target(state, opt)
 
@@ -251,7 +251,7 @@ class TestParameterStorage:
 
     def test_transfer_shared(self):
         state, source = _state(), net.init_model_state(TINY, seed=4)
-        opt = AdamW(trainer.trainable_params(state, "1"))
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         net.transfer_shared(source, state)
         self._assert_views(opt)
         assert param_digest(state) == param_digest(source)
@@ -260,7 +260,7 @@ class TestParameterStorage:
         source = net.init_model_state(TINY, seed=4)
         net.save_checkpoint(tmp_path / "m.ckpt", source)
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"))
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         monkeypatch.setattr(net, "_model_state", lambda cfg, rng: state)
         assert net.load_checkpoint(tmp_path / "m.ckpt", TINY) is state
         self._assert_views(opt)
@@ -335,6 +335,9 @@ BINDS_GRAD = {("autodiff.py", "Tensor.__init__"), ("trainer.py", "AdamW.__init__
 # Where work may be handed to the worker (nested functions included): a
 # shared call list, and the split backward.
 SUBMITS = {("threads.py", "SharedCalls.share"), ("autodiff.py", "Tensor.backward")}
+# Where a gradient may be zeroed, backpropagated or applied: the one update step.
+UPDATES = {("trainer.py", "descend")}
+UPDATE_CALLS = ("zero_grad", "backward", "step")
 
 
 def _scoped_nodes(tree: ast.AST):
@@ -359,11 +362,11 @@ def _bindings(tree: ast.AST, attr: str) -> list[tuple[str, int]]:
             if isinstance(t, ast.Attribute) and t.attr == attr and isinstance(t.ctx, ast.Store)]
 
 
-def _submits(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every `.submit(...)` call."""
+def _calls(tree: ast.AST, *methods: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call of a method named in `methods`."""
     return [(scope, node.lineno) for scope, node in _scoped_nodes(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "submit"]
+            and node.func.attr in methods]
 
 
 def _within(name: str, scope: str, allowed) -> bool:
@@ -403,7 +406,7 @@ def test_binding_check_finds_a_rebind():
 
 
 def test_only_shared_calls_and_backward_submit_to_the_worker():
-    stray = _stray(_submits, SUBMITS)
+    stray = _stray(lambda tree: _calls(tree, "submit"), SUBMITS)
     assert not stray, "split work with the worker through `threads.SharedCalls`: " + \
         ", ".join(stray)
 
@@ -412,7 +415,24 @@ def test_submit_check_finds_a_stray_submit():
     tree = ast.parse("class C:\n    def share(self, pool):\n        pool.submit(f)\n"
                      "def g(pool):\n    def h():\n        return pool.submit(f)\n"
                      "    pool.submit(f)\n    pool.map(f, [])\n")
-    assert _submits(tree) == [("C.share", 3), ("g.h", 6), ("g", 7)]
+    assert _calls(tree, "submit") == [("C.share", 3), ("g.h", 6), ("g", 7)]
     allowed = {("threads.py", "C.share")}
-    assert [site for site in _submits(tree)
+    assert [site for site in _calls(tree, "submit")
             if not _within("threads.py", site[0], allowed)] == [("g.h", 6), ("g", 7)]
+
+
+def test_only_descend_updates():
+    stray = _stray(lambda tree: _calls(tree, *UPDATE_CALLS), UPDATES)
+    assert not stray, "update through `trainer.descend`: " + ", ".join(stray)
+
+
+def test_update_check_finds_a_stray_update():
+    tree = ast.parse("def descend(opt, loss):\n    opt.zero_grad()\n    loss.backward()\n"
+                     "    opt.step()\n"
+                     "def probe(opt, loss):\n    opt.zero_grad()\n    loss.backward(pool)\n"
+                     "    opt.step(lr)\n    opt.steps(lr)\n")
+    found = _calls(tree, *UPDATE_CALLS)
+    assert found == [("descend", 2), ("descend", 3), ("descend", 4),
+                     ("probe", 6), ("probe", 7), ("probe", 8)]
+    assert [site for site in found if not _within("trainer.py", site[0], UPDATES)] == [
+        ("probe", 6), ("probe", 7), ("probe", 8)]

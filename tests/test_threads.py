@@ -19,7 +19,7 @@ from miniclap import threads, trainer
 from miniclap.config import HOP_LENGTH, ModelConfig
 from miniclap.frontend import MelSpectrogram
 
-from conftest import param_digest
+from conftest import param_digest, stage_params
 from test_trainer import _partition, _stage1_cfg, _stage1_data, _state
 
 # Creates the worker in a fresh process with no BLAS thread variable set,
@@ -78,8 +78,8 @@ def _once_per_run_encode() -> bytes:
     of 10 patches, 3 calls."""
     state = net.init_model_state(TINY, seed=6)
     patches = np.random.default_rng(1).standard_normal((64, 10, 256))
-    return net.encode_frozen(state.online, patches, state.online.posenc.table,
-                             pool=net.worker()).tobytes()
+    return net.SharedEncode(state.online, patches, state.online.posenc.table).share(
+        net.worker()).result().tobytes()
 
 
 def _stage1_step() -> bytes:
@@ -88,10 +88,12 @@ def _stage1_step() -> bytes:
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(net, "SHARED_TOKENS", 21)
         state = _state()
-        opt = trainer.AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = trainer.AdamW(stage_params(state, "1"), lr=1e-3)
         data, cfg = _stage1_data(np.random.default_rng(2), n=12), _stage1_cfg(batch_size=12)
         partition = _partition(data, cfg, np.random.default_rng(3))
-        stats = trainer.stage1_step(state, data, cfg, partition, opt, trainer.ema_target(state, opt))
+        stats = trainer.stage1_step(state, data, cfg, partition, opt,
+                                    trainer.ema_target(state, opt), lr=cfg.base_lr,
+                                    ema_alpha=cfg.ema_start)
     return json.dumps(stats).encode() + param_digest(state).encode()
 
 

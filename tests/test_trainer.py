@@ -24,7 +24,7 @@ from miniclap.trainer import (AdamW, StageData, ema_decay_at, ema_update, lr_at,
                               run_stage, stage1_1_step, stage1_step, stage2_step,
                               stage_config_from)
 
-from conftest import param_digest
+from conftest import param_digest, stage_params
 
 TINY = ModelConfig(dim=8, depth=1, heads=2, input_frames=32, predictor_depth=1,
                    predictor_heads=2, text_vocab=11, text_depth=1, text_heads=2,
@@ -114,7 +114,7 @@ class TestSchedules:
 
 def _packed(state):
     """The EMA target's buffer and the online encoder's, as stage 1 updates them."""
-    opt = AdamW(trainer.trainable_params(state, "1"))
+    opt = AdamW(stage_params(state, "1"), lr=1e-3)
     target = trainer.ema_target(state, opt)
     return target, opt.flat[:target.size]
 
@@ -160,7 +160,7 @@ class TestEmaUpdate:
                 run_stage(_stage1_cfg(), _stage1_data(rng), state, seed=0)
         state = _state()
         with pytest.raises(InvalidInput, match="EMA target"):
-            trainer.ema_target(state, AdamW(trainer.trainable_params(state, "2")))
+            trainer.ema_target(state, AdamW(stage_params(state, "2"), lr=1e-3))
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(InvalidInput):
@@ -180,10 +180,7 @@ class TestAdamW:
         start = float((x.data ** 2).sum())
         opt = AdamW({"x": x}, lr=0.1, weight_decay=0.0)
         for _ in range(300):
-            loss = (x * x).sum()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+            trainer.descend(opt, (x * x).sum())
         # fixed-lr Adam hovers near the optimum rather than converging exactly
         assert np.abs(x.data).max() < 0.05
         assert float((x.data ** 2).sum()) < 1e-4 * start
@@ -195,10 +192,7 @@ class TestAdamW:
         y = Tensor(rng.standard_normal(4), requires_grad=True)
         before = y.data.copy()
         opt = AdamW({"x": x, "y": y}, lr=0.1)
-        loss = (x * x).sum()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        trainer.descend(opt, (x * x).sum())
         np.testing.assert_array_equal(y.data, before)
 
     def test_decay_filter(self):
@@ -268,8 +262,6 @@ class TestStageConfig:
     def test_unknown_stage_rejected(self):
         with pytest.raises(InvalidConfig, match="unknown stage id"):
             stage_config_from("3", {})
-        with pytest.raises(InvalidConfig, match="unknown stage id"):
-            trainer.trainable_params(_state(), "3")
 
     @pytest.mark.parametrize("stage", sorted(READS))
     @pytest.mark.parametrize("bad", [dict(epochs=-2), dict(batch_size=0)])
@@ -293,7 +285,7 @@ class TestStageConfig:
 
     def test_trained_groups(self):
         state = _headed_state()
-        groups = {stage: {name.split(".")[0] for name in trainer.trainable_params(state, stage)}
+        groups = {stage: {name.split(".")[0] for name in stage_params(state, stage)}
                   for stage in READS}
         assert groups["1"] == {"online", "predictor", "projector", "textpath", "tau"}
         assert groups["1.1"] == {"online", "head"}
@@ -301,9 +293,9 @@ class TestStageConfig:
         assert list(trainer.trainable_params(state, frozen)) == ["head.weight", "head.bias"]
         assert groups["2"] == groups["2.1"] == {"projector", "textpath", "tau"}
         assert not any(name.startswith("textpath.llm_map")
-                       for name in trainer.trainable_params(state, "2"))
+                       for name in stage_params(state, "2"))
         assert not any(name.startswith("textpath.encoder")
-                       for name in trainer.trainable_params(state, "1"))
+                       for name in stage_params(state, "1"))
 
 
 class TestStage1Step:
@@ -311,10 +303,11 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng)
         cfg = _stage1_cfg()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         batch = data.take(np.arange(4))
         stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
-                            opt, trainer.ema_target(state, opt))
+                            opt, trainer.ema_target(state, opt), lr=cfg.base_lr,
+                            ema_alpha=cfg.ema_start)
         want = (cfg.weights.lambda_m2d * stats["loss_m2d"]
                 + cfg.weights.lambda_clap * stats["loss_clap"])
         assert abs(stats["loss_total"] - want) <= 1e-7
@@ -323,12 +316,12 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng)
         cfg = _stage1_cfg()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         old_target = {k: v.data.copy() for k, v in net.named_params(state.target).items()}
         alpha = 0.875
         batch = data.take(np.arange(4))
         stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
-                    trainer.ema_target(state, opt), ema_alpha=alpha)
+                    trainer.ema_target(state, opt), lr=cfg.base_lr, ema_alpha=alpha)
         online = net.named_params(state.online)
         for name, tensor in net.named_params(state.target).items():
             want = alpha * old_target[name] + (1 - alpha) * online[name].data
@@ -337,10 +330,11 @@ class TestStage1Step:
     def test_target_receives_no_gradient(self, rng):
         state = _state()
         data = _stage1_data(rng)
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         batch = data.take(np.arange(4))
         stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
-                    np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
+                    np.random.default_rng(0)), opt, trainer.ema_target(state, opt),
+                    lr=1e-3, ema_alpha=0.99995)
         for tensor in net.named_params(state.target).values():
             assert tensor.grad is None
 
@@ -356,10 +350,11 @@ class TestStage1Step:
         state_b.textpath.llm_map.weight.data += 1.0
 
         for state in (state_a, state_b):
-            opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+            opt = AdamW(stage_params(state, "1"), lr=1e-3)
             batch = data.take(np.arange(4))
             stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
-                                opt, trainer.ema_target(state, opt))
+                                opt, trainer.ema_target(state, opt), lr=cfg.base_lr,
+                                ema_alpha=cfg.ema_start)
             assert stats["loss_clap"] == 0.0
             assert stats["loss_total"] == stats["loss_m2d"]
         assert param_digest(state_a.online) == param_digest(state_b.online)
@@ -373,7 +368,7 @@ class TestStage1Step:
         batch, cfg = data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0)
         opt = AdamW(trainer.trainable_params(state, cfg), lr=1e-3)
         stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
-                    trainer.ema_target(state, opt))
+                    trainer.ema_target(state, opt), lr=cfg.base_lr, ema_alpha=cfg.ema_start)
         assert param_digest(state.projector) == before_proj
         assert float(state.tau.data) == before_tau
 
@@ -381,32 +376,34 @@ class TestStage1Step:
         state = _state()
         state.tau.data = np.asarray(0.0102)
         data = _stage1_data(rng)
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-2)
+        opt = AdamW(stage_params(state, "1"), lr=1e-2)
         target, batch = trainer.ema_target(state, opt), data.take(np.arange(4))
         for step in range(5):
             stage1_step(state, batch, _stage1_cfg(),
-                        _partition(batch, _stage1_cfg(), np.random.default_rng(step)), opt, target)
+                        _partition(batch, _stage1_cfg(), np.random.default_rng(step)), opt, target,
+                        lr=1e-3, ema_alpha=0.99995)
             assert float(state.tau.data) >= 0.01
 
     def test_non_finite_loss_stops_before_update(self, rng):
         state = _state()
         data = _stage1_data(rng).take(np.arange(4))
         data.patches[1] = np.nan
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_m2d"):
             stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
-                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt),
+                        lr=1e-3, ema_alpha=0.99995)
         assert param_digest(state) == digest
         assert opt.step_count == 0
 
     def test_wrong_stage_rejected(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         with pytest.raises(InvalidInput):
             stage1_step(state, _stage1_data(rng), stage_config_from("2", {}),
                         _partition(_stage1_data(rng), _stage1_cfg(), np.random.default_rng(0)),
-                        opt, trainer.ema_target(state, opt))
+                        opt, trainer.ema_target(state, opt), lr=1e-3, ema_alpha=0.9)
 
 
 def _serial_stage1_step(state, data, cfg, partition, opt, target, lr, ema_alpha):
@@ -468,7 +465,7 @@ class TestTargetOverlap:
         runs = []
         for step_fn in (stage1_step, _serial_stage1_step):
             state = _state()
-            opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+            opt = AdamW(stage_params(state, "1"), lr=1e-3)
             gen = np.random.default_rng(7)
             target = trainer.ema_target(state, opt) if step_fn is stage1_step else None
             batches = [data.take(np.arange(clips * (i % 2), clips * (i % 2 + 1))) for i in range(3)]
@@ -482,14 +479,15 @@ class TestTargetOverlap:
 
     def test_target_error_propagates_before_any_update(self, rng, monkeypatch):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         digest = param_digest(state)
         error = TargetFailed("target branch failed")
         _fail_for_target(monkeypatch, error)
         data = _stage1_data(rng, n=4)
         with pytest.raises(TargetFailed) as caught:
             stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
-                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt),
+                        lr=1e-3, ema_alpha=0.99995)
         assert caught.value is error
         assert param_digest(state) == digest
         assert opt.step_count == 0
@@ -504,11 +502,12 @@ class TestTargetOverlap:
 
         monkeypatch.setattr(net, "predict_masked", failing_predict)
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         data = _stage1_data(rng, n=4)
         with pytest.raises(InvalidInput, match="online branch failed"):
             stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
-                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt))
+                        np.random.default_rng(0)), opt, trainer.ema_target(state, opt),
+                        lr=1e-3, ema_alpha=0.99995)
         assert finished == [True]  # the worker was done when the error left the step
         assert opt.step_count == 0
 
@@ -520,7 +519,7 @@ class TestSplitBackward:
     @staticmethod
     def _run(data, cfg):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"), lr=1e-3)
         gen, target = np.random.default_rng(11), trainer.ema_target(state, opt)
         record = []
         for i in range(3):
@@ -614,21 +613,21 @@ class TestStage2Step:
         state = _state()
         data = _stage2_data(rng, n=8)
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         digest = param_digest(state.online)
         gen = np.random.default_rng(0)
         for _ in range(100):
-            stage2_step(state, _encoded(state, data, cfg, gen), cfg, opt)
+            stage2_step(state, _encoded(state, data, cfg, gen), cfg, opt, lr=cfg.base_lr)
         assert param_digest(state.online) == digest
 
     def test_projector_and_text_encoder_do_update(self, rng):
         state = _state()
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
         data = _encoded(state, _stage2_data(rng, n=8), cfg, np.random.default_rng(0))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         proj = param_digest(state.projector)
         text = param_digest(state.textpath.encoder)
-        stage2_step(state, data, cfg, opt)
+        stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
         assert param_digest(state.projector) != proj
         assert param_digest(state.textpath.encoder) != text
 
@@ -638,8 +637,9 @@ class TestStage2Step:
         # stage 2.1: no masking, so the forward is partition-independent
         cfg = stage_config_from("2.1", dict(batch_size=2, base_lr=1e-3, epochs=1))
         frozen = copy.deepcopy(state)
-        opt = AdamW(trainer.trainable_params(state, "2.1"), lr=1e-3)
-        stats = stage2_step(state, _encoded(state, data, cfg, np.random.default_rng(0)), cfg, opt)
+        opt = AdamW(stage_params(state, "2.1"), lr=1e-3)
+        stats = stage2_step(state, _encoded(state, data, cfg, np.random.default_rng(0)), cfg, opt,
+                            lr=cfg.base_lr)
 
         pe = net.posenc_for(frozen.online, data.n_f, data.n_t)
         z = net.encode_tokens(frozen.online, data.patches, pe)
@@ -654,10 +654,10 @@ class TestStage2Step:
         data.patches[2] = np.nan
         cfg = stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
         data = _encoded(state, data, cfg, np.random.default_rng(0))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_clap"):
-            stage2_step(state, data, cfg, opt)
+            stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
         assert param_digest(state) == digest
         assert opt.step_count == 0
 
@@ -667,31 +667,31 @@ class TestStage2Step:
             stage_config_from("2", dict(freeze_audio_encoder=False))
         for stage in ("2", "2.1"):
             assert not any(name.startswith("online")
-                           for name in trainer.trainable_params(_state(), stage))
+                           for name in stage_params(_state(), stage))
 
     def test_wrong_stage_rejected(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         with pytest.raises(InvalidInput):
-            stage2_step(state, _stage2_data(rng), stage_config_from("1", {}), opt)
+            stage2_step(state, _stage2_data(rng), stage_config_from("1", {}), opt, lr=1e-3)
 
     def test_batch_without_features_rejected(self, rng):
         state = _state()
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         with pytest.raises(InvalidInput, match="encoded audio features"):
             stage2_step(state, _stage2_data(rng, n=4),
-                        stage_config_from("2", dict(batch_size=4, epochs=1)), opt)
+                        stage_config_from("2", dict(batch_size=4, epochs=1)), opt, lr=1e-3)
         assert opt.step_count == 0
 
     def test_precomputed_features_rejected_when_masking(self, rng):
         state = _state()
         data = _stage2_data(rng, n=4)
-        data.features = net.encode_frozen(state.online, data.patches,
-                                          net.posenc_for(state.online, data.n_f, data.n_t))
+        data.features = net.SharedEncode(state.online, data.patches,
+                                         net.posenc_for(state.online, data.n_f, data.n_t)).result()
         cfg = stage_config_from("2", dict(batch_size=4, epochs=1))
-        opt = AdamW(trainer.trainable_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"), lr=1e-3)
         with pytest.raises(InvalidInput, match="keeps 7 of 10 patches per clip; the features have 10"):
-            stage2_step(state, data, cfg, opt)
+            stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
         assert opt.step_count == 0
 
 
@@ -747,7 +747,7 @@ def _oracle_run_stage2(cfg, data, state, seed):
     rng = np.random.default_rng(seed)
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total, warmup = cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
-    opt = AdamW(trainer.trainable_params(state, cfg.stage_id), lr=cfg.base_lr)
+    opt = AdamW(trainer.trainable_params(state, cfg), lr=cfg.base_lr)
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     rows, step = [], 0
     for epoch in range(cfg.epochs):
@@ -841,18 +841,18 @@ class TestEncodeOnce:
                     for start in range(0, 11, 4)]
         monkeypatch.setattr(net, "SHARED_TOKENS", 30)
         tokens = _instrument_encoder(monkeypatch)["tokens"]
-        got = net.encode_frozen(state.online, data.patches, pe)
+        got = net.SharedEncode(state.online, data.patches, pe).result()
         assert tokens == [20, 30, 30, 30]  # 11 clips of 10 patches: 2, 3, 3 and 3 a call
         assert got.tobytes() == np.concatenate(want).tobytes()
         tokens.clear()
         # as stage 2.1 calls it: 6 clips on this thread in calls of 3 and 3,
         # 5 on the worker in calls of 2 and 3
-        got = net.encode_frozen(state.online, data.patches, pe, pool=net.worker())
+        got = net.SharedEncode(state.online, data.patches, pe).share(net.worker()).result()
         assert sorted(tokens) == [20, 30, 30, 30]
         assert got.tobytes() == np.concatenate(want).tobytes()
         tokens.clear()
         monkeypatch.setattr(net, "SHARED_TOKENS", 10)  # one clip a call,
-        net.encode_frozen(state.online, data.patches, pe)
+        net.SharedEncode(state.online, data.patches, pe).result()
         assert tokens == [20, 20, 20, 20, 30]  # except where a lone clip has under 16 rows
 
     @pytest.mark.parametrize("epochs", [1, 4])
@@ -901,7 +901,7 @@ class TestMaskedPrefetch:
         step = trainer.stage2_step
 
         def recording_step(state, batch, *args, **kwargs):
-            seen.append((type(batch.features), batch.n_samples))
+            seen.append((type(batch.features), len(batch.features.clips)))
             return step(state, batch, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "stage2_step", recording_step)
