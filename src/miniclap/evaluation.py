@@ -92,7 +92,7 @@ def linear_probe(train: LabeledFeatureSet, val: LabeledFeatureSet, test: Labeled
 
     rng = np.random.default_rng(seed)
     head = net.init_affine(rng, train.features.shape[1], n_out)
-    opt = AdamW(named_params(head, "head"), lr=lr, betas=(0.9, 0.999), weight_decay=0.0)
+    opt = AdamW(named_params(head, "head"), betas=(0.9, 0.999), weight_decay=0.0)
 
     best = (-np.inf, 0, None, None)  # metric, epoch, weight, bias
     history: list[float] = []
@@ -104,7 +104,7 @@ def linear_probe(train: LabeledFeatureSet, val: LabeledFeatureSet, test: Labeled
         else:
             picks = log_softmax(logits, axis=1)[np.arange(train.labels.shape[0]), train.labels]
             loss = -picks.mean()
-        descend(opt, loss)
+        descend(opt, loss, lr)
         epochs_run = epoch + 1
 
         metric = _probe_metric(head.weight.data, head.bias.data, val)

@@ -106,8 +106,8 @@ _WINDOW.flags.writeable = _FILTERBANK.flags.writeable = False
 # under 0.6 MB, which malloc reuses from call to call; a 9 s clip's whole
 # halves were mapped and faulted in afresh on every call (1,994 against
 # 672 minor faults a call). A one-row product can round differently from
-# the same row of a larger one (`network.MIN_ROWS`), so a block keeps 16
-# rows or more.
+# the same row of a larger one (`network.MIN_ROWS`); a block keeps 16
+# rows or more, more than that needs, because the byte tests pin it.
 BLOCK_FRAMES = 64
 # A clip's blocks are shared with the worker only from this many (256
 # frames, 2.56 s). On an idle 2-vCPU machine a split wins from about 44

@@ -343,10 +343,12 @@ def encode_tokens(params: EncoderParams, patch_vectors, pe_rows) -> Tensor:
     return layer_norm(params.final_norm, x)
 
 
-# A product's row can round differently from the same row of a larger
-# product: with OpenBLAS 0.3.31, at one row for every shape the model
-# uses, at more rows for narrow outputs over a wide inner dimension
-# (README, Performance). So no frozen encoder call has fewer rows.
+# Fewest token rows a frozen encoder call holds. With OpenBLAS 0.3.31 a
+# product's row rounds like the same row of a larger product from two
+# rows on for every encoder, predictor and projector shape; narrow
+# outputs over a wide inner dimension, such as `llm_map`'s (4,096, 64),
+# differ at more (README, Performance). 16 is more than these shapes
+# need; it stays because the byte tests and the plans they pin use it.
 MIN_ROWS = 16
 # Token rows per frozen encoder call. The two threads split an encode
 # only at call boundaries, so the calls must be small enough for the
@@ -398,6 +400,9 @@ class SharedEncode(SharedCalls):
         self.out = None
         self._made = threading.Lock()
         super().__init__(functools.partial(self.run, *call) for call in self.plan)
+
+    def __len__(self) -> int:
+        return len(self.clips)
 
     def run(self, start: int, end: int) -> None:
         """Encode clips start..end, gathered just before the call, in this

@@ -173,10 +173,9 @@ class AdamW:
     """
     _BLOCK = 16384  # values per update pass: its arrays fit a 2 MB L2 cache (README)
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas=(0.9, 0.95), weight_decay: float = 0.05):
+    def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.95),
+                 weight_decay: float = 0.05):
         self.params = dict(params)
-        self.lr = lr
         self.betas = betas
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -197,7 +196,7 @@ class AdamW:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self, lr: float) -> None:
         """Update every parameter; a rebound buffer or a non-finite gradient fails first."""
         for name, p in self.params.items():
             if p.data.base is not self.flat or getattr(p.grad, "base", None) is not self.grad:
@@ -206,7 +205,6 @@ class AdamW:
         if not np.isfinite(self.grad).all():
             bad = next(name for name, p in self.params.items() if not np.isfinite(p.grad).all())
             raise InvalidInput(f"non-finite gradient of {bad}; stopped before the update")
-        lr = self.lr if lr is None else lr
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.step_count
@@ -241,9 +239,11 @@ def trainable_params(state: ModelState, cfg: StageConfig) -> dict[str, Tensor]:
     return params
 
 
-def descend(opt: AdamW, loss: Tensor, lr: float | None = None, pool=None) -> None:
+def descend(opt: AdamW, loss: Tensor, lr: float, pool=None) -> None:
     """The one update step: zero `opt.grad`, backpropagate `loss`, handing
-    work to `pool` when given, then step `opt` at `lr` (`opt.lr` when None)."""
+    work to `pool` when given, then step `opt` at `lr`. `backward` adds
+    into `opt.grad`, so a loop that skipped the zeroing would silently
+    carry the last step's gradient; every loop updates here."""
     opt.zero_grad()
     loss.backward(pool)
     opt.step(lr)
@@ -521,7 +521,7 @@ def run_stage(cfg: StageConfig, data: StageData, state: ModelState,
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
     # float32 checkpoints read a temperature at its floor back just below it
     state.tau.data[...] = clip_temperature(float(state.tau.data))
-    opt = AdamW(trainable_params(state, cfg), lr=cfg.base_lr)
+    opt = AdamW(trainable_params(state, cfg))
     if cfg.stage_id == "1":
         target = ema_target(state, opt)
     text = replace(data, patches=None)  # a masked stage 2's step batches carry no patches

@@ -43,7 +43,7 @@ def inject_inf(monkeypatch, name: str, at_step: int) -> None:
     when `at_step` steps have run."""
     step = AdamW.step
 
-    def injected(self, lr=None):
+    def injected(self, lr):
         if self.step_count == at_step:
             self.params[name].grad.flat[-1] = np.inf
         return step(self, lr)

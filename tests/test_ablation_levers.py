@@ -24,7 +24,7 @@ def _stage1_data(rng, n=4, emb_dim=12):
 def _one_step(cfg, rng, **stage_kw):
     state = net.init_model_state(cfg, seed=0)
     stage_cfg = stage_config_from("1", dict(batch_size=4, base_lr=1e-3, **stage_kw))
-    opt = AdamW(stage_params(state, "1"), lr=1e-3)
+    opt = AdamW(stage_params(state, "1"))
     data = _stage1_data(rng, emb_dim=cfg.emb_dim)
     partition = batch_partitions(10, stage_cfg.mask_ratio, 4, np.random.default_rng(0))
     stats = stage1_step(state, data, stage_cfg, partition, opt, trainer.ema_target(state, opt),

@@ -213,7 +213,7 @@ def test_criterion_06_freeze_contracts(rng):
     state = net.init_model_state(TINY, seed=3)
     s1 = StageData(rng.standard_normal((4, 10, 256)) * 0.3, 5, 2,
                    embeddings=rng.standard_normal((4, TINY.emb_dim)))
-    opt = AdamW(stage_params(state, "1"), lr=1e-3)
+    opt = AdamW(stage_params(state, "1"))
     cfg = stage_config_from("1", dict(batch_size=4))
     stage1_step(state, s1, cfg, batch_partitions(10, cfg.mask_ratio, 4, np.random.default_rng(0)),
                 opt, trainer.ema_target(state, opt), lr=cfg.base_lr, ema_alpha=cfg.ema_start)
@@ -225,9 +225,9 @@ def test_criterion_06_freeze_contracts(rng):
 def test_criterion_07_temperature():
     state = net.init_model_state(TINY, seed=0)
     assert float(state.tau.data) == 0.07
-    opt = AdamW({"tau": state.tau}, lr=0.01, weight_decay=0.0)
+    opt = AdamW({"tau": state.tau}, weight_decay=0.0)
     for _ in range(50):  # gradient of +1 drives tau toward -inf without the clip
-        trainer.descend(opt, state.tau * 1.0)
+        trainer.descend(opt, state.tau * 1.0, 0.01)
         state.tau.data[...] = losses.clip_temperature(float(state.tau.data))
         assert float(state.tau.data) >= 0.01
         assert 1.0 / float(state.tau.data) <= 100.0

@@ -34,7 +34,7 @@ rng = np.random.default_rng(0)
 data = trainer.StageData(rng.standard_normal((4, 10, 256)), 5, 2,
                          embeddings=rng.standard_normal((4, 12)))
 stage = trainer.stage_config_from("1", dict(batch_size=4))
-opt = trainer.AdamW(trainer.trainable_params(state, stage), lr=1e-3)
+opt = trainer.AdamW(trainer.trainable_params(state, stage))
 partition = masking.batch_partitions(10, stage.mask_ratio, 4, rng)
 trainer.stage1_step(state, data, stage, partition, opt, trainer.ema_target(state, opt),
                     lr=1e-3, ema_alpha=stage.ema_start)

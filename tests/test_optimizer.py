@@ -28,9 +28,8 @@ class OracleAdamW:
     """The per-tensor AdamW that `trainer.AdamW` replaced: moments in
     dicts keyed by name, and one update per parameter with a gradient."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.95), weight_decay=0.05):
+    def __init__(self, params, betas=(0.9, 0.95), weight_decay=0.05):
         self.params = dict(params)
-        self.lr = lr
         self.betas = betas
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -47,8 +46,7 @@ class OracleAdamW:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self, lr):
         self.step_count += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.step_count
@@ -86,7 +84,7 @@ def _recorded(monkeypatch, module, make) -> list:
 def _stage1(lambda_clap):
     def scenario(make, monkeypatch):
         state, cfg = _state(), _stage1_cfg(lambda_clap=lambda_clap)
-        opt = make(trainer.trainable_params(state, cfg), lr=1e-3)
+        opt = make(trainer.trainable_params(state, cfg))
         data, gen = _stage1_data(np.random.default_rng(5), n=8), np.random.default_rng(7)
         target = trainer.ema_target(state, opt)
         for i in range(3):
@@ -156,13 +154,13 @@ class TestParameterStorage:
     def test_construction_copies_values(self):
         state = _state()
         before = param_digest(state)
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         self._assert_views(opt)
         assert param_digest(state) == before
 
     def test_stage1_step_and_ema_update(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
                     np.random.default_rng(0)), opt, target, lr=1e-3, ema_alpha=0.99995)
@@ -174,14 +172,14 @@ class TestParameterStorage:
     def test_stage2_step(self, rng):
         state = _state()
         cfg = trainer.stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         trainer.stage2_step(state, _encoded(state, _stage2_data(rng, n=4), cfg,
                                             np.random.default_rng(0)), cfg, opt, lr=cfg.base_lr)
         self._assert_views(opt)
 
     def test_gradients_stay_views_across_steps_and_zero_grad(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
         target = trainer.ema_target(state, opt)
         for i in range(3):
@@ -205,7 +203,7 @@ class TestParameterStorage:
 
     def test_rebound_data_is_rejected_before_any_write(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         state.tau.data = np.asarray(0.5)
         self._assert_rejected(opt, lambda: stage1_step(
@@ -215,7 +213,7 @@ class TestParameterStorage:
     @pytest.mark.parametrize("rebound", [np.zeros(()), None], ids=["to-an-array", "to-none"])
     def test_rebound_grad_is_rejected_before_any_write(self, rng, rebound):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         target, batch = trainer.ema_target(state, opt), _stage1_data(rng).take(np.arange(4))
         state.tau.grad = rebound  # the backward adds into this, or into an array of its own
         self._assert_rejected(opt, lambda: stage1_step(
@@ -224,16 +222,16 @@ class TestParameterStorage:
 
     def test_first_non_finite_gradient_is_named_before_any_write(self, rng):
         x, y, z = (Tensor(rng.standard_normal(3), requires_grad=True) for _ in range(3))
-        opt = AdamW({"x": x, "y": y, "z": z}, lr=0.1)
+        opt = AdamW({"x": x, "y": y, "z": z})
         ((x * x).sum() + (y * y).sum() + (z * z).sum()).backward()
-        opt.step()
+        opt.step(0.1)
         ((x * x).sum() + (y * y).sum() + (z * z).sum()).backward()
         z.grad[0], y.grad[2] = np.nan, -np.inf
-        self._assert_rejected(opt, opt.step, "non-finite gradient of y;")
+        self._assert_rejected(opt, lambda: opt.step(0.1), "non-finite gradient of y;")
 
     def test_first_stale_parameter_is_named_after_steps(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         data, gen = _stage1_data(rng, n=8), np.random.default_rng(7)
         target = trainer.ema_target(state, opt)
 
@@ -251,7 +249,7 @@ class TestParameterStorage:
 
     def test_transfer_shared(self):
         state, source = _state(), net.init_model_state(TINY, seed=4)
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         net.transfer_shared(source, state)
         self._assert_views(opt)
         assert param_digest(state) == param_digest(source)
@@ -260,7 +258,7 @@ class TestParameterStorage:
         source = net.init_model_state(TINY, seed=4)
         net.save_checkpoint(tmp_path / "m.ckpt", source)
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         monkeypatch.setattr(net, "_model_state", lambda cfg, rng: state)
         assert net.load_checkpoint(tmp_path / "m.ckpt", TINY) is state
         self._assert_views(opt)

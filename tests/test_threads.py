@@ -88,7 +88,7 @@ def _stage1_step() -> bytes:
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(net, "SHARED_TOKENS", 21)
         state = _state()
-        opt = trainer.AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = trainer.AdamW(stage_params(state, "1"))
         data, cfg = _stage1_data(np.random.default_rng(2), n=12), _stage1_cfg(batch_size=12)
         partition = _partition(data, cfg, np.random.default_rng(3))
         stats = trainer.stage1_step(state, data, cfg, partition, opt,

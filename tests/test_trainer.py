@@ -114,7 +114,7 @@ class TestSchedules:
 
 def _packed(state):
     """The EMA target's buffer and the online encoder's, as stage 1 updates them."""
-    opt = AdamW(stage_params(state, "1"), lr=1e-3)
+    opt = AdamW(stage_params(state, "1"))
     target = trainer.ema_target(state, opt)
     return target, opt.flat[:target.size]
 
@@ -160,7 +160,7 @@ class TestEmaUpdate:
                 run_stage(_stage1_cfg(), _stage1_data(rng), state, seed=0)
         state = _state()
         with pytest.raises(InvalidInput, match="EMA target"):
-            trainer.ema_target(state, AdamW(stage_params(state, "2"), lr=1e-3))
+            trainer.ema_target(state, AdamW(stage_params(state, "2")))
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(InvalidInput):
@@ -178,9 +178,9 @@ class TestAdamW:
     def test_minimizes_quadratic(self, rng):
         x = Tensor(rng.standard_normal(5) + 3.0, requires_grad=True)
         start = float((x.data ** 2).sum())
-        opt = AdamW({"x": x}, lr=0.1, weight_decay=0.0)
+        opt = AdamW({"x": x}, weight_decay=0.0)
         for _ in range(300):
-            trainer.descend(opt, (x * x).sum())
+            trainer.descend(opt, (x * x).sum(), 0.1)
         # fixed-lr Adam hovers near the optimum rather than converging exactly
         assert np.abs(x.data).max() < 0.05
         assert float((x.data ** 2).sum()) < 1e-4 * start
@@ -191,8 +191,8 @@ class TestAdamW:
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         y = Tensor(rng.standard_normal(4), requires_grad=True)
         before = y.data.copy()
-        opt = AdamW({"x": x, "y": y}, lr=0.1)
-        trainer.descend(opt, (x * x).sum())
+        opt = AdamW({"x": x, "y": y})
+        trainer.descend(opt, (x * x).sum(), 0.1)
         np.testing.assert_array_equal(y.data, before)
 
     def test_decay_filter(self):
@@ -303,7 +303,7 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng)
         cfg = _stage1_cfg()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         batch = data.take(np.arange(4))
         stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
                             opt, trainer.ema_target(state, opt), lr=cfg.base_lr,
@@ -316,7 +316,7 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng)
         cfg = _stage1_cfg()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         old_target = {k: v.data.copy() for k, v in net.named_params(state.target).items()}
         alpha = 0.875
         batch = data.take(np.arange(4))
@@ -330,7 +330,7 @@ class TestStage1Step:
     def test_target_receives_no_gradient(self, rng):
         state = _state()
         data = _stage1_data(rng)
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         batch = data.take(np.arange(4))
         stage1_step(state, batch, _stage1_cfg(), _partition(batch, _stage1_cfg(),
                     np.random.default_rng(0)), opt, trainer.ema_target(state, opt),
@@ -350,7 +350,7 @@ class TestStage1Step:
         state_b.textpath.llm_map.weight.data += 1.0
 
         for state in (state_a, state_b):
-            opt = AdamW(stage_params(state, "1"), lr=1e-3)
+            opt = AdamW(stage_params(state, "1"))
             batch = data.take(np.arange(4))
             stats = stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)),
                                 opt, trainer.ema_target(state, opt), lr=cfg.base_lr,
@@ -366,7 +366,7 @@ class TestStage1Step:
         before_proj = param_digest(state.projector)
         before_tau = float(state.tau.data)
         batch, cfg = data.take(np.arange(4)), _stage1_cfg(lambda_clap=0.0)
-        opt = AdamW(trainer.trainable_params(state, cfg), lr=1e-3)
+        opt = AdamW(trainer.trainable_params(state, cfg))
         stage1_step(state, batch, cfg, _partition(batch, cfg, np.random.default_rng(0)), opt,
                     trainer.ema_target(state, opt), lr=cfg.base_lr, ema_alpha=cfg.ema_start)
         assert param_digest(state.projector) == before_proj
@@ -376,7 +376,7 @@ class TestStage1Step:
         state = _state()
         state.tau.data = np.asarray(0.0102)
         data = _stage1_data(rng)
-        opt = AdamW(stage_params(state, "1"), lr=1e-2)
+        opt = AdamW(stage_params(state, "1"))
         target, batch = trainer.ema_target(state, opt), data.take(np.arange(4))
         for step in range(5):
             stage1_step(state, batch, _stage1_cfg(),
@@ -388,7 +388,7 @@ class TestStage1Step:
         state = _state()
         data = _stage1_data(rng).take(np.arange(4))
         data.patches[1] = np.nan
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_m2d"):
             stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
@@ -399,7 +399,7 @@ class TestStage1Step:
 
     def test_wrong_stage_rejected(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         with pytest.raises(InvalidInput):
             stage1_step(state, _stage1_data(rng), stage_config_from("2", {}),
                         _partition(_stage1_data(rng), _stage1_cfg(), np.random.default_rng(0)),
@@ -465,7 +465,7 @@ class TestTargetOverlap:
         runs = []
         for step_fn in (stage1_step, _serial_stage1_step):
             state = _state()
-            opt = AdamW(stage_params(state, "1"), lr=1e-3)
+            opt = AdamW(stage_params(state, "1"))
             gen = np.random.default_rng(7)
             target = trainer.ema_target(state, opt) if step_fn is stage1_step else None
             batches = [data.take(np.arange(clips * (i % 2), clips * (i % 2 + 1))) for i in range(3)]
@@ -479,7 +479,7 @@ class TestTargetOverlap:
 
     def test_target_error_propagates_before_any_update(self, rng, monkeypatch):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         digest = param_digest(state)
         error = TargetFailed("target branch failed")
         _fail_for_target(monkeypatch, error)
@@ -502,7 +502,7 @@ class TestTargetOverlap:
 
         monkeypatch.setattr(net, "predict_masked", failing_predict)
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         data = _stage1_data(rng, n=4)
         with pytest.raises(InvalidInput, match="online branch failed"):
             stage1_step(state, data, _stage1_cfg(), _partition(data, _stage1_cfg(),
@@ -519,7 +519,7 @@ class TestSplitBackward:
     @staticmethod
     def _run(data, cfg):
         state = _state()
-        opt = AdamW(stage_params(state, "1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "1"))
         gen, target = np.random.default_rng(11), trainer.ema_target(state, opt)
         record = []
         for i in range(3):
@@ -613,7 +613,7 @@ class TestStage2Step:
         state = _state()
         data = _stage2_data(rng, n=8)
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         digest = param_digest(state.online)
         gen = np.random.default_rng(0)
         for _ in range(100):
@@ -624,7 +624,7 @@ class TestStage2Step:
         state = _state()
         cfg = stage_config_from("2", dict(batch_size=8, base_lr=1e-3, epochs=1))
         data = _encoded(state, _stage2_data(rng, n=8), cfg, np.random.default_rng(0))
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         proj = param_digest(state.projector)
         text = param_digest(state.textpath.encoder)
         stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
@@ -637,7 +637,7 @@ class TestStage2Step:
         # stage 2.1: no masking, so the forward is partition-independent
         cfg = stage_config_from("2.1", dict(batch_size=2, base_lr=1e-3, epochs=1))
         frozen = copy.deepcopy(state)
-        opt = AdamW(stage_params(state, "2.1"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2.1"))
         stats = stage2_step(state, _encoded(state, data, cfg, np.random.default_rng(0)), cfg, opt,
                             lr=cfg.base_lr)
 
@@ -654,7 +654,7 @@ class TestStage2Step:
         data.patches[2] = np.nan
         cfg = stage_config_from("2", dict(batch_size=4, base_lr=1e-3, epochs=1))
         data = _encoded(state, data, cfg, np.random.default_rng(0))
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         digest = param_digest(state)
         with pytest.raises(InvalidInput, match="non-finite loss_clap"):
             stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
@@ -671,13 +671,13 @@ class TestStage2Step:
 
     def test_wrong_stage_rejected(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         with pytest.raises(InvalidInput):
             stage2_step(state, _stage2_data(rng), stage_config_from("1", {}), opt, lr=1e-3)
 
     def test_batch_without_features_rejected(self, rng):
         state = _state()
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         with pytest.raises(InvalidInput, match="encoded audio features"):
             stage2_step(state, _stage2_data(rng, n=4),
                         stage_config_from("2", dict(batch_size=4, epochs=1)), opt, lr=1e-3)
@@ -689,7 +689,7 @@ class TestStage2Step:
         data.features = net.SharedEncode(state.online, data.patches,
                                          net.posenc_for(state.online, data.n_f, data.n_t)).result()
         cfg = stage_config_from("2", dict(batch_size=4, epochs=1))
-        opt = AdamW(stage_params(state, "2"), lr=1e-3)
+        opt = AdamW(stage_params(state, "2"))
         with pytest.raises(InvalidInput, match="keeps 7 of 10 patches per clip; the features have 10"):
             stage2_step(state, data, cfg, opt, lr=cfg.base_lr)
         assert opt.step_count == 0
@@ -747,7 +747,7 @@ def _oracle_run_stage2(cfg, data, state, seed):
     rng = np.random.default_rng(seed)
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total, warmup = cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
-    opt = AdamW(trainer.trainable_params(state, cfg), lr=cfg.base_lr)
+    opt = AdamW(trainer.trainable_params(state, cfg))
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     rows, step = [], 0
     for epoch in range(cfg.epochs):
@@ -901,7 +901,7 @@ class TestMaskedPrefetch:
         step = trainer.stage2_step
 
         def recording_step(state, batch, *args, **kwargs):
-            seen.append((type(batch.features), len(batch.features.clips)))
+            seen.append((type(batch.features), batch.n_samples))
             return step(state, batch, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "stage2_step", recording_step)
@@ -1163,7 +1163,7 @@ def _replay(cfg, data, state, seed, out):
                                     np.random.default_rng(seed)))
     steps_per_epoch = -(-data.n_samples // cfg.batch_size)
     total, warmup = len(plan), cfg.warmup_epochs * steps_per_epoch
-    opt = AdamW(trainer.trainable_params(state, cfg), lr=cfg.base_lr)
+    opt = AdamW(trainer.trainable_params(state, cfg))
     target = trainer.ema_target(state, opt) if cfg.stage_id == "1" else None
     pe = net.posenc_for(state.online, data.n_f, data.n_t)
     rows = []
